@@ -8,7 +8,7 @@ arithmetic keeps integer test oracles exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class Hypergraph:
         hyperedges: Iterable[tuple[Iterable[int], float]] = (),
         vertex_weights: Sequence[float] | None = None,
     ) -> None:
-        if not isinstance(n_vertices, int) or n_vertices < 1:
+        if isinstance(n_vertices, bool) or not isinstance(n_vertices, int) or n_vertices < 1:
             raise ValueError(f"n_vertices must be a positive integer, got {n_vertices!r}")
         if vertex_weights is None:
             weights = tuple(1.0 for _ in range(n_vertices))
@@ -98,52 +98,58 @@ def incidence_matrix(h: Hypergraph) -> np.ndarray:
     return mat
 
 
-def vertex_degree_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal D_v with d(v) = sum of weights of hyperedges containing v."""
-    d = np.zeros(h.n_vertices, dtype=np.float64)
-    for members, omega in h.hyperedges:
-        for v in members:
-            d[v - 1] += omega
-    return np.diag(d)
+def _from_incidence(h: Hypergraph, form: Callable[..., np.ndarray]) -> np.ndarray:
+    """``form(H, w, vw)``: H = incidence_matrix(h), w and vw the edge and vertex weights.
 
-
-def edge_degree_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal D_e with d(e) = |e|, the hyperedge cardinality."""
-    return np.diag(np.array([float(len(m)) for m, _ in h.hyperedges], dtype=np.float64))
-
-
-def edge_weight_sum_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal f_w: per-edge sum of member vertex weights.
-
-    With unit vertex weights this coincides with the edge degree matrix.
+    Every weighted matrix is a product of H with these vectors.  Weights near
+    the float64 limit can overflow the sums; that raises a ValueError instead
+    of leaking numpy warnings and inf or nan entries.
     """
-    sums = [
-        float(sum(h.vertex_weights[v - 1] for v in members)) for members, _ in h.hyperedges
-    ]
-    return np.diag(np.array(sums, dtype=np.float64))
+    w, vw = np.array(h.edge_weights(), dtype=np.float64), np.array(h.vertex_weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = form(incidence_matrix(h), w, vw)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("edge weights too large: weighted degree or Gram sums overflow float64")
+    return out
 
 
-def _weighted_gram(h: Hypergraph, diag_weights: np.ndarray) -> np.ndarray:
-    inc = incidence_matrix(h)
-    return inc @ np.diag(diag_weights) @ inc.T
-
-
-def adjacency_matrix(h: Hypergraph) -> np.ndarray:
-    """Weighted adjacency A = H W H^T - D_v; diagonal forced to exact zero."""
-    a = _weighted_gram(h, np.array(h.edge_weights())) - vertex_degree_matrix(h)
+def _adjacency(inc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    a = (inc * w) @ inc.T
     np.fill_diagonal(a, 0.0)
     return a
 
 
+def vertex_degree_matrix(h: Hypergraph) -> np.ndarray:
+    """Diagonal D_v with d(v) = sum of weights of hyperedges containing v (H w)."""
+    return np.diag(_from_incidence(h, lambda inc, w, vw: inc @ w))
+
+
+def edge_degree_matrix(h: Hypergraph) -> np.ndarray:
+    """Diagonal D_e with d(e) = |e|, the hyperedge cardinality (column sums of H)."""
+    return np.diag(incidence_matrix(h).sum(axis=0))
+
+
+def edge_weight_sum_matrix(h: Hypergraph) -> np.ndarray:
+    """Diagonal f_w: per-edge sum of member vertex weights (vertex_weights @ H).
+
+    With unit vertex weights this coincides with the edge degree matrix.
+    """
+    return np.diag(_from_incidence(h, lambda inc, w, vw: vw @ inc))
+
+
+def adjacency_matrix(h: Hypergraph) -> np.ndarray:
+    """Weighted adjacency A = H W H^T - D_v; diagonal forced to exact zero."""
+    return _from_incidence(h, lambda inc, w, vw: _adjacency(inc, w))
+
+
 def momentum_laplacian(h: Hypergraph) -> np.ndarray:
-    """Unnormalized Laplacian L = 2 D_v - H W H^T (equivalently D_v - A)."""
-    return 2.0 * vertex_degree_matrix(h) - _weighted_gram(h, np.array(h.edge_weights()))
+    """Unnormalized Laplacian L = D_v - A (equivalently 2 D_v - H W H^T)."""
+    return _from_incidence(h, lambda inc, w, vw: np.diag(inc @ w) - _adjacency(inc, w))
 
 
 def position_laplacian(h: Hypergraph) -> np.ndarray:
     """Position-form Laplacian L = 2 D_v - H f_w H^T."""
-    f = np.diag(edge_weight_sum_matrix(h))
-    return 2.0 * vertex_degree_matrix(h) - _weighted_gram(h, f)
+    return _from_incidence(h, lambda inc, w, vw: 2 * np.diag(inc @ w) - (inc * (vw @ inc)) @ inc.T)
 
 
 @dataclass(frozen=True)

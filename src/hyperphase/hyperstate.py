@@ -50,7 +50,7 @@ class QubitStateVector:
                 f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, got shape {amps.shape}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state norm is {norm}, expected 1 within 1e-12")
         amps.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)

@@ -58,6 +58,13 @@ def _nearest_center(value: float, lo: float, delta: float, count: int) -> int:
     return min(max(j, 0), count - 1)
 
 
+def _position_degrees(h: Hypergraph) -> tuple[np.ndarray, str]:
+    """Position-column degrees and their source: edge degrees if any hyperedge is empty."""
+    if any(len(members) == 0 for members in h.edge_members()):
+        return np.diag(edge_degree_matrix(h)), EDGE_DEGREE
+    return np.diag(vertex_degree_matrix(h)), VERTEX_DEGREE
+
+
 def grid_from_boundary(
     h: Hypergraph,
     n_q: int,
@@ -69,19 +76,14 @@ def grid_from_boundary(
     """Grid whose extents are the hypergraph boundary scaled by (1 + margin).
 
     Momentum runs to the largest hyperedge weight; position runs to the
-    largest vertex degree (largest hyperedge degree when any hyperedge is
-    empty, matching the position-column fallback).
+    largest of the degrees that place position columns.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
     p_hi = (1.0 + margin) * max(h.edge_weights())
-    if any(len(members) == 0 for members in h.edge_members()):
-        degrees = np.diag(edge_degree_matrix(h))
-    else:
-        degrees = np.diag(vertex_degree_matrix(h))
-    q_hi = (1.0 + margin) * float(degrees.max())
+    q_hi = (1.0 + margin) * float(_position_degrees(h)[0].max())
     if q_hi <= 0.0:
         raise ValueError("hypergraph boundary has zero position extent (all hyperedges empty)")
     return PhaseSpaceGrid(n_q, n_p, 0.0, q_hi, 0.0, p_hi, m, hbar)
@@ -106,19 +108,13 @@ def map_position_columns(h: Hypergraph, grid: PhaseSpaceGrid) -> tuple[dict[int,
     some hyperedge has no members; the mapping is then keyed by hyperedge
     index instead of vertex label.
     """
-    if any(len(members) == 0 for members in h.edge_members()):
-        degrees = np.diag(edge_degree_matrix(h))
-        cols = {
-            j: _nearest_center(float(d), grid.q_min, grid.dq, grid.n_q)
-            for j, d in enumerate(degrees)
-        }
-        return cols, EDGE_DEGREE
-    degrees = np.diag(vertex_degree_matrix(h))
+    degrees, source = _position_degrees(h)
+    first_key = 1 if source == VERTEX_DEGREE else 0  # vertex labels are 1-based
     cols = {
-        v + 1: _nearest_center(float(degrees[v]), grid.q_min, grid.dq, grid.n_q)
-        for v in range(h.n_vertices)
+        first_key + i: _nearest_center(float(d), grid.q_min, grid.dq, grid.n_q)
+        for i, d in enumerate(degrees)
     }
-    return cols, VERTEX_DEGREE
+    return cols, source
 
 
 def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:

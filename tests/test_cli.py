@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,20 @@ def test_invalid_document_is_validation_error(tmp_path, capsys):
     doc.write_text('{"vertices": 4, "edges": [{"members": [5]}]}')
     assert main(["info", str(doc)]) == 1
     assert "edges[0].members[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["matrices"], ["evolve", "--dt", "0.1", "--steps", "2"]])
+def test_overflowing_weights_are_validation_error(command, tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
+                   '{"members": [1], "weight": 1e308}]}')
+    argv = [command[0], str(doc), *command[1:], "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge weights") and err.count("\n") == 1
 
 
 # --- evolve ----------------------------------------------------------------------

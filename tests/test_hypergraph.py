@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
@@ -139,6 +141,54 @@ def test_degree_consistency_random():
         assert np.all(np.diag(a) == 0.0)
 
 
+def test_overflowing_weights_rejected():
+    h = Hypergraph(2, [({1, 2}, 1e308), ({1}, 1e308)])
+    for matrix in (vertex_degree_matrix, momentum_laplacian, position_laplacian):
+        with pytest.raises(ValueError, match="edge weights"):
+            matrix(h)
+    # only the zeroed diagonal of H W H^T overflows; A itself is representable
+    assert np.array_equal(adjacency_matrix(h), [[0.0, 1e308], [1e308, 0.0]])
+    heavy_vertices = Hypergraph(2, [({1, 2}, 1.0)], vertex_weights=[1e308, 1e308])
+    with pytest.raises(ValueError, match="overflow"):
+        edge_weight_sum_matrix(heavy_vertices)
+
+
+# Float weights: the identities hold exactly because every matrix is formed
+# from the same incidence product, not only up to rounding.
+_weights = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def float_hypergraphs(draw) -> Hypergraph:
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.sets(st.integers(1, n)), _weights), max_size=8))
+    vertex_weights = draw(st.lists(_weights, min_size=n, max_size=n))
+    return Hypergraph(n, edges, vertex_weights=vertex_weights)
+
+
+@settings(deadline=None)
+@given(float_hypergraphs())
+def test_property_laplacian_is_degree_minus_adjacency(h):
+    assert np.array_equal(momentum_laplacian(h), vertex_degree_matrix(h) - adjacency_matrix(h))
+
+
+@settings(deadline=None)
+@given(float_hypergraphs())
+def test_property_vertex_degrees_are_incidence_times_weights(h):
+    dv = vertex_degree_matrix(h)
+    assert np.array_equal(np.diag(dv), incidence_matrix(h) @ np.array(h.edge_weights()))
+    assert np.array_equal(dv, np.diag(np.diag(dv)))
+
+
+@settings(deadline=None)
+@given(float_hypergraphs())
+def test_property_position_laplacian_form(h):
+    inc = incidence_matrix(h)
+    f = np.diag(edge_weight_sum_matrix(h))
+    expected = 2.0 * vertex_degree_matrix(h) - (inc * f) @ inc.T
+    assert np.array_equal(position_laplacian(h), expected)
+
+
 def test_graph_specialization_matches_classic_laplacian():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -177,6 +227,8 @@ def test_nonpositive_weights_rejected():
 def test_bad_vertex_count_rejected():
     with pytest.raises(ValueError):
         Hypergraph(0)
+    with pytest.raises(ValueError):
+        Hypergraph(True, [])
     with pytest.raises(ValueError):
         Hypergraph(2, [], vertex_weights=[1.0])
 

@@ -55,6 +55,8 @@ def test_plus_state_guard():
 def test_state_vector_validation():
     with pytest.raises(ValueError, match="norm"):
         QubitStateVector(2, np.ones(4))
+    with pytest.raises(ValueError, match="norm"):
+        QubitStateVector(1, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError, match="amplitudes"):
         QubitStateVector(2, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="n_qubits"):

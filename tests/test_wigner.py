@@ -74,6 +74,8 @@ def test_field_validation_and_immutability():
 def test_wavefunction_requires_unit_norm():
     with pytest.raises(ValueError, match="norm"):
         Wavefunction(-8, 8, np.ones(16))
+    with pytest.raises(ValueError, match="norm"):
+        Wavefunction(0, 1, np.array([np.nan, 0.0]))
 
 
 def test_density_matrix_validation():
@@ -87,6 +89,8 @@ def test_density_matrix_validation():
         DensityMatrix(-4, 4, bad)
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(-4, 4, 2.0 * np.array(rho.matrix))
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(0, 1, np.array([[np.nan, 0.0], [0.0, 0.0]]))
     # Hermitian, unit trace, but indefinite
     diag = np.zeros(8)
     diag[0] = 1.1 / g.dq
@@ -219,6 +223,27 @@ def test_reversibility():
     f = smooth_field(g, np.random.default_rng(3))
     back = free_stream_step(free_stream_step(f, 0.37), -0.37)
     assert np.max(np.abs(back.values - f.values)) <= 1e-10
+
+
+def test_even_n_nyquist_row_damped_by_cosine_each_step():
+    g = make_grid(16, 4, (0, 4), (0, 4))  # dq = 0.25, p centers 0.5..3.5
+    alternating = (-1.0) ** np.arange(g.n_q)  # the pure Nyquist mode of an even row
+    values = np.zeros((g.n_p, g.n_q))
+    values[1] = alternating
+    f = WignerField(g, values, field_mode=True)
+    dt = 0.05
+    shift = g.p_centers()[1] * dt / g.mass  # 0.3 cells
+    damp = math.cos(math.pi * shift / g.dq)
+    one = free_stream_step(f, dt)
+    assert np.max(np.abs(one.values[1] - damp * alternating)) <= 1e-13
+    two = evolve(f, dt, 2)[-1]
+    assert np.max(np.abs(two.values[1] - damp**2 * alternating)) <= 1e-13
+    # per-step damping, not one shear of the summed shift
+    sheared = free_stream_step(f, 2 * dt).values[1]
+    assert np.max(np.abs(sheared - math.cos(2 * math.pi * shift / g.dq) * alternating)) <= 1e-13
+    assert np.max(np.abs(two.values[1] - sheared)) > 0.5
+    for out in (one, two):
+        assert np.all(np.delete(out.values, 1, axis=0) == 0.0)
 
 
 def test_linearity():
