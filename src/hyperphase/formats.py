@@ -3,6 +3,10 @@
 All numeric output uses 17 significant digits with a '.' decimal separator,
 so identical inputs produce byte-identical files.  Vertex labels are 1-based
 in every external format.
+
+Every numeric writer (matrix CSVs, snapshots, state dumps, wavefunctions)
+goes through one row formatter, ``_rows17``, which formats each distinct
+value once per block of rows; ``fmt17`` shares its format spec for scalars.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .hyperstate import QubitStateVector
+from .hyperstate import MAX_QUBITS, QubitStateVector
 from .wigner import Wavefunction, WignerField
 
 __all__ = [
@@ -34,10 +38,35 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+_FMT17 = "%.17g"
+# Cells per block of _rows17.  A block's unique pass, string table and row
+# lists are alive at once, so the block size bounds the writers' extra memory:
+# 2**16-cell blocks raised a 16-qubit state dump's peak RSS by ~8%, 2**12 by <2%.
+_BLOCK_CELLS = 1 << 12
+
 
 def fmt17(x: float) -> str:
     """Fixed 17-significant-digit decimal rendering (round-trips float64)."""
-    return format(float(x), ".17g")
+    return _FMT17 % float(x)
+
+
+def _rows17(values: np.ndarray, sep: str) -> Iterator[str]:
+    """Rows of a 2-D float64 array as text: each cell as fmt17, joined by sep.
+
+    Distinct bit patterns (so -0.0 stays apart from 0.0) are formatted in
+    one template call per block, then mapped back to their cells.  Rows are
+    yielded block by block, so a caller that labels them holds one block of
+    unlabeled rows at a time.
+    """
+    n_rows, n_cols = values.shape
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
+        distinct = bits.view(np.float64).tolist()
+        texts = ("\n".join([_FMT17] * len(distinct)) % tuple(distinct)).split("\n")
+        cells = np.array(texts, dtype=object)[inverse].reshape(block.shape)
+        yield from (sep.join(row) for row in cells.tolist())
 
 
 def _require_number(value, path: str, positive: bool = False) -> float:
@@ -137,17 +166,15 @@ def write_matrix_csv(
     """Labeled CSV: header of column labels, one labeled row per matrix row."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     lines = [",".join([""] + list(col_labels))]
-    for label, row in zip(row_labels, mat):
-        lines.append(",".join([label] + [fmt17(x) for x in row]))
+    prefix = "," if mat.shape[1] else ""
+    lines += [label + prefix + row for label, row in zip(row_labels, _rows17(mat, ","))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def dump_state(s: QubitStateVector) -> str:
     """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
-    lines = [
-        f"{label} {fmt17(a.real)} {fmt17(a.imag)}"
-        for label, a in zip(s.basis_labels(), s.amplitudes)
-    ]
+    parts = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) pairs, no copy
+    lines = [f"{label} {row}" for label, row in zip(s.basis_labels(), _rows17(parts, " "))]
     return "\n".join(lines) + "\n"
 
 
@@ -157,15 +184,18 @@ def parse_state(text: str) -> QubitStateVector:
     if not rows:
         raise ValueError("state dump is empty")
     n = len(rows[0][0])
-    amps = np.zeros(2**n, dtype=np.complex128)
+    if n > MAX_QUBITS:
+        raise ValueError(f"state dump line 1: {n}-qubit bitstring, capped at {MAX_QUBITS} qubits")
     if len(rows) != 2**n:
         raise ValueError(f"state dump has {len(rows)} lines, expected {2**n}")
     for ln, row in enumerate(rows):
         if len(row) != 3:
             raise ValueError(f"state dump line {ln + 1}: expected 'bits re im'")
-        bits, re, im = row
+        bits = row[0]
         if len(bits) != n or any(c not in "01" for c in bits):
             raise ValueError(f"state dump line {ln + 1}: bad bitstring {bits!r}")
+    amps = np.zeros(2**n, dtype=np.complex128)
+    for bits, re, im in rows:
         amps[int(bits, 2)] = float(re) + 1j * float(im)
     return QubitStateVector(n, amps)
 
@@ -181,7 +211,7 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
     """
     csv_path = directory / f"snapshot_{index:04d}.csv"
     meta_path = directory / f"snapshot_{index:04d}.meta.json"
-    lines = [",".join(fmt17(x) for x in row) for row in field.values[::-1]]
+    lines = _rows17(field.values[::-1], ",")
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     g = field.grid
     meta = {
@@ -203,9 +233,7 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
 def write_wavefunction(path: Path, psi: Wavefunction) -> None:
     """CSV of position-basis samples: q,re,im per cell center."""
     q = psi.q_min + (np.arange(psi.n_q) + 0.5) * psi.dq
-    lines = ["q,re,im"]
-    for qi, a in zip(q, psi.samples):
-        lines.append(f"{fmt17(qi)},{fmt17(a.real)},{fmt17(a.imag)}")
+    lines = ["q,re,im", *_rows17(np.column_stack([q, psi.samples.real, psi.samples.imag]), ",")]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -60,6 +60,9 @@ class PhaseSpaceGrid:
     def __post_init__(self) -> None:
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
+        bounds = f"q in [{self.q_min}, {self.q_max}], p in [{self.p_min}, {self.p_max}]"
+        if not all(math.isfinite(b) for b in (self.q_min, self.q_max, self.p_min, self.p_max)):
+            raise ValueError(f"phase-space bounds must be finite, got {bounds}")
         if not self.q_max > self.q_min:
             raise ValueError(f"inverted q bounds: [{self.q_min}, {self.q_max}]")
         if not self.p_max > self.p_min:
@@ -68,6 +71,8 @@ class PhaseSpaceGrid:
             raise ValueError(f"mass must be > 0, got {self.mass}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be > 0, got {self.hbar}")
+        if not math.isfinite(self.dq * self.dp):
+            raise ValueError(f"phase-space cell area dq*dp overflows float64 for {bounds}")
 
     @property
     def dq(self) -> float:

@@ -61,8 +61,16 @@ def test_matrices_edgeless(tmp_path):
     doc.write_text('{"vertices": 2, "edges": []}')
     out = tmp_path / "m"
     assert main(["matrices", str(doc), "--out", str(out)]) == 0
-    lines = (out / "adjacency.csv").read_text().strip().split("\n")
-    assert lines[1] == "v1,0,0"
+    square = b",v1,v2\nv1,0,0\nv2,0,0\n"
+    assert read_tree(out) == {
+        "adjacency.csv": square,
+        "edge_degree.csv": b"\n",
+        "edge_weight_sum.csv": b"\n",
+        "incidence.csv": b"\nv1\nv2\n",  # zero columns: no trailing comma
+        "laplacian.csv": square,
+        "position_laplacian.csv": square,
+        "vertex_degree.csv": square,
+    }
 
 
 def test_unwritable_output_is_io_error(fig4_file, tmp_path, capsys):
@@ -133,18 +141,33 @@ def test_invalid_document_is_validation_error(tmp_path, capsys):
     assert "edges[0].members[0]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["matrices"], ["evolve", "--dt", "0.1", "--steps", "2"]])
-def test_overflowing_weights_are_validation_error(command, tmp_path, capsys):
+HUGE_SUMS_DOC = ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
+                 '{"members": [1], "weight": 1e308}]}')
+HUGE_GRID_DOC = '{"vertices": 1, "edges": [{"members": [1], "weight": 1e308}]}'
+
+
+@pytest.mark.parametrize(
+    "text,command,message",
+    [
+        (HUGE_SUMS_DOC, ["matrices"], "error: edge weights"),
+        (HUGE_SUMS_DOC, ["evolve", "--dt", "0.1", "--steps", "2"], "error: edge weights"),
+        (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2"],
+         "error: phase-space cell area"),
+        (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "1"],
+         "error: phase-space bounds must be finite"),
+    ],
+    ids=["command0", "command1", "command2", "command3"],
+)
+def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
-    doc.write_text('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
-                   '{"members": [1], "weight": 1e308}]}')
+    doc.write_text(text)
     argv = [command[0], str(doc), *command[1:], "--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1
     assert caught == []
     err = capsys.readouterr().err
-    assert err.startswith("error: edge weights") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 # --- evolve ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from hyperphase import (
     Hypergraph,
+    QubitStateVector,
+    Wavefunction,
     encode_hypergraph,
     gaussian_wavefunction,
     make_grid,
@@ -95,6 +97,8 @@ def test_parse_state_rejects_bad_dump():
         formats.parse_state("0 1 0\n")
     with pytest.raises(ValueError, match="bitstring"):
         formats.parse_state("2x 1 0\n01 0 0\n10 0 0\n11 0 0\n")
+    with pytest.raises(ValueError, match="21-qubit.*capped at 20"):
+        formats.parse_state("0" * 21 + " 1 0\n")
 
 
 def test_matrix_csv_layout(tmp_path, fig4):
@@ -147,3 +151,106 @@ def test_read_wavefunction_rejects_irregular_axis(tmp_path):
 def test_fmt17_round_trips_floats():
     for x in (0.25, 1 / 3, math.pi, 2**-0.5, -1.7e-18):
         assert float(formats.fmt17(x)) == x
+
+
+# --- golden bytes: every writer against per-element format(x, ".17g") ----------
+
+# Signed zeros, the smallest subnormal, the extremes, inexact decimals.
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+           0.1, 1 / 3, -1 / 3, 1.0, -1.0]
+
+
+def ref17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def golden_values(shape, seed: int) -> np.ndarray:
+    """Specials, long runs of one repeated value, and random floats of every scale."""
+    rng = np.random.default_rng(seed)
+    special = rng.choice(SPECIAL, size=shape)
+    runs = np.full(shape, 0.7071067811865476)
+    scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    pick = rng.integers(0, 3, size=shape)
+    return np.choose(pick, [special, runs, scaled])
+
+
+def golden_state(n: int, seed: int) -> np.ndarray:
+    """Unit-norm amplitudes: signed zeros, subnormals, one repeated value, random ones."""
+    rng = np.random.default_rng(seed)
+    size = 2**n
+    kind = rng.integers(0, 3, size=size)  # 0: signed zero, 1: repeated value, 2: random
+    kind[:5] = 0
+    re = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    im = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    re[kind == 1] = 0.5 * 2.0 ** (-n / 2)
+    re[:5] = [0.1, 0.0, -0.0, 5e-324, -0.0]
+    im[:5] = [0.0, 1 / 3, 5e-324, -0.0, -5e-324]
+    budget = 1.0 - np.sum(re**2 + im**2)
+    noise = rng.standard_normal((2, int(np.sum(kind == 2))))
+    noise *= np.sqrt(budget / np.sum(noise**2))
+    re[kind == 2], im[kind == 2] = noise
+    amps = np.empty(size, dtype=np.complex128)
+    amps.real, amps.imag = re, im  # bit-exact parts, signed zeros included
+    return amps
+
+
+def test_fmt17_matches_format_spec_on_any_bits():
+    bits = np.random.default_rng(0).integers(0, 2**64, size=20000, dtype=np.uint64)
+    values = [*SPECIAL, math.inf, -math.inf, math.nan, *bits.view(np.float64).tolist()]
+    assert [formats.fmt17(x) for x in values] == [ref17(x) for x in values]
+
+
+def test_matrix_csv_golden_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    mat = golden_values((700, 37), 3)
+    mat[5, :4] = rng.integers(0, 2**64, size=4, dtype=np.uint64).view(np.float64)
+    mat[6, :3] = [math.inf, -math.inf, math.nan]
+    rows = [f"r{i}" for i in range(mat.shape[0])]
+    cols = [f"c{j}" for j in range(mat.shape[1])]
+    path = tmp_path / "m.csv"
+    formats.write_matrix_csv(path, mat, rows, cols)
+    ref = "".join(
+        [",".join([""] + cols) + "\n"]
+        + [",".join([r] + [ref17(x) for x in row]) + "\n" for r, row in zip(rows, mat)]
+    )
+    assert path.read_bytes() == ref.encode()
+
+
+def test_matrix_csv_one_dimensional_and_zero_columns(tmp_path):
+    path = tmp_path / "m.csv"
+    formats.write_matrix_csv(path, np.array(SPECIAL), ["r"], [f"c{j}" for j in range(12)])
+    header = ",".join([""] + [f"c{j}" for j in range(12)])
+    assert path.read_bytes() == (header + "\nr," + ",".join(map(ref17, SPECIAL)) + "\n").encode()
+    formats.write_matrix_csv(path, np.zeros((2, 0)), ["v1", "v2"], [])
+    assert path.read_bytes() == b"\nv1\nv2\n"
+
+
+def test_snapshot_golden_bytes(tmp_path):
+    from hyperphase import WignerField
+
+    values = golden_values((90, 130), 7)
+    field = WignerField(make_grid(130, 90, (-1, 1), (-2, 2)), values, t=0.0, field_mode=True)
+    csv_path, _ = formats.write_snapshot(tmp_path, 0, field)
+    ref = "".join(",".join(ref17(x) for x in row) + "\n" for row in values[::-1])
+    assert csv_path.read_bytes() == ref.encode()
+
+
+def test_dump_state_golden_bytes():
+    n = 13
+    state = QubitStateVector(n, golden_state(n, 11))
+    ref = "".join(
+        f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
+    )
+    assert formats.dump_state(state) == ref
+
+
+def test_wavefunction_golden_bytes(tmp_path):
+    n_q = 2**12
+    psi = Wavefunction(0.0, float(n_q), golden_state(12, 13))  # dq = 1
+    path = tmp_path / "psi.csv"
+    formats.write_wavefunction(path, psi)
+    q = psi.q_min + (np.arange(n_q) + 0.5) * psi.dq
+    ref = "q,re,im\n" + "".join(
+        f"{ref17(qi)},{ref17(a.real)},{ref17(a.imag)}\n" for qi, a in zip(q, psi.samples)
+    )
+    assert path.read_bytes() == ref.encode()

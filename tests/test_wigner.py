@@ -54,6 +54,14 @@ def test_make_grid_validation():
         make_grid(4, 4, (0, 1), (0, 1), m=0.0)
     with pytest.raises(ValueError, match="hbar"):
         make_grid(4, 4, (0, 1), (0, 1), hbar=-1.0)
+    with pytest.raises(ValueError, match=r"finite.*q in \[0.0, inf\]"):
+        make_grid(4, 4, (0, math.inf), (0, 1))
+    with pytest.raises(ValueError, match=r"finite.*p in \[nan, 1.0\]"):
+        make_grid(4, 4, (0, 1), (math.nan, 1))
+    with pytest.raises(ValueError, match=r"cell area.*q in \[-1e\+308, 1e\+308\]"):
+        make_grid(4, 4, (-1e308, 1e308), (0, 1))
+    with pytest.raises(ValueError, match=r"cell area.*p in \[0.0, 1e\+308\]"):
+        make_grid(4, 4, (0, 1e308), (0, 1e308))
 
 
 def test_field_validation_and_immutability():
