@@ -195,8 +195,11 @@ def parse_state(text: str) -> QubitStateVector:
         if len(bits) != n or any(c not in "01" for c in bits):
             raise ValueError(f"state dump line {ln + 1}: bad bitstring {bits!r}")
     amps = np.zeros(2**n, dtype=np.complex128)
-    for bits, re, im in rows:
-        amps[int(bits, 2)] = float(re) + 1j * float(im)
+    for ln, (bits, re, im) in enumerate(rows):
+        try:
+            amps[int(bits, 2)] = float(re) + 1j * float(im)
+        except ValueError:
+            raise ValueError(f"state dump line {ln + 1}: non-numeric amplitude '{re} {im}'") from None
     return QubitStateVector(n, amps)
 
 

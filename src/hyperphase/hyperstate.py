@@ -60,7 +60,16 @@ class QubitStateVector:
         raise AttributeError("QubitStateVector is immutable")
 
     def basis_labels(self) -> list[str]:
-        return [format(i, f"0{self.n_qubits}b") for i in range(2**self.n_qubits)]
+        """Bitstrings of the basis indices, qubit 1 first: format(i, f"0{n}b") for each i."""
+        n = self.n_qubits
+        index = np.arange(2**n, dtype=np.uint32)
+        # one uint8 column per qubit plus a newline column; temporaries stay O(2^n) per bit
+        table = np.empty((2**n, n + 1), dtype=np.uint8)
+        table[:, n] = ord("\n")
+        for bit in range(n):
+            np.bitwise_and(index >> (n - 1 - bit), 1, out=table[:, bit], casting="unsafe")
+        table[:, :n] += ord("0")
+        return str(table.data, "ascii").split("\n")[:-1]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ inverse real FFT), which on the periodic q axis is trigonometric
 interpolation of the shear and is exact for band-limited data.  For even
 n_q the real interpolant has no Nyquist sine term, so each step scales a
 (-1)^i row by cos(pi * shift / dq); two steps scale it by the product of
-their cosines, not by one shear of the summed shift.  The analogous
+their cosines, not by one shear of the summed shift.  A run of steps stays
+in rfft space: one forward transform, the per-step phase (and the per-step
+Nyquist rule) applied once per step, one inverse transform, so ``evolve``
+transforms once per snapshot rather than once per step.  The analogous
 column-wise step in p exists for split-step completeness and is the
 identity under zero force.
 
@@ -306,30 +309,51 @@ def wigner_transform_pure(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerFiel
     return wigner_transform(psi.density_matrix(), grid)
 
 
-def _spectral_shift(values: np.ndarray, shifts: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Circularly shift each 1-D slice along ``axis`` by its own real displacement.
+def _spectral_shift(
+    values: np.ndarray, shifts: np.ndarray, axis: int, spacing: float, steps: int = 1
+) -> np.ndarray:
+    """Circularly shift each 1-D slice along ``axis`` by its own displacement, ``steps`` times.
 
     Trigonometric interpolant of the shift: unit-modulus phase per rfft mode,
-    inverted by irfft, so real input gives real output by construction.  irfft
-    drops the imaginary part of an even-n Nyquist mode: it scales by cos(k_N * shift).
+    inverted by irfft, so real input gives real output by construction.  The
+    coefficients stay in rfft space across steps.  An even-n Nyquist mode is
+    set to its real part after every step, which is what irfft does to it
+    after one step: each step scales it by cos(k_N * shift).
     """
     n = values.shape[axis]
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
     phase = np.exp(-1j * np.outer(shifts, k))
     if axis == 0:
         phase = phase.T
-    return np.fft.irfft(np.fft.rfft(values, axis=axis) * phase, n=n, axis=axis)
+    coeffs = np.fft.rfft(values, axis=axis)
+    nyquist = (slice(None),) * axis + (-1,)
+    for _ in range(steps):
+        coeffs *= phase
+        if n % 2 == 0:
+            coeffs[nyquist] = coeffs[nyquist].real
+    return np.fft.irfft(coeffs, n=n, axis=axis)
 
 
-def free_stream_step(w: WignerField, dt: float) -> WignerField:
-    """Advance the field by dt under free streaming: row j shears by p_j * dt / m."""
+def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
+    """Advance the field by ``steps`` steps of dt under free streaming.
+
+    Each step shears row j by p_j * dt / m.  The rows stay in rfft space
+    across the steps and are inverted once; the per-step Nyquist rule of
+    ``_spectral_shift`` is unchanged, so this equals ``steps`` single-step
+    calls up to rounding.  The time advances by dt once per step.
+    """
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if dt == 0.0:
         return WignerField(w.grid, w.values, t=w.t, field_mode=w.field_mode)
     shifts = w.grid.p_centers() * dt / w.grid.mass
-    out = _spectral_shift(w.values, shifts, axis=1, spacing=w.grid.dq)
-    return WignerField(w.grid, out, t=w.t + dt, field_mode=w.field_mode)
+    out = _spectral_shift(w.values, shifts, axis=1, spacing=w.grid.dq, steps=steps)
+    t = w.t
+    for _ in range(steps):
+        t += dt
+    return WignerField(w.grid, out, t=t, field_mode=w.field_mode)
 
 
 def vertical_step(w: WignerField, dt: float, force: Sequence[float]) -> WignerField:
@@ -350,20 +374,20 @@ def evolve(
     """Run ``steps`` free-streaming steps of size dt, collecting snapshots.
 
     Snapshots are taken every ``snapshot_every`` steps (none if 0); the final
-    state is always included.  The zero-force vertical half of the split step
-    is the exact identity and is skipped.
+    state is always included.  Each stretch between snapshots is one
+    ``free_stream_step`` call, so the field is transformed once per snapshot.
+    The zero-force vertical half of the split step is the exact identity and
+    is skipped.
     """
     if not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    every = snapshot_every or steps
     snapshots: list[WignerField] = []
     cur = w
-    for s in range(1, steps + 1):
-        cur = free_stream_step(cur, dt)
-        if snapshot_every > 0 and s % snapshot_every == 0:
-            snapshots.append(cur)
-    if not snapshots or snapshots[-1] is not cur:
+    for done in range(0, steps, every):
+        cur = free_stream_step(cur, dt, min(every, steps - done))
         snapshots.append(cur)
     return snapshots
 

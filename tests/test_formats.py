@@ -99,6 +99,10 @@ def test_parse_state_rejects_bad_dump():
         formats.parse_state("2x 1 0\n01 0 0\n10 0 0\n11 0 0\n")
     with pytest.raises(ValueError, match="21-qubit.*capped at 20"):
         formats.parse_state("0" * 21 + " 1 0\n")
+    with pytest.raises(ValueError, match="line 1: non-numeric amplitude 'x 0'"):
+        formats.parse_state("0 x 0\n1 1 0\n")
+    with pytest.raises(ValueError, match="line 2: non-numeric amplitude '0 y'"):
+        formats.parse_state("0 1 0\n1 0 y\n")
 
 
 def test_matrix_csv_layout(tmp_path, fig4):

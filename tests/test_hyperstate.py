@@ -213,6 +213,11 @@ def test_qubit_one_is_most_significant_bit():
     assert state.basis_labels() == ["00", "01", "10", "11"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_basis_labels_are_padded_binary(n):
+    assert plus_state(n).basis_labels() == [format(i, f"0{n}b") for i in range(2**n)]
+
+
 def test_triangle_graph_state_signs():
     h = Hypergraph(3, [({1, 2}, 1.0), ({2, 3}, 1.0), ({1, 3}, 1.0)])
     state = encode_hypergraph(h)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     DensityMatrix,
@@ -287,6 +289,35 @@ def test_non_finite_dt_rejected():
             free_stream_step(f, bad)
 
 
+def test_non_integer_steps_rejected():
+    g = make_grid(8, 4, (0, 8), (0, 4))
+    f = WignerField(g, np.zeros((4, 8)))
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="steps"):
+            free_stream_step(f, 0.1, bad)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None)
+@given(
+    half=st.integers(1, 16),
+    n_p=st.integers(2, 9),
+    dt=st.floats(-2.0, 2.0),
+    a=st.integers(1, 12),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multi_step_composes(parity, half, n_p, dt, a, b, seed):
+    # random, not band-limited rows: the per-step Nyquist rule is exercised for even n_q
+    n_q = 2 * half + parity
+    g = make_grid(n_q, n_p, (-3, 5), (-2, 2))
+    f = WignerField(g, np.random.default_rng(seed).normal(size=(n_p, n_q)), field_mode=True)
+    whole = free_stream_step(f, dt, a + b)
+    split = free_stream_step(free_stream_step(f, dt, a), dt, b)
+    assert np.max(np.abs(whole.values - split.values)) <= 1e-12 * np.max(np.abs(f.values))
+    assert whole.t == split.t
+
+
 # --- vertical step -------------------------------------------------------------
 
 def test_vertical_zero_force_is_identity():
@@ -332,6 +363,26 @@ def test_evolve_single_step_matches_free_stream():
     direct = free_stream_step(f, 0.2)
     assert len(snaps) == 1
     assert np.array_equal(snaps[0].values, direct.values)
+
+
+@pytest.mark.parametrize("n_q", [64, 63])
+@pytest.mark.parametrize("steps, every", [(10, 3), (12, 4), (7, 0), (5, 9), (6, 1)])
+def test_evolve_matches_stepwise_reference(n_q, steps, every):
+    g = make_grid(n_q, 16, (-8, 8), (-4, 4))
+    f = WignerField(g, np.random.default_rng(13).normal(size=(16, n_q)), field_mode=True)
+    dt = 0.1
+    reference, cur = [], f
+    for s in range(1, steps + 1):
+        cur = free_stream_step(cur, dt)
+        if every > 0 and s % every == 0:
+            reference.append(cur)
+    if not reference or reference[-1] is not cur:
+        reference.append(cur)
+    snaps = evolve(f, dt, steps, every)
+    assert len(snaps) == len(reference)
+    for got, want in zip(snaps, reference):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(f.values))
+        assert got.t == want.t
 
 
 def test_evolve_snapshot_cadence():
