@@ -226,7 +226,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     masses = _write_series(out, snapshots)
     m0 = total_mass(initial)
     drift_abs = max(abs(mi - m0) for mi in masses)
-    drift_rel = drift_abs / max(abs(m0), 1e-30)
+    # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
+    l1_mass = float(np.abs(initial.values).sum() * grid.dq * grid.dp)
+    drift_rel = drift_abs / max(l1_mass, 1e-30)
     run.update(
         {
             "n_q": grid.n_q,

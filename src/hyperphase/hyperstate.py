@@ -6,6 +6,9 @@ hyperedge to |+>^n yields the hypergraph state, whose amplitudes are all
 +-2^(-n/2) with signs (-1)^f(v) for the Boolean function
 f(v) = XOR over hyperedges of AND over member bits.
 
+``encode_hypergraph`` is the one encoder: every partitioned state is
+``encode_hypergraph`` of some hypergraph, and f is read off its sign bits.
+
 Bit convention: qubit 1 is the most significant bit of the basis index, so
 basis state |10...0> has qubit 1 equal to 1.  An empty hyperedge is the
 literal zero-controlled Z: a global factor of -1.
@@ -95,27 +98,22 @@ def plus_state(n: int) -> QubitStateVector:
     return QubitStateVector(n, np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
-def _target_mask(n: int, targets: Iterable[int]) -> int:
-    mask = 0
-    for q in set(int(t) for t in targets):
-        if not 1 <= q <= n:
-            raise ValueError(f"target qubit {q} out of range 1..{n}")
-        mask |= 1 << (n - q)
-    return mask
-
-
 def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     """Multi-controlled Z over ``targets``: negate amplitudes where all targets are 1.
 
     The empty target set is the literal C^0 Z, a global factor of -1 (every
     basis state trivially satisfies the condition).
     """
-    mask = _target_mask(s.n_qubits, targets)
-    idx = np.arange(2**s.n_qubits)
-    amps = s.amplitudes.copy()
-    sel = (idx & mask) == mask
-    amps[sel] = -amps[sel]
-    return QubitStateVector(s.n_qubits, amps)
+    n = s.n_qubits
+    qubits = set(int(t) for t in targets)
+    for q in qubits:
+        if not 1 <= q <= n:
+            raise ValueError(f"target qubit {q} out of range 1..{n}")
+    # axis q-1 is qubit q; negation (unlike *= -1) also flips the sign of 0j
+    view = s.amplitudes.reshape((2,) * n).copy()
+    block = tuple(1 if q in qubits else slice(None) for q in range(1, n + 1))
+    view[block] = -view[block]
+    return QubitStateVector(n, view.reshape(-1))
 
 
 def encode_hypergraph(h: Hypergraph, global_gate: bool = False) -> QubitStateVector:
@@ -141,18 +139,11 @@ def encode_hypergraph(h: Hypergraph, global_gate: bool = False) -> QubitStateVec
 def boolean_function(h: Hypergraph) -> BooleanFunctionTable:
     """f(v) = XOR over hyperedges of AND over member bits of v.
 
-    An empty hyperedge contributes the constant 1 (empty AND), flipping the
-    whole table.
+    Read off the sign bits of ``encode_hypergraph(h)``.  An empty hyperedge
+    contributes the constant 1 (empty AND), flipping the whole table.
     """
-    n = h.n_vertices
-    if n > MAX_QUBITS:
-        raise ValueError(f"hypergraph has {n} vertices; table is capped at {MAX_QUBITS}")
-    idx = np.arange(2**n)
-    f = np.zeros(2**n, dtype=np.uint8)
-    for members, _ in h.hyperedges:
-        mask = _target_mask(n, members)
-        f ^= ((idx & mask) == mask).astype(np.uint8)
-    return BooleanFunctionTable(n, tuple(int(x) for x in f))
+    signs = np.signbit(encode_hypergraph(h).amplitudes.real)
+    return BooleanFunctionTable(h.n_vertices, tuple(signs.astype(np.uint8).tolist()))
 
 
 def state_from_boolean_function(t: BooleanFunctionTable) -> QubitStateVector:
@@ -172,31 +163,16 @@ def is_real_equally_weighted(s: QubitStateVector, tol: float = 1e-12) -> bool:
     return bool(np.all(dist <= tol) and np.all(np.abs(amps.imag) <= tol))
 
 
-def _permute_to_natural_order(
-    combined: np.ndarray, qubit_order: list[int], n: int
-) -> np.ndarray:
-    """Reindex a state whose tensor slots follow ``qubit_order`` back to labels 1..n."""
-    idx = np.arange(2**n)
-    natural = np.zeros(2**n, dtype=np.int64)
-    for slot, vertex in enumerate(qubit_order):
-        bits = (idx >> (n - 1 - slot)) & 1
-        natural |= bits << (n - vertex)
-    out = np.empty(2**n, dtype=np.complex128)
-    out[natural] = combined
-    return out
-
-
 def encode_partitioned(
     h: Hypergraph, p: PartitionEnsemble
 ) -> tuple[list[QubitStateVector], QubitStateVector]:
     """Per-part hypergraph states plus their tensor product.
 
-    Each part encodes the subhypergraph induced on it: only hyperedges whose
-    members all lie inside the part survive; hyperedges crossing parts are
-    dropped (their penalty is what cut_cost accounts).  Empty hyperedges are
-    a global phase and are applied once, to the first part, so the tensor
-    product matches the unpartitioned encoding whenever nothing is cut.  The
-    combined state is reindexed to the natural qubit order 1..n.
+    Part k is ``encode_hypergraph`` of the subhypergraph induced on it, its
+    vertices relabelled 1..|part| in increasing order; crossing hyperedges are
+    dropped (cut_cost accounts for them) and empty ones go to part 1 only.
+    The combined state is ``encode_hypergraph`` of every uncut hyperedge on
+    qubits 1..n, so it equals the full encoding whenever nothing is cut.
     """
     if p.parent is not h:
         raise ValueError("partition ensemble does not belong to this hypergraph")
@@ -209,27 +185,11 @@ def encode_partitioned(
             f"hypergraph has {h.n_vertices} vertices; dense encoding is capped at {MAX_QUBITS}"
         )
 
-    n_empty_edges = sum(1 for members, _ in h.hyperedges if not members)
     states: list[QubitStateVector] = []
-    qubit_order: list[int] = []
     for k, part in enumerate(p.parts):
-        vertices = sorted(part)
-        local = {v: i + 1 for i, v in enumerate(vertices)}
-        qubit_order.extend(vertices)
-        state = plus_state(len(vertices))
-        for members, _ in h.hyperedges:
-            if members and members <= part:
-                state = apply_ckz(state, [local[v] for v in members])
-        if k == 0 and n_empty_edges % 2 == 1:
-            state = apply_ckz(state, [])
-        states.append(state)
-
-    # per-part states are exactly +-2^(-n_k/2); kron the +-1 signs (exact
-    # products) and apply one fresh 2^(-n/2) so the tensor product is
-    # bitwise identical to encode_hypergraph
-    signs = np.where(states[0].amplitudes.real >= 0, 1.0, -1.0)
-    for s in states[1:]:
-        signs = np.kron(signs, np.where(s.amplitudes.real >= 0, 1.0, -1.0))
-    combined = signs.astype(np.complex128) * (2.0 ** (-h.n_vertices / 2.0))
-    combined = _permute_to_natural_order(combined, qubit_order, h.n_vertices)
-    return states, QubitStateVector(h.n_vertices, combined)
+        local = {v: i + 1 for i, v in enumerate(sorted(part))}
+        induced = [([local[v] for v in m], w) for m, w in h.hyperedges
+                   if m <= part and (m or k == 0)]
+        states.append(encode_hypergraph(Hypergraph(len(part), induced)))
+    kept = [(m, w) for m, w in h.hyperedges if any(m <= part for part in p.parts)]
+    return states, encode_hypergraph(Hypergraph(h.n_vertices, kept))

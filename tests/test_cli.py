@@ -111,6 +111,18 @@ def test_encode_partitioned_cut_cost(fig4_file, tmp_path):
     assert np.array_equal(part1.amplitudes, np.array([0.5, 0.5, 0.5, -0.5], dtype=complex))
 
 
+def test_encode_uncut_partition_combined_matches_state(tmp_path):
+    doc = tmp_path / "h.json"
+    doc.write_text(
+        '{"vertices": 5, "edges": [{"members": []}, {"members": [1, 2, 3]}, '
+        '{"members": [2, 5]}, {"members": [4]}, {"members": []}, {"members": []}]}'
+    )
+    out = tmp_path / "enc"
+    assert main(["encode", str(doc), "--partition", "1,2,3,4,5", "--out", str(out)]) == 0
+    assert (out / "combined.txt").read_bytes() == (out / "state.txt").read_bytes()
+    assert (out / "part_1.txt").read_bytes() == (out / "state.txt").read_bytes()
+
+
 def test_encode_single_vertex_loop(tmp_path):
     doc = tmp_path / "h.json"
     doc.write_text('{"vertices": 1, "edges": [{"members": [1]}]}')
@@ -186,6 +198,21 @@ def test_evolve_hypergraph_mode(fig4_file, tmp_path):
     assert run["mode"] == "hypergraph"
     meta = json.loads((out / "snapshot_0010.meta.json").read_text())
     assert meta["t"] == pytest.approx(0.5)
+
+
+def test_evolve_plane_wave_relative_drift_uses_l1_mass(tmp_path):
+    # one edge per momentum row, wavenumber 2 pi * 2 / L over the q extent L = 3.75:
+    # the field's signed mass is rounding noise, its L1 mass is not
+    doc = tmp_path / "h.json"
+    doc.write_text('{"vertices": 3, "edges": [{"members": [1, 2], "weight": 1}, '
+                   '{"members": [2, 3], "weight": 2}]}')
+    out = tmp_path / "run"
+    k = 2 * np.pi * 2 / 3.75
+    assert main(["evolve", str(doc), "--nq", "64", "--np", "64", "--dt", "0.05",
+                 "--steps", "4", "--k-default", repr(k), "--out", str(out)]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert abs(run["mass_initial"]) <= 1e-12
+    assert run["mass_drift_rel"] <= 1e-12
 
 
 def test_evolve_rejects_zero_steps(fig4_file, tmp_path, capsys):

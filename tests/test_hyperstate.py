@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     BooleanFunctionTable,
@@ -88,6 +90,13 @@ def test_ckz_empty_targets_global_phase():
     s = plus_state(2)
     out = apply_ckz(s, set())
     assert np.array_equal(out.amplitudes, -s.amplitudes)
+
+
+def test_ckz_negates_zero_imaginary_part():
+    out = apply_ckz(plus_state(2), {1, 2})
+    assert np.signbit(out.amplitudes.imag).tolist() == [False, False, False, True]
+    full = apply_ckz(plus_state(2), set())
+    assert np.signbit(full.amplitudes.imag).all()
 
 
 def test_ckz_target_range_checked():
@@ -309,3 +318,41 @@ def test_global_gate_flips_all_ones_only(fig4):
     diff = np.nonzero(plain.amplitudes != gated.amplitudes)[0]
     assert list(diff) == [0b1111]
     assert gated.amplitudes[0b1111] == -plain.amplitudes[0b1111]
+
+
+@st.composite
+def partitioned_hypergraphs(draw):
+    """A hypergraph on up to 7 vertices (empty edges allowed) and a partition of it."""
+    n = draw(st.integers(1, 7))
+    owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    parts = [{v for v in range(1, n + 1) if owner[v - 1] == k} for k in range(3)]
+    edges = draw(st.lists(st.sets(st.integers(1, n)), max_size=7))
+    return Hypergraph(n, [(e, 1.0) for e in edges]), [part for part in parts if part]
+
+
+def brute_force_amplitudes(n: int, edges) -> np.ndarray:
+    h = Hypergraph(n, [(e, 1.0) for e in edges])
+    signs = [(-1.0) ** brute_force_f(h, v) for v in range(2**n)]
+    return 2.0 ** (-n / 2.0) * np.array(signs, dtype=complex)
+
+
+@settings(deadline=None)
+@given(partitioned_hypergraphs())
+def test_cut_partition_matches_brute_force(case):
+    h, parts = case
+    n = h.n_vertices
+    states, combined = encode_partitioned(h, PartitionEnsemble(h, parts, 0.5))
+    uncut = [m for m, _ in h.hyperedges if any(m <= part for part in parts)]
+    assert np.array_equal(combined.amplitudes, brute_force_amplitudes(n, uncut))
+    assert len(states) == len(parts)
+    for k, (part, state) in enumerate(zip(parts, states)):
+        local = {v: i + 1 for i, v in enumerate(sorted(part))}
+        inside = [{local[v] for v in m} for m in uncut if m <= part and (m or k == 0)]
+        assert np.array_equal(state.amplitudes, brute_force_amplitudes(len(part), inside))
+    # combined is the tensor product: each sign is the product of its parts' signs
+    for v in range(2**n):
+        sign = 1.0
+        for part, state in zip(parts, states):
+            bits = "".join(str((v >> (n - q)) & 1) for q in sorted(part))
+            sign *= np.sign(state.amplitudes[int(bits, 2)].real)
+        assert np.sign(combined.amplitudes[v].real) == sign
