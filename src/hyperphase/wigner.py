@@ -14,6 +14,10 @@ transforms once per snapshot rather than once per step.  The analogous
 column-wise step in p exists for split-step completeness and is the
 identity under zero force.
 
+The Wigner transform gathers rho(q + y, q - y) over the half offsets
+y = m dq inside the window (from psi's samples for a pure state, with no
+density matrix) and pairs +-y into one real cos/sin momentum sum.
+
 Conventions: field values are stored as an (n_p, n_q) real array, rows
 indexed from p_min upward; hbar and mass default to 1 and live on the grid.
 """
@@ -31,7 +35,7 @@ __all__ = [
     "WignerField",
     "Wavefunction",
     "DensityMatrix",
-    "SliceWave",
+    "MAX_CELLS",
     "make_grid",
     "gaussian_wavefunction",
     "wigner_transform",
@@ -44,7 +48,9 @@ __all__ = [
     "plane_wave_slice",
 ]
 
-_IMAG_TOL = 1e-10
+# Cells a grid (n_q * n_p) or Wigner correlation (n_q * ceil(n_q/2)) may span,
+# checked before allocating: 2**24 float64 cells are 128 MiB per array.
+MAX_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,9 @@ class PhaseSpaceGrid:
     def __post_init__(self) -> None:
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
+        if self.n_q * self.n_p > MAX_CELLS:
+            raise ValueError(f"grid of n_q={self.n_q} x n_p={self.n_p} = {self.n_q * self.n_p} "
+                             f"cells exceeds the cap of {MAX_CELLS}")
         bounds = f"q in [{self.q_min}, {self.q_max}], p in [{self.p_min}, {self.p_max}]"
         if not all(math.isfinite(b) for b in (self.q_min, self.q_max, self.p_min, self.p_max)):
             raise ValueError(f"phase-space bounds must be finite, got {bounds}")
@@ -214,35 +223,6 @@ class DensityMatrix:
         return (self.q_max - self.q_min) / self.n_q
 
 
-@dataclass(frozen=True)
-class SliceWave:
-    """Plane-wave descriptor for a single phase-space slice.
-
-    Horizontal slices ride on a fixed-momentum row and disperse with
-    omega = k * p_slice / m, the frequency forced by substituting the wave
-    into the free-streaming equation.  Vertical slices are static under zero
-    force (omega = 0).
-    """
-
-    k: float
-    omega_freq: float
-    slice_index: int
-    orientation: str
-
-    @classmethod
-    def horizontal(cls, grid: PhaseSpaceGrid, row: int, k: float) -> "SliceWave":
-        if not 0 <= row < grid.n_p:
-            raise ValueError(f"row {row} out of range 0..{grid.n_p - 1}")
-        p = float(grid.p_centers()[row])
-        return cls(k=float(k), omega_freq=float(k) * p / grid.mass, slice_index=row, orientation="horizontal")
-
-    @classmethod
-    def vertical(cls, grid: PhaseSpaceGrid, col: int, k: float) -> "SliceWave":
-        if not 0 <= col < grid.n_q:
-            raise ValueError(f"column {col} out of range 0..{grid.n_q - 1}")
-        return cls(k=float(k), omega_freq=0.0, slice_index=col, orientation="vertical")
-
-
 def gaussian_wavefunction(
     grid: PhaseSpaceGrid, sigma: float = 1.0, q0: float = 0.0, p0: float = 0.0
 ) -> Wavefunction:
@@ -255,58 +235,68 @@ def gaussian_wavefunction(
     return Wavefunction(grid.q_min, grid.q_max, raw)
 
 
-def _signed_offsets(n: int) -> np.ndarray:
-    # offsets 0..n-1 mapped to the symmetric range -(n-1)//2 .. n//2
-    idx = np.arange(n)
-    return np.where(idx <= n // 2, idx, idx - n)
+def _correlation(state: Wavefunction | DensityMatrix) -> np.ndarray:
+    """c[i, m] = rho(q_i + m dq, q_i - m dq), m < ceil(n/2), zero outside the window."""
+    n = state.n_q
+    half = (n + 1) // 2
+    if isinstance(state, DensityMatrix):
+        i = np.arange(n)[:, None]
+        m = np.arange(half)
+        rows, cols = i + m, i - m
+        valid = (rows < n) & (cols >= 0)
+        return np.where(valid, state.matrix[rows.clip(max=n - 1), cols.clip(min=0)], 0.0)
+    # zero-padded samples: win[k, m] = pad[k + m], so psi(q_i + y) = win[half - 1 + i, m]
+    # and psi(q_i - y) = win[i, half - 1 - m], both zero outside the window
+    pad = np.zeros(n + 2 * half - 2, dtype=np.complex128)
+    pad[half - 1 : half - 1 + n] = state.samples
+    win = np.lib.stride_tricks.sliding_window_view(pad, half)
+    return win[half - 1 :] * win[:n, ::-1].conj()
 
 
-def wigner_transform(rho: DensityMatrix, grid: PhaseSpaceGrid) -> WignerField:
-    """Discrete Wigner transform of a density matrix onto the grid.
+def wigner_transform(state: Wavefunction | DensityMatrix, grid: PhaseSpaceGrid) -> WignerField:
+    """Discrete Wigner transform of a pure or mixed state onto the grid.
 
     Realizes W(q_i, p_j) = (dq / (pi hbar)) * sum_y rho(q_i + y, q_i - y)
-    * exp(-2 i p_j y / hbar) with y over the n_q symmetric offsets.  The
-    state is treated as zero outside its window (equivalent to transforming
-    the zero-padded matrix), so no ghost image of the far side of the window
-    leaks into boundary columns.  The surviving offsets pair off as +-y,
-    which keeps the output exactly real for Hermitian input; any
-    floating-point imaginary residue above 1e-10 raises.
+    * exp(-2 i p_j y / hbar) over offsets y = m dq.  The state is zero
+    outside its window (no ghost image of the far side leaks into boundary
+    columns), so only |m| < ceil(n_q/2) contribute; for even n_q the unpaired
+    m = n_q/2 never does.  The -y term is the conjugate of the +y term, so
+    W is the real c_0 + 2 Re sum_{m>0} c_m exp(-2 i p_j m dq / hbar): one
+    real matmul of the (Re c_m, Im c_m) pairs against (cos, sin) rows.  A
+    ``Wavefunction`` gives c_m = psi(q_i + y) psi*(q_i - y) from its
+    samples, with no n_q x n_q matrix.  The sum is a BLAS dgemm, so output
+    bytes repeat for a fixed numpy/BLAS build and thread count.
 
     Total mass equals tr(rho) * dq whenever the grid's momentum window covers
     the state's momentum content; that is asserted by callers, not here.
     """
     n = grid.n_q
-    if rho.n_q != n:
-        raise ValueError(f"density matrix dimension {rho.n_q} does not match grid n_q={n}")
+    if state.n_q != n:
+        raise ValueError(f"state dimension {state.n_q} does not match grid n_q={n}")
     if not (
-        math.isclose(rho.q_min, grid.q_min, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(rho.q_max, grid.q_max, rel_tol=1e-12, abs_tol=1e-12)
+        math.isclose(state.q_min, grid.q_min, rel_tol=1e-12, abs_tol=1e-12)
+        and math.isclose(state.q_max, grid.q_max, rel_tol=1e-12, abs_tol=1e-12)
     ):
-        raise ValueError("density matrix q axis does not match grid")
+        raise ValueError("state q axis does not match grid")
+    half = (n + 1) // 2
+    if n * half > MAX_CELLS:
+        raise ValueError(f"Wigner correlation of n_q={n} x {half} offsets = {n * half} cells "
+                         f"exceeds the cap of {MAX_CELLS}")
 
-    idx = np.arange(n)
-    offsets = _signed_offsets(n)
-    rows = idx[:, None] + offsets[None, :]
-    cols = idx[:, None] - offsets[None, :]
-    valid = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    corr = np.where(valid, rho.matrix[rows.clip(0, n - 1), cols.clip(0, n - 1)], 0.0)
-
-    y = offsets * grid.dq
-    p = grid.p_centers()
-    kernel = np.exp(-2j * np.outer(y, p) / grid.hbar)
-
-    w = (grid.dq / (math.pi * grid.hbar)) * (corr @ kernel)
-    residue = float(np.max(np.abs(w.imag)))
-    if residue > _IMAG_TOL:
-        raise ValueError(f"Wigner transform imaginary residue {residue:.3e} exceeds 1e-10")
-    return WignerField(grid, w.real.T, t=0.0, field_mode=False)
+    theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
+    pair = np.full((half, 1, 1), 2.0)
+    pair[0] = 1.0
+    # columns 2m, 2m+1 of the float view hold (Re c_m, Im c_m); kernel rows hold (cos, sin)
+    kernel = (pair * np.stack([np.cos(theta), np.sin(theta)], axis=1)).reshape(2 * half, -1)
+    w = _correlation(state).view(np.float64) @ kernel
+    return WignerField(grid, (grid.dq / (math.pi * grid.hbar)) * w.T, t=0.0, field_mode=False)
 
 
 def wigner_transform_pure(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
-    """Wigner transform of a pure state via its outer-product density matrix."""
+    """Wigner transform of a pure state: ``wigner_transform`` on its samples, no density matrix."""
     if psi.n_q != grid.n_q:
         raise ValueError(f"wavefunction length {psi.n_q} does not match grid n_q={grid.n_q}")
-    return wigner_transform(psi.density_matrix(), grid)
+    return wigner_transform(psi, grid)
 
 
 def _spectral_shift(
@@ -419,12 +409,16 @@ def plane_wave_slice(
     under zero force.
     """
     values = np.zeros((grid.n_p, grid.n_q))
+    k = float(k)
     if orientation == "horizontal":
-        wave = SliceWave.horizontal(grid, slice_index, k)
-        values[slice_index, :] = np.cos(wave.k * grid.q_centers() - wave.omega_freq * t)
+        if not 0 <= slice_index < grid.n_p:
+            raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
+        omega = k * float(grid.p_centers()[slice_index]) / grid.mass
+        values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
     elif orientation == "vertical":
-        wave = SliceWave.vertical(grid, slice_index, k)
-        values[:, slice_index] = np.cos(wave.k * grid.p_centers())
+        if not 0 <= slice_index < grid.n_q:
+            raise ValueError(f"column {slice_index} out of range 0..{grid.n_q - 1}")
+        values[:, slice_index] = np.cos(k * grid.p_centers())
     else:
         raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
     return WignerField(grid, values, t=t, field_mode=True)

@@ -241,6 +241,16 @@ def test_evolve_physical_gaussian(tmp_path):
     assert len(list(out.glob("snapshot_*.csv"))) == 50
 
 
+@pytest.mark.parametrize("mode", [["--physical", "gaussian", "--t", "1"], ["--dt", "0.1"]])
+def test_evolve_oversized_grid(mode, fig4_file, tmp_path, capsys):
+    doc = [] if mode[0] == "--physical" else [str(fig4_file)]
+    argv = ["evolve", *doc, *mode, "--nq", "1000000", "--np", "1000000",
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid of n_q=1000000 x n_p=1000000") and err.count("\n") == 1
+
+
 def test_evolve_physical_needs_time(tmp_path, capsys):
     assert main(["evolve", "--physical", "gaussian", "--out", str(tmp_path / "x")]) == 1
     assert "--t" in capsys.readouterr().err
@@ -258,6 +268,23 @@ def test_wigner_transform_command(tmp_path, capsys):
     assert (out / "snapshot_0000.csv").exists()
     mass_line = next(ln for ln in stdout.splitlines() if ln.startswith("total mass"))
     assert abs(float(mass_line.split(":")[1]) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "error: grid of n_q=8192 x n_p=8192 = 67108864 cells exceeds the cap"),
+        (["--np", "2"], "error: Wigner correlation of n_q=8192 x 4096 offsets"),
+    ],
+)
+def test_wigner_transform_oversized_state(extra, message, tmp_path, capsys):
+    psi_path = tmp_path / "psi.csv"
+    grid = make_grid(8192, 2, (-8, 8), (-8, 8))
+    formats.write_wavefunction(psi_path, gaussian_wavefunction(grid))
+    argv = ["wigner-transform", "--state", str(psi_path), *extra, "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_wigner_transform_missing_file(tmp_path, capsys):

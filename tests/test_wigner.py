@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase import (
+    MAX_CELLS,
     DensityMatrix,
     Wavefunction,
     WignerField,
@@ -64,6 +65,12 @@ def test_make_grid_validation():
         make_grid(4, 4, (-1e308, 1e308), (0, 1))
     with pytest.raises(ValueError, match=r"cell area.*p in \[0.0, 1e\+308\]"):
         make_grid(4, 4, (0, 1e308), (0, 1e308))
+    # the cell cap is checked on the counts alone, before any array exists
+    with pytest.raises(ValueError, match=r"n_q=1000000 x n_p=1000000 = 1000000000000 cells"):
+        make_grid(10**6, 10**6, (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        make_grid(MAX_CELLS // 2 + 1, 2, (0, 1), (0, 1))
+    make_grid(MAX_CELLS // 2, 2, (0, 1), (0, 1))
 
 
 def test_field_validation_and_immutability():
@@ -193,9 +200,87 @@ def test_transform_dimension_checks():
     psi = gaussian_wavefunction(other)
     with pytest.raises(ValueError, match="does not match"):
         wigner_transform_pure(psi, grid)
+    with pytest.raises(ValueError, match="does not match"):
+        wigner_transform(psi, grid)
     shifted = make_grid(64, 64, (-4, 12), (-8, 8))
     with pytest.raises(ValueError, match="axis"):
         wigner_transform(gaussian_wavefunction(grid).density_matrix(), shifted)
+    with pytest.raises(ValueError, match="axis"):
+        wigner_transform(gaussian_wavefunction(grid), shifted)
+
+
+def test_transform_correlation_cap():
+    # a narrow p window keeps the grid small; the n_q x ceil(n_q/2) correlation would not be
+    grid = make_grid(8192, 2, (-8, 8), (-8, 8))
+    assert 8192 * 4096 > MAX_CELLS
+    psi = gaussian_wavefunction(grid)
+    for transform in (wigner_transform, wigner_transform_pure):
+        with pytest.raises(ValueError, match=r"n_q=8192 x 4096 offsets = 33554432 cells"):
+            transform(psi, grid)
+
+
+def reference_transform(matrix: np.ndarray, grid) -> np.ndarray:
+    """The former complex-matmul transform: all n_q signed offsets, imaginary part dropped."""
+    n = grid.n_q
+    idx = np.arange(n)
+    offsets = np.where(idx <= n // 2, idx, idx - n)
+    rows = idx[:, None] + offsets[None, :]
+    cols = idx[:, None] - offsets[None, :]
+    valid = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    corr = np.where(valid, matrix[rows.clip(0, n - 1), cols.clip(0, n - 1)], 0.0)
+    kernel = np.exp(-2j * np.outer(offsets * grid.dq, grid.p_centers()) / grid.hbar)
+    w = (grid.dq / (math.pi * grid.hbar)) * (corr @ kernel)
+    assert np.max(np.abs(w.imag)) <= 1e-10
+    return w.real.T
+
+
+transform_grids = dict(
+    half=st.integers(1, 40),
+    n_p=st.integers(2, 48),
+    q_half=st.floats(1.0, 8.0),
+    p_center=st.floats(-5.0, 5.0),
+    p_half=st.floats(0.5, 8.0),
+    hbar=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def random_wavefunction(grid, rng) -> Wavefunction:
+    raw = rng.normal(size=grid.n_q) + 1j * rng.normal(size=grid.n_q)
+    return Wavefunction(grid.q_min, grid.q_max, raw / math.sqrt(np.sum(np.abs(raw) ** 2) * grid.dq))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None)
+@given(**transform_grids)
+def test_pure_transform_matches_reference(parity, half, n_p, q_half, p_center, p_half, hbar, seed):
+    grid = make_grid(2 * half + parity, n_p, (-q_half, q_half),
+                     (p_center - p_half, p_center + p_half), hbar=hbar)
+    psi = random_wavefunction(grid, np.random.default_rng(seed))
+    want = reference_transform(np.outer(psi.samples, psi.samples.conj()), grid)
+    tol = 1e-12 * np.max(np.abs(want))
+    for got in (wigner_transform(psi, grid), wigner_transform(psi.density_matrix(), grid),
+                wigner_transform_pure(psi, grid)):
+        assert np.max(np.abs(got.values - want)) <= tol
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None)
+@given(**transform_grids, n_states=st.integers(1, 3))
+def test_mixed_transform_matches_reference(
+    parity, half, n_p, q_half, p_center, p_half, hbar, seed, n_states
+):
+    grid = make_grid(2 * half + parity, n_p, (-q_half, q_half),
+                     (p_center - p_half, p_center + p_half), hbar=hbar)
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(n_states))
+    matrix = sum(
+        wt * np.outer(psi.samples, psi.samples.conj())
+        for wt, psi in zip(weights, (random_wavefunction(grid, rng) for _ in range(n_states)))
+    )
+    got = wigner_transform(DensityMatrix(grid.q_min, grid.q_max, matrix), grid)
+    want = reference_transform(matrix, grid)
+    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- free streaming -----------------------------------------------------------
@@ -279,6 +364,29 @@ def test_mass_and_momentum_marginal_conservation():
     assert abs(total_mass(cur) - m0) / scale <= 1e-12
     _, mom = marginals(cur)
     assert np.max(np.abs(mom - mom0)) <= 1e-12 * max(1.0, np.max(np.abs(mom0)))
+
+
+@settings(deadline=None)
+@given(
+    n_q=st.integers(2, 65),
+    n_p=st.integers(2, 17),
+    q_half=st.floats(0.5, 10.0),
+    p_half=st.floats(0.5, 10.0),
+    dt=st.floats(-3.0, 3.0),
+    steps=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streaming_conserves_momentum_marginal_and_mass(n_q, n_p, q_half, p_half, dt, steps, seed):
+    # each row only shifts along q, and the DC rfft bin is never touched
+    g = make_grid(n_q, n_p, (-q_half, q_half), (-p_half, p_half))
+    f = WignerField(g, np.random.default_rng(seed).normal(size=(n_p, n_q)), field_mode=True)
+    out = free_stream_step(f, dt, steps)
+    _, mom0 = marginals(f)
+    _, mom = marginals(out)
+    row_l1 = np.abs(f.values).sum(axis=1) * g.dq
+    assert np.all(np.abs(mom - mom0) <= 1e-12 * row_l1)
+    l1 = np.abs(f.values).sum() * g.dq * g.dp
+    assert abs(total_mass(out) - total_mass(f)) <= 1e-12 * l1
 
 
 def test_non_finite_dt_rejected():
