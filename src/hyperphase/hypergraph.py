@@ -26,7 +26,6 @@ __all__ = [
     "part_weight",
     "is_balanced",
     "cut_cost",
-    "greedy_balance",
 ]
 
 
@@ -252,31 +251,3 @@ def cut_cost(p: PartitionEnsemble) -> float:
         if len(spanned) >= 2:
             total += len(members) - 1
     return total
-
-
-def greedy_balance(
-    h: Hypergraph, n_parts: int, delta: float
-) -> tuple[PartitionEnsemble, BalanceReport]:
-    """Greedy covering partition: heaviest vertex first, assigned to the lightest part.
-
-    The balance criterion is reported, never silently enforced: the ensemble
-    comes back with its BalanceReport whether or not the greedy pass met the
-    bound.
-    """
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    if n_parts > h.n_vertices:
-        raise ValueError(
-            f"n_parts={n_parts} exceeds number of vertices {h.n_vertices}"
-        )
-    order = sorted(
-        range(1, h.n_vertices + 1), key=lambda v: (-h.vertex_weights[v - 1], v)
-    )
-    parts: list[set[int]] = [set() for _ in range(n_parts)]
-    loads = [0.0] * n_parts
-    for v in order:
-        k = min(range(n_parts), key=lambda i: (loads[i], i))
-        parts[k].add(v)
-        loads[k] += h.vertex_weights[v - 1]
-    ensemble = PartitionEnsemble(h, parts, delta)
-    return ensemble, is_balanced(ensemble)

@@ -7,7 +7,8 @@ hyperedge to |+>^n yields the hypergraph state, whose amplitudes are all
 f(v) = XOR over hyperedges of AND over member bits.
 
 ``encode_hypergraph`` is the one encoder: every partitioned state is
-``encode_hypergraph`` of some hypergraph, and f is read off its sign bits.
+``encode_hypergraph`` of some hypergraph.  ``boolean_function`` reads f off
+the sign bits of a state it is given, so nothing is encoded twice.
 
 Bit convention: qubit 1 is the most significant bit of the basis index, so
 basis state |10...0> has qubit 1 equal to 1.  An empty hyperedge is the
@@ -16,7 +17,6 @@ literal zero-controlled Z: a global factor of -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -26,12 +26,10 @@ from .hypergraph import Hypergraph, PartitionEnsemble
 __all__ = [
     "MAX_QUBITS",
     "QubitStateVector",
-    "BooleanFunctionTable",
     "plus_state",
     "apply_ckz",
     "encode_hypergraph",
     "boolean_function",
-    "state_from_boolean_function",
     "is_real_equally_weighted",
     "encode_partitioned",
 ]
@@ -75,22 +73,6 @@ class QubitStateVector:
         return str(table.data, "ascii").split("\n")[:-1]
 
 
-@dataclass(frozen=True)
-class BooleanFunctionTable:
-    """Truth table of f over all 2^n inputs, stored as 0/1 bytes."""
-
-    n_inputs: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != 2**self.n_inputs:
-            raise ValueError(
-                f"table length {len(self.values)} does not match 2^{self.n_inputs}"
-            )
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("table entries must be 0 or 1")
-
-
 def plus_state(n: int) -> QubitStateVector:
     """|+>^n: all 2^n amplitudes equal 2^(-n/2)."""
     if not 1 <= n <= MAX_QUBITS:
@@ -116,13 +98,12 @@ def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     return QubitStateVector(n, view.reshape(-1))
 
 
-def encode_hypergraph(h: Hypergraph, global_gate: bool = False) -> QubitStateVector:
+def encode_hypergraph(h: Hypergraph) -> QubitStateVector:
     """Hypergraph state: one C^kZ per hyperedge applied to |+>^n.
 
     The diagonal gates commute, so hyperedge order is irrelevant.  Hyperedge
     weights play no role here; they act only in the matrix algebra and the
-    phase map.  ``global_gate`` additionally applies the all-qubits gate
-    (sign flip on the all-ones basis state), off by default.
+    phase map.
     """
     if h.n_vertices > MAX_QUBITS:
         raise ValueError(
@@ -131,28 +112,17 @@ def encode_hypergraph(h: Hypergraph, global_gate: bool = False) -> QubitStateVec
     state = plus_state(h.n_vertices)
     for members, _ in h.hyperedges:
         state = apply_ckz(state, members)
-    if global_gate:
-        state = apply_ckz(state, range(1, h.n_vertices + 1))
     return state
 
 
-def boolean_function(h: Hypergraph) -> BooleanFunctionTable:
-    """f(v) = XOR over hyperedges of AND over member bits of v.
+def boolean_function(s: QubitStateVector) -> np.ndarray:
+    """Sign bits of the real parts of ``s``: f(v) as 2^n uint8 zeros and ones.
 
-    Read off the sign bits of ``encode_hypergraph(h)``.  An empty hyperedge
-    contributes the constant 1 (empty AND), flipping the whole table.
+    For ``s = encode_hypergraph(h)`` this is f(v) = XOR over hyperedges of
+    AND over member bits of v; an empty hyperedge contributes the constant 1
+    (empty AND), flipping the whole table.
     """
-    signs = np.signbit(encode_hypergraph(h).amplitudes.real)
-    return BooleanFunctionTable(h.n_vertices, tuple(signs.astype(np.uint8).tolist()))
-
-
-def state_from_boolean_function(t: BooleanFunctionTable) -> QubitStateVector:
-    """Real equally weighted state with amplitudes 2^(-n/2) * (-1)^f(v)."""
-    n = t.n_inputs
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n_inputs must be in 1..{MAX_QUBITS}, got {n}")
-    signs = 1.0 - 2.0 * np.array(t.values, dtype=np.float64)
-    return QubitStateVector(n, (2.0 ** (-n / 2.0)) * signs.astype(np.complex128))
+    return np.signbit(s.amplitudes.real).view(np.uint8)
 
 
 def is_real_equally_weighted(s: QubitStateVector, tol: float = 1e-12) -> bool:

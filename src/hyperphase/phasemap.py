@@ -25,7 +25,6 @@ __all__ = [
     "PhaseMap",
     "grid_from_boundary",
     "map_momentum_rows",
-    "map_position_columns",
     "build_phase_map",
     "initial_field_from_hypergraph",
 ]
@@ -101,12 +100,11 @@ def map_momentum_rows(h: Hypergraph, grid: PhaseSpaceGrid) -> dict[int, int]:
     }
 
 
-def map_position_columns(h: Hypergraph, grid: PhaseSpaceGrid) -> tuple[dict[int, int], str]:
-    """Assign position columns by vertex degree, or by edge degree on fallback.
+def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:
+    """Momentum rows by hyperedge weight; position columns by vertex degree.
 
-    Returns (mapping, degree_source).  The fallback triggers exactly when
-    some hyperedge has no members; the mapping is then keyed by hyperedge
-    index instead of vertex label.
+    Position columns fall back to edge degrees, keyed by hyperedge index
+    instead of vertex label, exactly when some hyperedge has no members.
     """
     degrees, source = _position_degrees(h)
     first_key = 1 if source == VERTEX_DEGREE else 0  # vertex labels are 1-based
@@ -114,11 +112,6 @@ def map_position_columns(h: Hypergraph, grid: PhaseSpaceGrid) -> tuple[dict[int,
         first_key + i: _nearest_center(float(d), grid.q_min, grid.dq, grid.n_q)
         for i, d in enumerate(degrees)
     }
-    return cols, source
-
-
-def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:
-    cols, source = map_position_columns(h, grid)
     return PhaseMap(
         source=h,
         grid=grid,
@@ -132,21 +125,19 @@ def initial_field_from_hypergraph(
     h: Hypergraph,
     grid: PhaseSpaceGrid,
     k_default: float = 0.0,
-    k_overrides: dict[int, float] | None = None,
 ) -> WignerField:
     """Sum of plane-wave rows, one per hyperedge on its mapped momentum row.
 
-    Each hyperedge contributes cos(k q) at t = 0 on its row; rows shared by
-    several hyperedges accumulate.  ``k_overrides`` assigns a per-hyperedge
-    wavenumber (keyed by hyperedge index), defaulting to the shared
-    ``k_default``.  The result is a slice-carrier field (field_mode=True),
-    not a normalized Wigner function.
+    Each hyperedge contributes cos(k_default q) at t = 0 on its row; rows
+    shared by several hyperedges accumulate.  The result is a slice-carrier
+    field (field_mode=True), not a normalized Wigner function.
     """
-    rows = map_momentum_rows(h, grid)
-    q = grid.q_centers()
-    overrides = k_overrides or {}
+    k = float(k_default)
+    if not math.isfinite(k * max(abs(grid.q_min), abs(grid.q_max))):
+        raise ValueError(f"k_default={k_default} makes the phase k*q overflow float64 "
+                         f"on q in [{grid.q_min}, {grid.q_max}]")
+    wave = np.cos(k * grid.q_centers())
     values = np.zeros((grid.n_p, grid.n_q))
-    for j in range(h.n_edges):
-        k = float(overrides.get(j, k_default))
-        values[rows[j], :] += np.cos(k * q)
+    for row in map_momentum_rows(h, grid).values():
+        values[row] += wave
     return WignerField(grid, values, t=0.0, field_mode=True)

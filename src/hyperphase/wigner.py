@@ -10,9 +10,7 @@ n_q the real interpolant has no Nyquist sine term, so each step scales a
 their cosines, not by one shear of the summed shift.  A run of steps stays
 in rfft space: one forward transform, the per-step phase (and the per-step
 Nyquist rule) applied once per step, one inverse transform, so ``evolve``
-transforms once per snapshot rather than once per step.  The analogous
-column-wise step in p exists for split-step completeness and is the
-identity under zero force.
+transforms once per snapshot rather than once per step.
 
 The Wigner transform gathers rho(q + y, q - y) over the half offsets
 y = m dq inside the window (from psi's samples for a pure state, with no
@@ -41,7 +39,6 @@ __all__ = [
     "wigner_transform",
     "wigner_transform_pure",
     "free_stream_step",
-    "vertical_step",
     "evolve",
     "marginals",
     "total_mass",
@@ -226,12 +223,23 @@ class DensityMatrix:
 def gaussian_wavefunction(
     grid: PhaseSpaceGrid, sigma: float = 1.0, q0: float = 0.0, p0: float = 0.0
 ) -> Wavefunction:
-    """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized.
+
+    sigma must be > 0 with a finite sigma**2, and the samples must have a
+    finite, nonzero norm on the grid (a packet far narrower than dq can
+    underflow to zero).
+    """
+    if not (sigma > 0 and math.isfinite(sigma * sigma)):
+        raise ValueError(f"sigma must be > 0 with a finite sigma**2, got {sigma}")
     q = grid.q_centers()
-    raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
-    raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)) * grid.dq)
+    # a sigma**2 that underflows divides by zero; the norm check below rejects the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
+        norm = float(np.sum(np.abs(raw) ** 2)) * grid.dq
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} on a grid of "
+                         f"dq={grid.dq}, hbar={grid.hbar}")
+    raw /= math.sqrt(norm)
     return Wavefunction(grid.q_min, grid.q_max, raw)
 
 
@@ -300,9 +308,9 @@ def wigner_transform_pure(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerFiel
 
 
 def _spectral_shift(
-    values: np.ndarray, shifts: np.ndarray, axis: int, spacing: float, steps: int = 1
+    values: np.ndarray, shifts: np.ndarray, spacing: float, steps: int = 1
 ) -> np.ndarray:
-    """Circularly shift each 1-D slice along ``axis`` by its own displacement, ``steps`` times.
+    """Circularly shift each row by its own displacement, ``steps`` times.
 
     Trigonometric interpolant of the shift: unit-modulus phase per rfft mode,
     inverted by irfft, so real input gives real output by construction.  The
@@ -310,18 +318,15 @@ def _spectral_shift(
     set to its real part after every step, which is what irfft does to it
     after one step: each step scales it by cos(k_N * shift).
     """
-    n = values.shape[axis]
+    n = values.shape[1]
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
     phase = np.exp(-1j * np.outer(shifts, k))
-    if axis == 0:
-        phase = phase.T
-    coeffs = np.fft.rfft(values, axis=axis)
-    nyquist = (slice(None),) * axis + (-1,)
+    coeffs = np.fft.rfft(values)
     for _ in range(steps):
         coeffs *= phase
         if n % 2 == 0:
-            coeffs[nyquist] = coeffs[nyquist].real
-    return np.fft.irfft(coeffs, n=n, axis=axis)
+            coeffs[:, -1] = coeffs[:, -1].real
+    return np.fft.irfft(coeffs, n=n)
 
 
 def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
@@ -330,7 +335,9 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     Each step shears row j by p_j * dt / m.  The rows stay in rfft space
     across the steps and are inverted once; the per-step Nyquist rule of
     ``_spectral_shift`` is unchanged, so this equals ``steps`` single-step
-    calls up to rounding.  The time advances by dt once per step.
+    calls up to rounding.  The time advances by dt once per step.  A dt whose
+    shear p*dt/m, spectral phase or end time overflows float64 is refused
+    before anything is computed.
     """
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
@@ -338,24 +345,20 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if dt == 0.0:
         return WignerField(w.grid, w.values, t=w.t, field_mode=w.field_mode)
-    shifts = w.grid.p_centers() * dt / w.grid.mass
-    out = _spectral_shift(w.values, shifts, axis=1, spacing=w.grid.dq, steps=steps)
+    g = w.grid
+    shear = max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass
+    # the largest rfft wavenumber is pi/dq, so the largest phase is shear * pi / dq
+    if not math.isfinite(shear * math.pi / g.dq):
+        raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
+                         f"whose spectral phase overflows float64")
+    if not math.isfinite(w.t + steps * dt):
+        raise ValueError(f"dt={dt} over {steps} steps from t={w.t} overflows float64")
+    shifts = g.p_centers() * dt / g.mass
+    out = _spectral_shift(w.values, shifts, spacing=g.dq, steps=steps)
     t = w.t
     for _ in range(steps):
         t += dt
-    return WignerField(w.grid, out, t=t, field_mode=w.field_mode)
-
-
-def vertical_step(w: WignerField, dt: float, force: Sequence[float]) -> WignerField:
-    """Column-wise spectral shift in p by force * dt; identity under zero force."""
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
-    f = np.asarray(force, dtype=np.float64)
-    if f.shape != (w.grid.n_q,):
-        raise ValueError(f"force must have length n_q={w.grid.n_q}, got shape {f.shape}")
-    shifts = f * dt
-    out = _spectral_shift(w.values, shifts, axis=0, spacing=w.grid.dp)
-    return WignerField(w.grid, out, t=w.t, field_mode=w.field_mode)
+    return WignerField(g, out, t=t, field_mode=w.field_mode)
 
 
 def evolve(
@@ -366,8 +369,6 @@ def evolve(
     Snapshots are taken every ``snapshot_every`` steps (none if 0); the final
     state is always included.  Each stretch between snapshots is one
     ``free_stream_step`` call, so the field is transformed once per snapshot.
-    The zero-force vertical half of the split step is the exact identity and
-    is skipped.
     """
     if not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
@@ -395,30 +396,18 @@ def total_mass(w: WignerField) -> float:
 
 
 def plane_wave_slice(
-    grid: PhaseSpaceGrid,
-    slice_index: int,
-    k: float,
-    t: float = 0.0,
-    orientation: str = "horizontal",
+    grid: PhaseSpaceGrid, slice_index: int, k: float, t: float = 0.0
 ) -> WignerField:
-    """Field that is zero except for one plane-wave slice.
+    """Field that is zero except for one plane-wave row.
 
-    Horizontal: row ``slice_index`` carries cos(k q - omega t) with
-    omega = k p_row / m, so one free-streaming step of dt advances the phase
-    by exactly k p_row dt / m.  Vertical: column carries cos(k p), static
-    under zero force.
+    Row ``slice_index`` carries cos(k q - omega t) with omega = k p_row / m,
+    so one free-streaming step of dt advances the phase by exactly
+    k p_row dt / m.
     """
+    if not 0 <= slice_index < grid.n_p:
+        raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
     values = np.zeros((grid.n_p, grid.n_q))
     k = float(k)
-    if orientation == "horizontal":
-        if not 0 <= slice_index < grid.n_p:
-            raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
-        omega = k * float(grid.p_centers()[slice_index]) / grid.mass
-        values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
-    elif orientation == "vertical":
-        if not 0 <= slice_index < grid.n_q:
-            raise ValueError(f"column {slice_index} out of range 0..{grid.n_q - 1}")
-        values[:, slice_index] = np.cos(k * grid.p_centers())
-    else:
-        raise ValueError(f"orientation must be 'horizontal' or 'vertical', got {orientation!r}")
+    omega = k * float(grid.p_centers()[slice_index]) / grid.mass
+    values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
     return WignerField(grid, values, t=t, field_mode=True)

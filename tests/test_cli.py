@@ -95,6 +95,23 @@ def test_encode_fig4(fig4_file, tmp_path):
     assert report["n_qubits"] == 4
 
 
+def test_encode_global_gate_flips_all_ones_line_only(fig4_file, tmp_path):
+    plain, gated = tmp_path / "plain", tmp_path / "gated"
+    assert main(["encode", str(fig4_file), "--out", str(plain)]) == 0
+    assert main(["encode", str(fig4_file), "--with-global-gate", "--out", str(gated)]) == 0
+    plain_lines = (plain / "state.txt").read_text().splitlines()
+    gated_lines = (gated / "state.txt").read_text().splitlines()
+    changed = [a.split()[0] for a, b in zip(plain_lines, gated_lines) if a != b]
+    assert len(plain_lines) == len(gated_lines) == 16 and changed == ["1111"]
+    # f_table_ones counts f of the hypergraph without the gate
+    plain_report = json.loads((plain / "report.json").read_text())
+    gated_report = json.loads((gated / "report.json").read_text())
+    assert (plain_report["global_gate"], gated_report["global_gate"]) == (False, True)
+    assert {k for k in plain_report if plain_report[k] != gated_report[k]} == {"global_gate"}
+    assert set(plain_report) == set(gated_report)
+    assert gated_report["f_table_ones"] == 6 and gated_report["f_table_size"] == 16
+
+
 def test_encode_partitioned_cut_cost(fig4_file, tmp_path):
     out = tmp_path / "enc"
     code = main(
@@ -156,6 +173,7 @@ def test_invalid_document_is_validation_error(tmp_path, capsys):
 HUGE_SUMS_DOC = ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
                  '{"members": [1], "weight": 1e308}]}')
 HUGE_GRID_DOC = '{"vertices": 1, "edges": [{"members": [1], "weight": 1e308}]}'
+SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
 
 
 @pytest.mark.parametrize(
@@ -167,8 +185,20 @@ HUGE_GRID_DOC = '{"vertices": 1, "edges": [{"members": [1], "weight": 1e308}]}'
          "error: phase-space cell area"),
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "1"],
          "error: phase-space bounds must be finite"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
+         "error: sigma must be > 0 with a finite sigma**2, got inf"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
+         "error: sigma=1e-300 gives a Gaussian of norm"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "inf"],
+         "error: k_default=inf makes the phase k*q overflow"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "1e308"],
+         "error: k_default=1e+308 makes the phase k*q overflow"),
+        (FIG4_DOC, ["evolve", "--dt", "1e308", "--steps", "3"],
+         "error: dt=1e+308 implies a shear p*dt/m of up to inf"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-320", *SMALL_PHYSICAL],
+         "error: dt=0.5 implies a shear p*dt/m of up to inf"),
     ],
-    ids=["command0", "command1", "command2", "command3"],
+    ids=[f"command{i}" for i in range(10)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -249,6 +279,19 @@ def test_evolve_oversized_grid(mode, fig4_file, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: grid of n_q=1000000 x n_p=1000000") and err.count("\n") == 1
+
+
+def test_evolve_physical_delta_packet(tmp_path):
+    # sigma**2 = 1e-320 leaves one nonzero sample at q = 0; the analytic shear overflows to
+    # exp(-inf) = 0 away from it, with no warning
+    argv = ["evolve", "--physical", "gaussian", "--sigma", "1e-160", *SMALL_PHYSICAL,
+            "--out", str(tmp_path / "x")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert caught == []
+    run = json.loads((tmp_path / "x" / "run.json").read_text())
+    assert run["max_error_vs_analytic"] <= 1e-12
 
 
 def test_evolve_physical_needs_time(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hyperphase import (
     cut_cost,
     edge_degree_matrix,
     edge_weight_sum_matrix,
-    greedy_balance,
     incidence_matrix,
     is_balanced,
     momentum_laplacian,
@@ -333,51 +332,3 @@ def test_partition_validation(fig4):
     for delta in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="delta"):
             PartitionEnsemble(fig4, [{1}], delta)
-
-
-# --- greedy balance ---------------------------------------------------------
-
-def test_greedy_unit_weights_even_split():
-    h = Hypergraph(4)
-    ensemble, report = greedy_balance(h, 2, 0.05)
-    assert sorted(len(p) for p in ensemble.parts) == [2, 2]
-    assert bool(report)
-
-
-def test_greedy_heavy_vertex():
-    h = Hypergraph(4, [], vertex_weights=[4, 1, 1, 1])
-    ensemble, report = greedy_balance(h, 2, 0.5)
-    assert sorted(sorted(p) for p in ensemble.parts) == [[1], [2, 3, 4]]
-    assert report.part_weights == (4.0, 3.0)
-
-
-def test_greedy_singletons():
-    h = Hypergraph(4)
-    ensemble, _ = greedy_balance(h, 4, 0.5)
-    assert all(len(p) == 1 for p in ensemble.parts)
-
-
-def test_greedy_reports_unbalanced_without_failing():
-    h = Hypergraph(3, [], vertex_weights=[10, 1, 1])
-    ensemble, report = greedy_balance(h, 2, 0.1)
-    assert ensemble.covers_all_vertices()
-    assert not bool(report)
-
-
-def test_greedy_argument_validation():
-    h = Hypergraph(4)
-    with pytest.raises(ValueError, match="n_parts"):
-        greedy_balance(h, 0, 0.5)
-    with pytest.raises(ValueError, match="n_parts"):
-        greedy_balance(h, 5, 0.5)
-
-
-def test_greedy_always_covers():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(1, 9))
-        h = Hypergraph(n, [], vertex_weights=rng.uniform(0.5, 5.0, size=n))
-        k = int(rng.integers(1, n + 1))
-        ensemble, _ = greedy_balance(h, k, 0.5)
-        assert ensemble.covers_all_vertices()
-        assert ensemble.n_parts == k

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase import (
-    BooleanFunctionTable,
     Hypergraph,
     PartitionEnsemble,
     QubitStateVector,
@@ -16,7 +15,6 @@ from hyperphase import (
     encode_partitioned,
     is_real_equally_weighted,
     plus_state,
-    state_from_boolean_function,
 )
 
 from conftest import random_hypergraph
@@ -119,47 +117,25 @@ def test_encoding_oversize_refused():
 
 
 def test_boolean_function_single_and():
-    table = boolean_function(Hypergraph(2, [({1, 2}, 1.0)]))
-    assert table.values == (0, 0, 0, 1)
+    table = boolean_function(encode_hypergraph(Hypergraph(2, [({1, 2}, 1.0)])))
+    assert table.dtype == np.uint8
+    assert table.tolist() == [0, 0, 0, 1]
 
 
 def test_boolean_function_edgeless():
-    assert boolean_function(Hypergraph(3)).values == tuple([0] * 8)
+    assert boolean_function(encode_hypergraph(Hypergraph(3))).tolist() == [0] * 8
 
 
 def test_boolean_function_fig4(fig4):
-    table = boolean_function(fig4)
-    assert table.values[0b1111] == 1
+    table = boolean_function(encode_hypergraph(fig4))
+    assert table[0b1111] == 1
     for v in range(16):
-        assert table.values[v] == brute_force_f(fig4, v)
+        assert table[v] == brute_force_f(fig4, v)
 
 
 def test_boolean_function_empty_edge_constant_one():
-    table = boolean_function(Hypergraph(2, [(set(), 1.0)]))
-    assert table.values == (1, 1, 1, 1)
-
-
-def test_state_from_boolean_function_cross_oracle():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        h = random_hypergraph(rng, n_max=5, m_max=4)
-        via_table = state_from_boolean_function(boolean_function(h))
-        via_gates = encode_hypergraph(h)
-        assert np.array_equal(via_table.amplitudes, via_gates.amplitudes)
-
-
-def test_state_from_boolean_function_trivial_tables():
-    flat = state_from_boolean_function(BooleanFunctionTable(2, (0, 0, 0, 0)))
-    assert np.array_equal(flat.amplitudes, plus_state(2).amplitudes)
-    flipped = state_from_boolean_function(BooleanFunctionTable(2, (1, 1, 1, 1)))
-    assert np.array_equal(flipped.amplitudes, -plus_state(2).amplitudes)
-
-
-def test_table_validation():
-    with pytest.raises(ValueError, match="length"):
-        BooleanFunctionTable(2, (0, 1))
-    with pytest.raises(ValueError, match="0 or 1"):
-        BooleanFunctionTable(1, (0, 2))
+    table = boolean_function(encode_hypergraph(Hypergraph(2, [(set(), 1.0)])))
+    assert table.tolist() == [1, 1, 1, 1]
 
 
 # --- real equally weighted check --------------------------------------------------
@@ -314,7 +290,7 @@ def test_empty_edge_counted_once_in_partition():
 
 def test_global_gate_flips_all_ones_only(fig4):
     plain = encode_hypergraph(fig4)
-    gated = encode_hypergraph(fig4, global_gate=True)
+    gated = apply_ckz(plain, range(1, 5))
     diff = np.nonzero(plain.amplitudes != gated.amplitudes)[0]
     assert list(diff) == [0b1111]
     assert gated.amplitudes[0b1111] == -plain.amplitudes[0b1111]

@@ -8,7 +8,6 @@ from hyperphase import (
     grid_from_boundary,
     initial_field_from_hypergraph,
     map_momentum_rows,
-    map_position_columns,
     total_mass,
 )
 from hyperphase.phasemap import EDGE_DEGREE, VERTEX_DEGREE
@@ -108,15 +107,16 @@ def test_momentum_row_monotonicity_random():
 def test_map_determinism(fig4):
     g = grid_from_boundary(fig4, 32, 32, margin=0.25)
     assert map_momentum_rows(fig4, g) == map_momentum_rows(fig4, g)
-    assert map_position_columns(fig4, g) == map_position_columns(fig4, g)
+    assert build_phase_map(fig4, g) == build_phase_map(fig4, g)
 
 
 # --- position columns -------------------------------------------------------------
 
 def test_fig4_position_columns(fig4):
     g = grid_from_boundary(fig4, 25, 16, margin=0.25)
-    cols, source = map_position_columns(fig4, g)
-    assert source == VERTEX_DEGREE
+    pmap = build_phase_map(fig4, g)
+    cols = pmap.position_cols
+    assert pmap.degree_source == VERTEX_DEGREE
     centers = g.q_centers()
     degrees = {1: 4.0, 2: 3.0, 3: 3.0, 4: 5.0}
     assert cols == {v: nearest_row(d, centers) for v, d in degrees.items()}
@@ -126,8 +126,9 @@ def test_fig4_position_columns(fig4):
 def test_empty_edge_triggers_edge_degree_fallback():
     h = Hypergraph(4, [(set(), 1.0), ({1, 2, 3}, 2.0)])
     g = grid_from_boundary(h, 12, 8, margin=0.2)
-    cols, source = map_position_columns(h, g)
-    assert source == EDGE_DEGREE
+    pmap = build_phase_map(h, g)
+    cols = pmap.position_cols
+    assert pmap.degree_source == EDGE_DEGREE
     assert set(cols) == {0, 1}  # keyed by hyperedge index under the fallback
     assert cols[1] == nearest_row(3.0, g.q_centers())
 
@@ -139,9 +140,8 @@ def test_fallback_exclusivity_random():
         if h.n_edges == 0 or all(len(m) == 0 for m in h.edge_members()):
             continue
         g = grid_from_boundary(h, 8, 8, margin=0.1)
-        _, source = map_position_columns(h, g)
         has_empty = any(len(m) == 0 for m in h.edge_members())
-        assert (source == EDGE_DEGREE) == has_empty
+        assert (build_phase_map(h, g).degree_source == EDGE_DEGREE) == has_empty
 
 
 def test_build_phase_map(fig4):
@@ -179,14 +179,11 @@ def test_single_edge_single_row():
     assert int(np.count_nonzero(field.values.sum(axis=1))) == 1
 
 
-def test_k_override_sets_row_wavenumber(fig4):
-    g = grid_from_boundary(fig4, 64, 16, margin=0.25)
-    L = g.q_max - g.q_min
-    k1 = 2.0 * np.pi * 2 / L
-    field = initial_field_from_hypergraph(fig4, g, k_default=0.0, k_overrides={1: k1})
-    rows = map_momentum_rows(fig4, g)
-    assert np.allclose(field.values[rows[1]], np.cos(k1 * g.q_centers()))
-    assert np.array_equal(field.values[rows[0]], np.ones(64))
+def test_overflowing_wavenumber_rejected(fig4):
+    g = grid_from_boundary(fig4, 16, 8, margin=0.25)
+    for bad in (np.inf, np.nan, 1e308):
+        with pytest.raises(ValueError, match=r"k_default=.* makes the phase k\*q overflow"):
+            initial_field_from_hypergraph(fig4, g, k_default=bad)
 
 
 def test_heavier_edges_translate_farther():

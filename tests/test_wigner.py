@@ -17,7 +17,6 @@ from hyperphase import (
     marginals,
     plane_wave_slice,
     total_mass,
-    vertical_step,
     wigner_transform,
     wigner_transform_pure,
 )
@@ -139,6 +138,17 @@ def test_gaussian_marginals():
     assert np.max(np.abs(pos - np.abs(psi.samples) ** 2)) <= 1e-8
     assert abs(pos.sum() * grid.dq - 1.0) <= 1e-6
     assert abs(mom.sum() * grid.dp - 1.0) <= 1e-6
+
+
+def test_gaussian_sigma_validation():
+    grid = make_grid(33, 33, (-8, 8), (-8, 8))
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e200):
+        with pytest.raises(ValueError, match=r"sigma must be > 0 with a finite sigma\*\*2"):
+            gaussian_wavefunction(grid, sigma=bad)
+    # sigma**2 underflows to 0, or every sample lies many sigmas off a cell center
+    for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
+        with pytest.raises(ValueError, match=f"sigma={tiny} gives a Gaussian of norm"):
+            gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
 
 
 def test_pure_and_density_routes_agree():
@@ -397,6 +407,20 @@ def test_non_finite_dt_rejected():
             free_stream_step(f, bad)
 
 
+def test_overflowing_shear_rejected():
+    g = make_grid(8, 4, (0, 8), (-4, 4))
+    f = WignerField(g, np.zeros((4, 8)))
+    with pytest.raises(ValueError, match=r"dt=1e\+308 implies a shear p\*dt/m of up to inf"):
+        free_stream_step(f, 1e308)
+    tiny_mass = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e-320), np.zeros((4, 8)))
+    with pytest.raises(ValueError, match="dt=0.1 implies a shear"):
+        free_stream_step(tiny_mass, 0.1)
+    # a finite shear and phase, but the end time t + steps * dt overflows
+    late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e10), np.zeros((4, 8)), t=1.7e308)
+    with pytest.raises(ValueError, match=r"dt=1e\+307 over 2 steps from t=1.7e\+308 overflows"):
+        free_stream_step(late, 1e307, 2)
+
+
 def test_non_integer_steps_rejected():
     g = make_grid(8, 4, (0, 8), (0, 4))
     f = WignerField(g, np.zeros((4, 8)))
@@ -424,42 +448,6 @@ def test_multi_step_composes(parity, half, n_p, dt, a, b, seed):
     split = free_stream_step(free_stream_step(f, dt, a), dt, b)
     assert np.max(np.abs(whole.values - split.values)) <= 1e-12 * np.max(np.abs(f.values))
     assert whole.t == split.t
-
-
-# --- vertical step -------------------------------------------------------------
-
-def test_vertical_zero_force_is_identity():
-    g = make_grid(32, 16, (0, 8), (-4, 4))
-    f = WignerField(g, np.random.default_rng(6).normal(size=(16, 32)), field_mode=True)
-    out = vertical_step(f, 0.9, np.zeros(32))
-    assert np.max(np.abs(out.values - f.values)) <= 1e-12
-
-
-def test_vertical_single_column_shift():
-    g = make_grid(32, 16, (0, 8), (-4, 4))
-    rng = np.random.default_rng(8)
-    f = WignerField(g, rng.normal(size=(16, 32)), field_mode=True)
-    force = np.zeros(32)
-    force[11] = 2.0 * g.dp / 0.5
-    out = vertical_step(f, 0.5, force)
-    assert np.max(np.abs(out.values[:, 11] - np.roll(f.values[:, 11], 2))) <= 1e-10
-    mask = np.ones(32, dtype=bool)
-    mask[11] = False
-    assert np.max(np.abs(out.values[:, mask] - f.values[:, mask])) <= 1e-12
-
-
-def test_vertical_zero_dt_identity():
-    g = make_grid(16, 8, (0, 4), (0, 4))
-    f = WignerField(g, np.random.default_rng(9).normal(size=(8, 16)), field_mode=True)
-    out = vertical_step(f, 0.0, np.ones(16))
-    assert np.max(np.abs(out.values - f.values)) <= 1e-12
-
-
-def test_vertical_force_length_checked():
-    g = make_grid(16, 8, (0, 4), (0, 4))
-    f = WignerField(g, np.zeros((8, 16)))
-    with pytest.raises(ValueError, match="length"):
-        vertical_step(f, 0.1, np.zeros(5))
 
 
 # --- evolve ---------------------------------------------------------------------
@@ -526,6 +514,25 @@ def test_evolve_gaussian_matches_analytic_shear():
     assert np.max(np.abs(back.values - w0.values)) <= 1e-10
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    sigma=st.floats(0.8, 1.2),
+    t=st.floats(0.0, 1.0),
+    steps=st.integers(1, 10),
+    n=st.sampled_from([128, 255, 256]),
+)
+def test_gaussian_position_marginal_spreads_analytically(sigma, t, steps, n):
+    # |psi(q, t)|^2 = exp(-q^2 / s^2) / sqrt(pi s^2), s^2 = sigma^2 (1 + (hbar t / (m sigma^2))^2)
+    grid = make_grid(n, n, (-8, 8), (-8, 8))
+    w0 = wigner_transform_pure(gaussian_wavefunction(grid, sigma=sigma), grid)
+    final = evolve(w0, t / steps, steps)[-1]
+    width2 = sigma**2 * (1.0 + (grid.hbar * t / (grid.mass * sigma**2)) ** 2)
+    q = grid.q_centers()
+    exact = np.exp(-(q**2) / width2) / math.sqrt(math.pi * width2)
+    pos, _ = marginals(final)
+    assert np.max(np.abs(pos - exact)) <= 1e-8  # criterion 04's marginal tolerance
+
+
 # --- marginals / mass -------------------------------------------------------------
 
 def test_marginals_zero_field():
@@ -569,16 +576,7 @@ def test_plane_wave_dispersion_under_streaming():
     assert np.max(np.abs(stepped.values - analytic.values)) <= 1e-10
 
 
-def test_plane_wave_vertical_slice():
-    g = make_grid(16, 64, (0, 4), (0, 16))
-    k = 2.0 * math.pi / 16.0
-    f = plane_wave_slice(g, 7, k, orientation="vertical")
-    assert np.array_equal(f.values[:, 7], np.cos(k * g.p_centers()))
-
-
 def test_plane_wave_slice_validation():
     g = make_grid(16, 8, (0, 4), (0, 4))
     with pytest.raises(ValueError, match="out of range"):
         plane_wave_slice(g, 8, 1.0)
-    with pytest.raises(ValueError, match="orientation"):
-        plane_wave_slice(g, 2, 1.0, orientation="diagonal")
