@@ -276,7 +276,9 @@ def wigner_transform(state: Wavefunction | DensityMatrix, grid: PhaseSpaceGrid) 
     bytes repeat for a fixed numpy/BLAS build and thread count.
 
     Total mass equals tr(rho) * dq whenever the grid's momentum window covers
-    the state's momentum content; that is asserted by callers, not here.
+    the state's momentum content; that is asserted by callers, not here.  An
+    hbar that puts the kernel phase past 2**53 rad, or overflows the factor
+    dq/(pi hbar), is refused before anything is computed.
     """
     n = grid.n_q
     if state.n_q != n:
@@ -290,6 +292,13 @@ def wigner_transform(state: Wavefunction | DensityMatrix, grid: PhaseSpaceGrid) 
     if n * half > MAX_CELLS:
         raise ValueError(f"Wigner correlation of n_q={n} x {half} offsets = {n * half} cells "
                          f"exceeds the cap of {MAX_CELLS}")
+    # past 2**53 rad a phase has no correct digit left
+    phase = 2.0 * grid.dq * (half - 1) * max(abs(grid.p_min), abs(grid.p_max)) / grid.hbar
+    if not phase <= 2.0**53:
+        raise ValueError(f"hbar={grid.hbar} gives a Wigner kernel phase 2*dq*m*p/hbar of up to "
+                         f"{phase} rad, past 2**53")
+    if not math.isfinite(grid.dq / (math.pi * grid.hbar)):
+        raise ValueError(f"hbar={grid.hbar} makes the Wigner normalization dq/(pi*hbar) overflow")
 
     theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
     pair = np.full((half, 1, 1), 2.0)
@@ -336,8 +345,8 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     across the steps and are inverted once; the per-step Nyquist rule of
     ``_spectral_shift`` is unchanged, so this equals ``steps`` single-step
     calls up to rounding.  The time advances by dt once per step.  A dt whose
-    shear p*dt/m, spectral phase or end time overflows float64 is refused
-    before anything is computed.
+    shear p*dt/m, spectral phase or end time overflows float64, or whose
+    spectral phase is past 2**53 rad, is refused before anything is computed.
     """
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
@@ -348,11 +357,15 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     g = w.grid
     shear = max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass
     # the largest rfft wavenumber is pi/dq, so the largest phase is shear * pi / dq
-    if not math.isfinite(shear * math.pi / g.dq):
+    phase = shear * math.pi / g.dq
+    if not math.isfinite(phase):
         raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
                          f"whose spectral phase overflows float64")
     if not math.isfinite(w.t + steps * dt):
         raise ValueError(f"dt={dt} over {steps} steps from t={w.t} overflows float64")
+    if phase > 2.0**53:  # past 2**53 rad a phase has no correct digit left
+        raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
+                         f"whose spectral phase of {phase} rad is past 2**53")
     shifts = g.p_centers() * dt / g.mass
     out = _spectral_shift(w.values, shifts, spacing=g.dq, steps=steps)
     t = w.t

@@ -197,8 +197,13 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
          "error: dt=1e+308 implies a shear p*dt/m of up to inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-320", *SMALL_PHYSICAL],
          "error: dt=0.5 implies a shear p*dt/m of up to inf"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--hbar", "1e-300", *SMALL_PHYSICAL],
+         "error: hbar=1e-300 gives a Wigner kernel phase"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-300", *SMALL_PHYSICAL],
+         "error: dt=0.5 implies a shear p*dt/m of up to 3.9999999999999996e+300 per step, "
+         "whose spectral phase of"),
     ],
-    ids=[f"command{i}" for i in range(10)],
+    ids=[f"command{i}" for i in range(12)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -328,6 +333,22 @@ def test_wigner_transform_oversized_state(extra, message, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hbar", ["1e-320", "1e-300"])
+def test_wigner_transform_tiny_hbar(hbar, tmp_path, capsys):
+    psi_path = tmp_path / "psi.csv"
+    grid = make_grid(64, 64, (-8, 8), (-8, 8))
+    formats.write_wavefunction(psi_path, gaussian_wavefunction(grid))
+    argv = ["wigner-transform", "--state", str(psi_path), "--hbar", hbar,
+            "--out", str(tmp_path / "x")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: hbar={float(hbar)} gives a Wigner kernel phase")
+    assert err.count("\n") == 1
 
 
 def test_wigner_transform_missing_file(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
@@ -258,3 +260,80 @@ def test_wavefunction_golden_bytes(tmp_path):
         f"{ref17(qi)},{ref17(a.real)},{ref17(a.imag)}\n" for qi, a in zip(q, psi.samples)
     )
     assert path.read_bytes() == ref.encode()
+
+
+# --- the batch kernel behind _rows17 against format(x, ".17g") ------------------
+
+def assert_batch_exact(values) -> None:
+    x = np.asarray(values, dtype=np.float64)
+    assert formats._fmt17_batch(x) == [ref17(v) for v in x.tolist()]
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=300))
+def test_batch_matches_format_spec(values):
+    assert_batch_exact(values)
+
+
+def test_batch_matches_format_spec_on_any_bits():
+    bits = np.random.default_rng(1).integers(0, 2**64, size=20000, dtype=np.uint64)
+    assert_batch_exact(bits.view(np.float64))
+
+
+def neighbours(values, ulps: int = 2) -> np.ndarray:
+    """Each value and its floats up to ``ulps`` steps below and above, both signs."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (0.0, math.inf):
+        step = out[0]
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    both = np.concatenate(out)
+    return np.concatenate([both, -both])
+
+
+def test_batch_powers_of_ten_and_form_switch():
+    # log10's estimate of the exponent is off by one just below some 10**k
+    assert_batch_exact(neighbours([float(f"1e{k}") for k in range(-300, 300)]))
+    # %g switches between fixed and exponent form at 1e-4 and 1e17
+    assert_batch_exact(neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999991e-05]))
+
+
+def test_batch_ties_go_to_the_template():
+    # m / 2**j with an 18-digit decimal ending in 5 lies exactly halfway between
+    # two 17-digit decimals, and %g rounds it half to even
+    ties = []
+    for j in range(2, 26):
+        low = -(-10**17 // 5**j) | 1
+        for m in range(low, min(low + 40, 2**53), 2):
+            if len(str(m * 5**j)) == 18:
+                ties.append(m / 2**j)
+    assert 2.0**-25 in ties and len(ties) > 400
+    assert_batch_exact(neighbours(ties, ulps=1))
+
+
+def test_batch_large_integers_exponents_and_specials():
+    assert_batch_exact(neighbours([2.0**53, 2.0**53 + 2, 2.0**60, 2.0**63, 2.0**64, 1e22, 1e23,
+                                   12345678901234567890.0]))
+    # three-digit exponents, and both ends of the kernel's range
+    assert_batch_exact(neighbours([1e-100, 1e100, 1.5e-200, 2.5e250, 1e-280, 1e280, 1e-281,
+                                   1e281]))
+    # zeros, subnormals, the smallest normal, inf and nan
+    assert_batch_exact(neighbours([0.0, 5e-324, 1e-310, 2.2250738585072014e-308]))
+    assert_batch_exact([math.inf, -math.inf, math.nan, -0.0, 0.0, 1.7976931348623157e308])
+
+
+def test_snapshot_golden_bytes_batch_path(tmp_path, monkeypatch):
+    from hyperphase import WignerField
+
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-30, 30, size=(64, 64))
+    values[0, :3] = [0.0, -0.0, 2.0**-25]
+    sizes = []
+    batch = formats._fmt17_batch
+    monkeypatch.setattr(formats, "_fmt17_batch", lambda x: sizes.append(x.size) or batch(x))
+    field = WignerField(make_grid(64, 64, (-1, 1), (-2, 2)), values, t=0.0, field_mode=True)
+    csv_path, _ = formats.write_snapshot(tmp_path, 0, field)
+    assert sizes and min(sizes) >= formats._BATCH_MIN_DISTINCT  # every block took the kernel
+    ref = "".join(",".join(ref17(x) for x in row) + "\n" for row in values[::-1])
+    assert csv_path.read_bytes() == ref.encode()

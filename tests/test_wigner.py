@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,33 @@ def test_overflowing_shear_rejected():
     late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e10), np.zeros((4, 8)), t=1.7e308)
     with pytest.raises(ValueError, match=r"dt=1e\+307 over 2 steps from t=1.7e\+308 overflows"):
         free_stream_step(late, 1e307, 2)
+
+
+def test_meaningless_shear_rejected():
+    # finite, but past 2**53 rad the spectral phase has no correct digit
+    tiny_mass = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e-300), np.zeros((4, 8)))
+    with pytest.raises(ValueError, match=r"dt=0.1 implies a shear .* past 2\*\*53"):
+        free_stream_step(tiny_mass, 0.1)
+    # dq = 1 and |p| <= 4, so the largest phase is 4 * pi * dt
+    f = WignerField(make_grid(8, 4, (0, 8), (-4, 4)), np.zeros((4, 8)))
+    assert free_stream_step(f, 2.0**49).t == 2.0**49  # 2**51 * pi rad
+    with pytest.raises(ValueError, match=r"past 2\*\*53"):
+        free_stream_step(f, 2.0**50)  # 2**52 * pi rad
+
+
+def test_tiny_hbar_rejected():
+    psi = gaussian_wavefunction(make_grid(16, 16, (-4, 4), (-4, 4)), sigma=1.0)
+    # dq = 0.5, 8 half offsets and |p| <= 4: the largest kernel phase is 28 / hbar
+    for hbar in (1e-320, 1e-300, 28 / 2.0**54):
+        grid = make_grid(16, 16, (-4, 4), (-4, 4), hbar=hbar)
+        with pytest.raises(ValueError, match=re.escape(f"hbar={hbar} gives a Wigner kernel phase")):
+            wigner_transform(psi, grid)
+    grid = make_grid(16, 16, (-4, 4), (-4, 4), hbar=28 / 2.0**52)
+    assert np.isfinite(wigner_transform(psi, grid).values).all()
+    # two samples have one half offset, so no phase, but dq/(pi*hbar) still overflows
+    two = Wavefunction(0.0, 2.0, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match=r"hbar=1e-320 makes the Wigner normalization"):
+        wigner_transform(two, make_grid(2, 2, (0, 2), (-1, 1), hbar=1e-320))
 
 
 def test_non_integer_steps_rejected():
