@@ -4,13 +4,16 @@ All numeric output uses 17 significant digits with a '.' decimal separator,
 so identical inputs produce byte-identical files.  Vertex labels are 1-based
 in every external format.
 
-Every numeric writer (matrix CSVs, snapshots, state dumps, wavefunctions)
-goes through one row formatter, ``_rows17``, which formats each distinct
-value once per block of rows; ``fmt17`` shares its format spec for scalars.
-A block with many distinct values goes through ``_fmt17_batch``, which
+Every numeric writer formats each distinct value once per block of rows,
+through ``_distinct17``; ``fmt17`` shares its format spec for scalars.  A
+block with many distinct values goes through ``_fmt17_batch``, which
 computes the same "%.17g" text with numpy array operations.  The values it
 cannot decide (zeros, subnormals, extremes, inf, nan and rounding ties) go
 through the "%.17g" template, so the bytes never depend on the path taken.
+``_rows17`` joins the texts into the rows of matrix CSVs, snapshots and
+wavefunctions.  ``dump_state`` builds no string per line: it gathers them,
+zero-padded in a uint8 table, beside each line's label bytes and drops the
+padding, so each number is still exactly its "%.17g" text.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .hyperstate import MAX_QUBITS, QubitStateVector
+from .hyperstate import MAX_QUBITS, QubitStateVector, _label_bytes
 from .wigner import Wavefunction, WignerField
 
 __all__ = [
@@ -44,15 +47,15 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _FMT17 = "%.17g"
-# Cells per block of _rows17.  A block's unique pass, string table and row
-# lists are alive at once, so the block size bounds the writers' extra memory:
+# Cells per block of _rows17 and dump_state.  A block's unique pass, text table
+# and rows are alive at once, so the block size bounds the writers' extra memory:
 # 2**16-cell blocks raised a 16-qubit state dump's peak RSS by ~8%, 2**12 by <2%.
 _BLOCK_CELLS = 1 << 12
 
 
-# _rows17 formats a block's distinct values with _fmt17_batch when there are
-# at least this many, else in one template call.  The kernel costs ~0.15 ms a
-# call; measured against the template (2-core VM, numpy 2.4.6) it broke even
+# _distinct17 formats a block's distinct values with _fmt17_batch when there
+# are at least this many, else in one template call.  The kernel costs ~0.15 ms
+# a call; measured against the template (2-core VM, numpy 2.4.6) it broke even
 # near 200 distinct snapshot values, 400 normal deviates and 600 short ones
 # (multiples of 1/8), and was 2.5-4x faster at 4096.
 _BATCH_MIN_DISTINCT = 512
@@ -189,26 +192,32 @@ def _fmt17_batch(x: np.ndarray) -> list[str]:
     return texts
 
 
+def _distinct17(bits: np.ndarray) -> list[str]:
+    """fmt17 of each of a block's distinct float64 bit patterns.
+
+    By ``_fmt17_batch`` when there are at least _BATCH_MIN_DISTINCT, else in
+    one template call.
+    """
+    if bits.size >= _BATCH_MIN_DISTINCT:
+        return _fmt17_batch(bits.view(np.float64))
+    distinct = bits.view(np.float64).tolist()
+    return ("\n".join([_FMT17] * len(distinct)) % tuple(distinct)).split("\n")
+
+
 def _rows17(values: np.ndarray, sep: str) -> Iterator[str]:
     """Rows of a 2-D float64 array as text: each cell as fmt17, joined by sep.
 
     Distinct bit patterns (so -0.0 stays apart from 0.0) are formatted once
-    per block, then mapped back to their cells: by ``_fmt17_batch`` when the
-    block has at least _BATCH_MIN_DISTINCT of them, else in one template
-    call.  Rows are yielded block by block, so a caller that labels them
-    holds one block of unlabeled rows at a time.
+    per block by ``_distinct17``, then mapped back to their cells.  Rows are
+    yielded block by block, so a caller that labels them holds one block of
+    unlabeled rows at a time.
     """
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     for start in range(0, n_rows, step):
         block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
         bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        if bits.size >= _BATCH_MIN_DISTINCT:
-            texts = _fmt17_batch(bits.view(np.float64))
-        else:
-            distinct = bits.view(np.float64).tolist()
-            texts = ("\n".join([_FMT17] * len(distinct)) % tuple(distinct)).split("\n")
-        cells = np.array(texts, dtype=object)[inverse].reshape(block.shape)
+        cells = np.array(_distinct17(bits), dtype=object)[inverse].reshape(block.shape)
         yield from (sep.join(row) for row in cells.tolist())
 
 
@@ -315,10 +324,26 @@ def write_matrix_csv(
 
 
 def dump_state(s: QubitStateVector) -> str:
-    """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
-    parts = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) pairs, no copy
-    lines = [f"{label} {row}" for label, row in zip(s.basis_labels(), _rows17(parts, " "))]
-    return "\n".join(lines) + "\n"
+    """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part.
+
+    Each block of rows is a uint8 array: label bytes, the real and the
+    imaginary part's text, each after a space, from a zero-padded table of
+    ``_distinct17`` texts, and a newline.  Dropping the padding leaves every
+    text as formatted.
+    """
+    n = s.n_qubits
+    pairs = s.amplitudes.view(np.uint64).reshape(-1, 2)  # (re, im) bit patterns, no copy
+    chunks = []
+    for start in range(0, 2**n, _BLOCK_CELLS // 2):
+        bits, codes = np.unique(pairs[start : start + _BLOCK_CELLS // 2], return_inverse=True)
+        texts = np.array([" " + t for t in _distinct17(bits)], dtype=bytes)
+        cells = texts[codes.reshape(-1, 2)].view(np.uint8)  # " re im", zero-padded
+        block = np.empty((len(cells), n + cells.shape[1] + 1), dtype=np.uint8)
+        _label_bytes(block[:, :n], start)
+        block[:, n:-1] = cells
+        block[:, -1] = ord("\n")
+        chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(chunks)
 
 
 def parse_state(text: str) -> QubitStateVector:

@@ -50,7 +50,8 @@ class QubitStateVector:
             raise ValueError(
                 f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, got shape {amps.shape}"
             )
-        norm = float(np.sum(np.abs(amps) ** 2))
+        parts = amps.view(np.float64)
+        norm = float(np.einsum("i,i->", parts, parts))  # sum of |a|^2 in one pass, no BLAS
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state norm is {norm}, expected 1 within 1e-12")
         amps.flags.writeable = False
@@ -63,14 +64,23 @@ class QubitStateVector:
     def basis_labels(self) -> list[str]:
         """Bitstrings of the basis indices, qubit 1 first: format(i, f"0{n}b") for each i."""
         n = self.n_qubits
-        index = np.arange(2**n, dtype=np.uint32)
-        # one uint8 column per qubit plus a newline column; temporaries stay O(2^n) per bit
         table = np.empty((2**n, n + 1), dtype=np.uint8)
         table[:, n] = ord("\n")
-        for bit in range(n):
-            np.bitwise_and(index >> (n - 1 - bit), 1, out=table[:, bit], casting="unsafe")
-        table[:, :n] += ord("0")
+        _label_bytes(table[:, :n], 0)
         return str(table.data, "ascii").split("\n")[:-1]
+
+
+def _label_bytes(out: np.ndarray, start: int) -> None:
+    """Write into row r of the (rows, n) uint8 ``out`` the ASCII bitstring of index start + r.
+
+    Qubit 1 (the index MSB) goes first: the unpacked bits of the index's
+    big-endian bytes, less the leading bits beyond n.
+    """
+    rows, n = out.shape
+    width = -(-n // 8)
+    index = np.arange(start, start + rows, dtype=">u4").view(np.uint8).reshape(rows, 4)
+    bits = np.unpackbits(index[:, 4 - width :], axis=1)
+    np.add(bits[:, 8 * width - n :], ord("0"), out=out)
 
 
 def plus_state(n: int) -> QubitStateVector:
@@ -91,11 +101,15 @@ def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} out of range 1..{n}")
+    out = QubitStateVector(n, s.amplitudes)  # the one copy; negating keeps the norm
+    amps = out.amplitudes  # owned by out alone, so it may be written until returned
+    amps.flags.writeable = True
     # axis q-1 is qubit q; negation (unlike *= -1) also flips the sign of 0j
-    view = s.amplitudes.reshape((2,) * n).copy()
+    view = amps.reshape((2,) * n)
     block = tuple(1 if q in qubits else slice(None) for q in range(1, n + 1))
     view[block] = -view[block]
-    return QubitStateVector(n, view.reshape(-1))
+    amps.flags.writeable = False
+    return out
 
 
 def encode_hypergraph(h: Hypergraph) -> QubitStateVector:

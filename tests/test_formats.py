@@ -10,6 +10,7 @@ from hyperphase import (
     Hypergraph,
     QubitStateVector,
     Wavefunction,
+    apply_ckz,
     encode_hypergraph,
     gaussian_wavefunction,
     make_grid,
@@ -248,6 +249,44 @@ def test_dump_state_golden_bytes():
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
     assert formats.dump_state(state) == ref
+
+
+@st.composite
+def hypergraph_documents(draw):
+    """Up to 13 qubits with empty edges allowed, and whether to add the global gate."""
+    n = draw(st.integers(1, 13))
+    return n, draw(st.lists(st.sets(st.integers(1, n)), max_size=10)), draw(st.booleans())
+
+
+def hypergraph_state(n: int, edges, global_gate: bool) -> QubitStateVector:
+    state = encode_hypergraph(Hypergraph(n, [(e, 1.0) for e in edges]))
+    # --with-global-gate negates |1...1>, whose imaginary part is then written '-0'
+    return apply_ckz(state, range(1, n + 1)) if global_gate else state
+
+
+def assert_dump_matches_reference(state: QubitStateVector) -> None:
+    n = state.n_qubits
+    text = formats.dump_state(state)
+    ref = "".join(
+        f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
+    )
+    assert text.split("\n") == ref.split("\n")  # a list compare fails fast, with the line
+    assert np.array_equal(formats.parse_state(text).amplitudes, state.amplitudes)
+
+
+@settings(deadline=None, max_examples=40)
+@given(hypergraph_documents())
+def test_dump_state_matches_per_line_reference(document):
+    assert_dump_matches_reference(hypergraph_state(*document))
+
+
+def test_dump_state_spans_blocks_with_global_gate():
+    n = 13  # 2**13 rows: four blocks of _BLOCK_CELLS // 2 rows
+    assert 2**n > formats._BLOCK_CELLS // 2
+    state = hypergraph_state(n, [set(), {1, 2, 3}, {4, 13}, {7}], True)
+    assert_dump_matches_reference(state)
+    last = formats.dump_state(state).rsplit("\n", 2)[-2]
+    assert last == f"{'1' * n} {ref17(-(2**-6.5))} -0"  # f(1...1) = 0, then the gate
 
 
 def test_wavefunction_golden_bytes(tmp_path):

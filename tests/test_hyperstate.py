@@ -63,6 +63,12 @@ def test_state_vector_validation():
         QubitStateVector(0, np.array([1.0]))
 
 
+def test_overflowing_norm_is_value_error():
+    # |a|^2 overflows to inf: rejected by the norm check, with no numpy warning
+    with pytest.raises(ValueError, match="norm is inf"):
+        QubitStateVector(1, np.array([1e200, 0.0]))
+
+
 # --- single gates -----------------------------------------------------------
 
 def test_ckz_single_qubit_gives_minus_state():
@@ -95,6 +101,16 @@ def test_ckz_negates_zero_imaginary_part():
     assert np.signbit(out.amplitudes.imag).tolist() == [False, False, False, True]
     full = apply_ckz(plus_state(2), set())
     assert np.signbit(full.amplitudes.imag).all()
+
+
+def test_states_are_frozen_and_unaliased():
+    amps = np.full(4, 0.5, dtype=complex)
+    state = QubitStateVector(2, amps)
+    amps[0] = 7.0
+    out = apply_ckz(state, [1, 2])
+    assert state.amplitudes[0] == 0.5 and state.amplitudes[3] == 0.5
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert not state.amplitudes.flags.writeable and not out.amplitudes.flags.writeable
 
 
 def test_ckz_target_range_checked():
@@ -332,3 +348,32 @@ def test_cut_partition_matches_brute_force(case):
             bits = "".join(str((v >> (n - q)) & 1) for q in sorted(part))
             sign *= np.sign(state.amplitudes[int(bits, 2)].real)
         assert np.sign(combined.amplitudes[v].real) == sign
+
+
+@st.composite
+def hypergraphs(draw):
+    """A hypergraph on up to 10 vertices; empty and repeated edges allowed."""
+    n = draw(st.integers(1, 10))
+    edges = draw(st.lists(st.sets(st.integers(1, n)), max_size=12))
+    return Hypergraph(n, [(e, 1.0) for e in edges])
+
+
+@settings(deadline=None)
+@given(hypergraphs())
+def test_hypergraph_state_stabilizers(h):
+    # X_i times the CZs of the edges through i, restricted to e \ {i}, fixes the
+    # state (Rossi et al. 2013): f(x + e_i) + f(x) = XOR over e containing i of
+    # AND over e \ {i}, mod 2.
+    n = h.n_vertices
+    f = boolean_function(encode_hypergraph(h))
+    x = np.arange(2**n)
+    bit = {q: (x >> (n - q)) & 1 for q in range(1, n + 1)}
+    for i in range(1, n + 1):
+        expected = np.zeros(2**n, dtype=np.int64)
+        for members, _ in h.hyperedges:
+            if i in members:
+                term = np.ones(2**n, dtype=np.int64)
+                for q in members - {i}:
+                    term &= bit[q]
+                expected ^= term
+        assert np.array_equal(f[x ^ (1 << (n - i))] ^ f, expected)
