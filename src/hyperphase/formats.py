@@ -4,16 +4,16 @@ All numeric output uses 17 significant digits with a '.' decimal separator,
 so identical inputs produce byte-identical files.  Vertex labels are 1-based
 in every external format.
 
-Every numeric writer formats each distinct value once per block of rows,
-through ``_distinct17``; ``fmt17`` shares its format spec for scalars.  A
-block with many distinct values goes through ``_fmt17_batch``, which
-computes the same "%.17g" text with numpy array operations.  The values it
-cannot decide (zeros, subnormals, extremes, inf, nan and rounding ties) go
-through the "%.17g" template, so the bytes never depend on the path taken.
-``_rows17`` joins the texts into the rows of matrix CSVs, snapshots and
-wavefunctions.  ``dump_state`` builds no string per line: it gathers them,
-zero-padded in a uint8 table, beside each line's label bytes and drops the
-padding, so each number is still exactly its "%.17g" text.
+Every numeric text (matrix CSVs, snapshots, wavefunctions, state dumps)
+comes from one line writer, ``_lines17``, with no Python string per line or
+number.  Per block of rows, ``_distinct17`` formats each distinct value once
+into a NUL-padded uint8 table whose rows start with the separator; the
+writer gathers the cells' table rows beside each line's label bytes and a
+newline, then drops the NULs, so each number is exactly its "%.17g" text.
+``fmt17`` shares that spec for scalars.  For blocks with many distinct
+values ``_fmt17_batch`` computes the same texts with numpy array operations;
+the values it cannot decide (zeros, subnormals, extremes, inf, nan and
+rounding ties) go through the "%.17g" template, so no byte depends on the path.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import functools
 import json
 import math
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .hyperstate import MAX_QUBITS, QubitStateVector, _label_bytes
+from .hyperstate import MAX_QUBITS, QubitStateVector
 from .wigner import Wavefunction, WignerField
 
 __all__ = [
@@ -47,8 +47,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _FMT17 = "%.17g"
-# Cells per block of _rows17 and dump_state.  A block's unique pass, text table
-# and rows are alive at once, so the block size bounds the writers' extra memory:
+# Cells per block of _lines17.  A block's unique pass, text table and lines
+# are alive at once, so the block size bounds the writers' extra memory:
 # 2**16-cell blocks raised a 16-qubit state dump's peak RSS by ~8%, 2**12 by <2%.
 _BLOCK_CELLS = 1 << 12
 
@@ -125,19 +125,21 @@ def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
 
 
-def _fmt17_batch(x: np.ndarray) -> list[str]:
-    """``"%.17g" % v`` for each v of a 1-D float64 array, byte for byte.
+def _fmt17_batch(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for each v of a 1-D float64 array, byte for byte, as a uint8 table.
 
     Each |v| becomes a 17-digit integer N = round(|v| * 10**(16 - e10)),
     where e10 = floor(log10 |v|) is estimated, then corrected by one when N
     falls outside [1e16, 1e17).  N's digits come from a 4-digit table.  Each
-    text is cut from one fixed row of characters, sign | "0.000" | the
-    digits with a dot | "e", exponent sign, three exponent digits | newline,
-    by keeping what the %g rules keep: fixed form for -4 <= e10 < 17, else
-    exponent form, with trailing zeros stripped.  Values the kernel cannot
-    decide go through the template instead: |v| outside _BATCH_RANGE (so
-    zeros, subnormals, inf and nan), and values within _TIE_WINDOW of a
-    rounding tie.
+    text is cut from one fixed row of 30 characters, a free slot | sign |
+    "0.000" | the digits with a dot | "e", exponent sign, three exponent
+    digits, by keeping what the %g rules keep: fixed form for -4 <= e10 < 17,
+    else exponent form, with trailing zeros stripped.  Row i of the
+    (size, 30) result is that row with NUL in every slot not kept, so the
+    text of x[i] is the row with its NULs dropped.  Values the kernel cannot
+    decide are written into their rows' slots 1.. by the template instead:
+    |v| outside _BATCH_RANGE (so zeros, subnormals, inf and nan), and values
+    within _TIE_WINDOW of a rounding tie.
     """
     digits4 = _batch_tables()[3]
     a = np.abs(x)
@@ -155,7 +157,9 @@ def _fmt17_batch(x: np.ndarray) -> list[str]:
     size = n.size
     high, low = np.divmod(n, 10**8)
     lead, mid = np.divmod(high, 10**8)
-    quads = np.stack([mid // 10**4, mid % 10**4, low // 10**4, low % 10**4])
+    halves = np.stack([mid, low]).astype(np.uint32)  # uint32 divides faster than int64
+    tops = halves // 10**4
+    quads = np.stack([tops[0], halves[0] - tops[0] * 10**4, tops[1], halves[1] - tops[1] * 10**4])
     # Work column-major (one column per value), in uint8 arithmetic: rows of
     # a few thousand bytes keep numpy's loops long.  Rows: a blank, the 17
     # digits of N, a blank.
@@ -170,55 +174,80 @@ def _fmt17_batch(x: np.ndarray) -> list[str]:
     dot = np.where(fixed, np.where(small, 17, e10 + 1), 1).astype(np.uint8)
     body = np.where(small, sig, np.maximum(sig + (sig > dot), dot))
 
-    chars = np.empty((30, size), dtype=np.uint8)
-    chars[:6] = np.frombuffer(b"-0.000", dtype=np.uint8)[:, None]
-    chars[6:24] = digits[:18] + (digits[1:] - digits[:18]) * (slot < dot)
-    chars[6 + dot, np.arange(size)] = ord(".")
-    chars[24] = ord("e")
-    chars[25] = np.where(e10 < 0, ord("-"), ord("+"))
-    chars[26:29] = digits4[np.abs(e10)].view(np.uint8).reshape(size, 4)[:, 1:].T
-    chars[29] = ord("\n")
-    keep = np.empty((30, size), dtype=bool)
-    keep[0] = np.signbit(x)
-    keep[1:6] = slot[1:6] <= np.where(small, 1 - e10, 0).astype(np.uint8)
-    keep[6:24] = slot < body
-    keep[24:29] = ~fixed
-    keep[26] &= np.abs(e10) >= 100
-    keep[29] = True
+    chars = np.zeros((30, size), dtype=np.uint8)
+    chars[1:7] = np.frombuffer(b"-0.000", dtype=np.uint8)[:, None]
+    chars[7:25] = digits[:18] + (digits[1:] - digits[:18]) * (slot < dot)
+    chars[7 + dot, np.arange(size)] = ord(".")
+    chars[25] = ord("e")
+    chars[26] = np.where(e10 < 0, ord("-"), ord("+"))
+    chars[27:30] = digits4[np.abs(e10)].view(np.uint8).reshape(size, 4)[:, 1:].T
+    keep = np.zeros((30, size), dtype=bool)
+    keep[1] = np.signbit(x)
+    keep[2:7] = slot[1:6] <= np.where(small, 1 - e10, 0).astype(np.uint8)
+    keep[7:25] = slot < body
+    keep[25:30] = ~fixed
+    keep[27] &= np.abs(e10) >= 100
     chars *= keep
-    texts = chars.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    for i in np.flatnonzero(template):
-        texts[i] = _FMT17 % x[i]
-    return texts
+    table = chars.T.copy()
+    fallback = np.flatnonzero(template)
+    texts = np.array([b"%.17g" % v for v in x[fallback].tolist()], dtype="S29")
+    table[fallback, 1:] = texts.view(np.uint8).reshape(-1, 29)
+    return table
 
 
-def _distinct17(bits: np.ndarray) -> list[str]:
-    """fmt17 of each of a block's distinct float64 bit patterns.
+def _distinct17(bits: np.ndarray, sep: bytes) -> np.ndarray:
+    """uint8 table whose row i is sep, then fmt17 of the float64 bits[i], NUL-padded.
 
-    By ``_fmt17_batch`` when there are at least _BATCH_MIN_DISTINCT, else in
-    one template call.
+    By ``_fmt17_batch`` when there are at least _BATCH_MIN_DISTINCT values,
+    else in one template call.
     """
-    if bits.size >= _BATCH_MIN_DISTINCT:
-        return _fmt17_batch(bits.view(np.float64))
-    distinct = bits.view(np.float64).tolist()
-    return ("\n".join([_FMT17] * len(distinct)) % tuple(distinct)).split("\n")
+    x = bits.view(np.float64)
+    if x.size >= _BATCH_MIN_DISTINCT:
+        table = _fmt17_batch(x)
+        table[:, 0] = sep[0]
+        return table
+    texts = np.array((b"\n".join([sep + b"%.17g"] * x.size) % tuple(x.tolist())).split(b"\n"))
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _rows17(values: np.ndarray, sep: str) -> Iterator[str]:
-    """Rows of a 2-D float64 array as text: each cell as fmt17, joined by sep.
+def _lines17(
+    values: np.ndarray, sep: bytes, labels: Callable[[int, int], np.ndarray] | None = None
+) -> bytes:
+    """Lines of a 2-D float64 array: each cell as fmt17, sep between cells.
 
-    Distinct bit patterns (so -0.0 stays apart from 0.0) are formatted once
-    per block by ``_distinct17``, then mapped back to their cells.  Rows are
-    yielded block by block, so a caller that labels them holds one block of
-    unlabeled rows at a time.
+    ``labels(start, stop)``, if given, returns the NUL-padded uint8 label
+    bytes of rows start..stop-1, and a line is its label, then sep before
+    every cell.  Distinct bit patterns (so -0.0 stays apart from 0.0) are
+    formatted once per block of _BLOCK_CELLS cells.
     """
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    chunks = []
     for start in range(0, n_rows, step):
         block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
+        rows = len(block)
         bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        cells = np.array(_distinct17(bits), dtype=object)[inverse].reshape(block.shape)
-        yield from (sep.join(row) for row in cells.tolist())
+        table = _distinct17(bits, sep)
+        cells = np.take(table, inverse, axis=0).reshape(rows, n_cols * table.shape[1])
+        parts = [cells, np.full((rows, 1), ord("\n"), dtype=np.uint8)]
+        if labels is None:
+            cells[:, :1] = 0  # no sep before a line's first cell
+        else:
+            parts.insert(0, labels(start, start + rows))
+        chunks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
+
+
+def _label_bytes(start: int, stop: int, n: int) -> np.ndarray:
+    """(stop - start, n) uint8 array: row r is the ASCII bitstring of index start + r.
+
+    Qubit 1 (the index MSB) goes first: the unpacked bits of the index's
+    big-endian bytes, less the leading bits beyond n.
+    """
+    width = -(-n // 8)
+    index = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(stop - start, 4)
+    bits = np.unpackbits(index[:, 4 - width :], axis=1)
+    return bits[:, 8 * width - n :] + np.uint8(ord("0"))
 
 
 def _require_number(value, path: str, positive: bool = False) -> float:
@@ -315,35 +344,23 @@ def write_matrix_csv(
     row_labels: Sequence[str],
     col_labels: Sequence[str],
 ) -> None:
-    """Labeled CSV: header of column labels, one labeled row per matrix row."""
+    """Labeled CSV: header of column labels, one labeled row per matrix row (no NUL in a label)."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [",".join([""] + list(col_labels))]
-    prefix = "," if mat.shape[1] else ""
-    lines += [label + prefix + row for label, row in zip(row_labels, _rows17(mat, ","))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if len(row_labels) != len(mat):
+        raise ValueError(f"{len(row_labels)} row labels for a matrix of {len(mat)} rows")
+    if any("\0" in label for label in row_labels):
+        raise ValueError("row labels may not contain a NUL character")
+    labels = np.array([label.encode("utf-8") for label in row_labels], dtype=bytes)
+    labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+    header = ",".join([""] + list(col_labels)).encode("utf-8") + b"\n"
+    path.write_bytes(header + _lines17(mat, b",", lambda start, stop: labels[start:stop]))
 
 
 def dump_state(s: QubitStateVector) -> str:
-    """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part.
-
-    Each block of rows is a uint8 array: label bytes, the real and the
-    imaginary part's text, each after a space, from a zero-padded table of
-    ``_distinct17`` texts, and a newline.  Dropping the padding leaves every
-    text as formatted.
-    """
+    """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
     n = s.n_qubits
-    pairs = s.amplitudes.view(np.uint64).reshape(-1, 2)  # (re, im) bit patterns, no copy
-    chunks = []
-    for start in range(0, 2**n, _BLOCK_CELLS // 2):
-        bits, codes = np.unique(pairs[start : start + _BLOCK_CELLS // 2], return_inverse=True)
-        texts = np.array([" " + t for t in _distinct17(bits)], dtype=bytes)
-        cells = texts[codes.reshape(-1, 2)].view(np.uint8)  # " re im", zero-padded
-        block = np.empty((len(cells), n + cells.shape[1] + 1), dtype=np.uint8)
-        _label_bytes(block[:, :n], start)
-        block[:, n:-1] = cells
-        block[:, -1] = ord("\n")
-        chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(chunks)
+    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows, no copy
+    return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n)).decode("ascii")
 
 
 def parse_state(text: str) -> QubitStateVector:
@@ -382,8 +399,7 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
     """
     csv_path = directory / f"snapshot_{index:04d}.csv"
     meta_path = directory / f"snapshot_{index:04d}.meta.json"
-    lines = _rows17(field.values[::-1], ",")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_path.write_bytes(_lines17(field.values[::-1], b","))
     g = field.grid
     meta = {
         "n_q": g.n_q,
@@ -404,8 +420,8 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
 def write_wavefunction(path: Path, psi: Wavefunction) -> None:
     """CSV of position-basis samples: q,re,im per cell center."""
     q = psi.q_min + (np.arange(psi.n_q) + 0.5) * psi.dq
-    lines = ["q,re,im", *_rows17(np.column_stack([q, psi.samples.real, psi.samples.imag]), ",")]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    samples = np.column_stack([q, psi.samples.real, psi.samples.imag])
+    path.write_bytes(b"q,re,im\n" + _lines17(samples, b","))
 
 
 def read_wavefunction(path: Path) -> Wavefunction:

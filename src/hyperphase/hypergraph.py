@@ -7,6 +7,7 @@ arithmetic keeps integer test oracles exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -90,10 +91,11 @@ class Hypergraph:
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """n x m 0/1 matrix: entry (i, j) is 1 iff vertex i+1 belongs to hyperedge j."""
+    members = h.edge_members()
+    rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)
+    cols = np.repeat(np.arange(h.n_edges), np.fromiter(map(len, members), dtype=np.intp))
     mat = np.zeros((h.n_vertices, h.n_edges), dtype=np.float64)
-    for j, (members, _) in enumerate(h.hyperedges):
-        for v in members:
-            mat[v - 1, j] = 1.0
+    mat[rows - 1, cols] = 1.0
     return mat
 
 

@@ -61,27 +61,6 @@ class QubitStateVector:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QubitStateVector is immutable")
 
-    def basis_labels(self) -> list[str]:
-        """Bitstrings of the basis indices, qubit 1 first: format(i, f"0{n}b") for each i."""
-        n = self.n_qubits
-        table = np.empty((2**n, n + 1), dtype=np.uint8)
-        table[:, n] = ord("\n")
-        _label_bytes(table[:, :n], 0)
-        return str(table.data, "ascii").split("\n")[:-1]
-
-
-def _label_bytes(out: np.ndarray, start: int) -> None:
-    """Write into row r of the (rows, n) uint8 ``out`` the ASCII bitstring of index start + r.
-
-    Qubit 1 (the index MSB) goes first: the unpacked bits of the index's
-    big-endian bytes, less the leading bits beyond n.
-    """
-    rows, n = out.shape
-    width = -(-n // 8)
-    index = np.arange(start, start + rows, dtype=">u4").view(np.uint8).reshape(rows, 4)
-    bits = np.unpackbits(index[:, 4 - width :], axis=1)
-    np.add(bits[:, 8 * width - n :], ord("0"), out=out)
-
 
 def plus_state(n: int) -> QubitStateVector:
     """|+>^n: all 2^n amplitudes equal 2^(-n/2)."""

@@ -1,15 +1,18 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
     QubitStateVector,
     Wavefunction,
+    WignerField,
     apply_ckz,
     encode_hypergraph,
     gaussian_wavefunction,
@@ -120,8 +123,6 @@ def test_matrix_csv_layout(tmp_path, fig4):
 def test_snapshot_rows_run_from_p_max(tmp_path):
     grid = make_grid(4, 3, (0, 4), (0, 3))
     values = np.arange(12, dtype=float).reshape(3, 4)  # row 0 = lowest p
-    from hyperphase import WignerField
-
     field = WignerField(grid, values, t=0.5, field_mode=True)
     csv_path, meta_path = formats.write_snapshot(tmp_path, 7, field)
     assert csv_path.name == "snapshot_0007.csv"
@@ -169,6 +170,12 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
 
 def ref17(x) -> str:
     return format(float(x), ".17g")
+
+
+def assert_same_lines(data: bytes, ref: str) -> None:
+    """data == ref.encode(), compared line by line: a failing list compare names the
+    first differing line at once, where a diff of two whole texts can stall."""
+    assert data.split(b"\n") == ref.encode().split(b"\n")
 
 
 def golden_values(shape, seed: int) -> np.ndarray:
@@ -220,7 +227,7 @@ def test_matrix_csv_golden_bytes(tmp_path):
         [",".join([""] + cols) + "\n"]
         + [",".join([r] + [ref17(x) for x in row]) + "\n" for r, row in zip(rows, mat)]
     )
-    assert path.read_bytes() == ref.encode()
+    assert_same_lines(path.read_bytes(), ref)
 
 
 def test_matrix_csv_one_dimensional_and_zero_columns(tmp_path):
@@ -233,13 +240,11 @@ def test_matrix_csv_one_dimensional_and_zero_columns(tmp_path):
 
 
 def test_snapshot_golden_bytes(tmp_path):
-    from hyperphase import WignerField
-
     values = golden_values((90, 130), 7)
     field = WignerField(make_grid(130, 90, (-1, 1), (-2, 2)), values, t=0.0, field_mode=True)
     csv_path, _ = formats.write_snapshot(tmp_path, 0, field)
     ref = "".join(",".join(ref17(x) for x in row) + "\n" for row in values[::-1])
-    assert csv_path.read_bytes() == ref.encode()
+    assert_same_lines(csv_path.read_bytes(), ref)
 
 
 def test_dump_state_golden_bytes():
@@ -248,7 +253,7 @@ def test_dump_state_golden_bytes():
     ref = "".join(
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
-    assert formats.dump_state(state) == ref
+    assert_same_lines(formats.dump_state(state).encode(), ref)
 
 
 @st.composite
@@ -270,7 +275,7 @@ def assert_dump_matches_reference(state: QubitStateVector) -> None:
     ref = "".join(
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
-    assert text.split("\n") == ref.split("\n")  # a list compare fails fast, with the line
+    assert_same_lines(text.encode(), ref)
     assert np.array_equal(formats.parse_state(text).amplitudes, state.amplitudes)
 
 
@@ -298,14 +303,17 @@ def test_wavefunction_golden_bytes(tmp_path):
     ref = "q,re,im\n" + "".join(
         f"{ref17(qi)},{ref17(a.real)},{ref17(a.imag)}\n" for qi, a in zip(q, psi.samples)
     )
-    assert path.read_bytes() == ref.encode()
+    assert_same_lines(path.read_bytes(), ref)
 
 
-# --- the batch kernel behind _rows17 against format(x, ".17g") ------------------
+# --- the batch kernel behind _distinct17 against format(x, ".17g") --------------
 
 def assert_batch_exact(values) -> None:
     x = np.asarray(values, dtype=np.float64)
-    assert formats._fmt17_batch(x) == [ref17(v) for v in x.tolist()]
+    table = formats._fmt17_batch(x)
+    assert table.shape == (x.size, 30)
+    texts = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in table]
+    assert texts == [ref17(v) for v in x.tolist()]
 
 
 @settings(deadline=None)
@@ -338,15 +346,20 @@ def test_batch_powers_of_ten_and_form_switch():
     assert_batch_exact(neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999991e-05]))
 
 
-def test_batch_ties_go_to_the_template():
-    # m / 2**j with an 18-digit decimal ending in 5 lies exactly halfway between
-    # two 17-digit decimals, and %g rounds it half to even
+def rounding_ties() -> list[float]:
+    """Floats m / 2**j whose 18-digit decimal ends in 5: each lies exactly halfway
+    between two 17-digit decimals, and %g rounds it half to even."""
     ties = []
     for j in range(2, 26):
         low = -(-10**17 // 5**j) | 1
         for m in range(low, min(low + 40, 2**53), 2):
             if len(str(m * 5**j)) == 18:
                 ties.append(m / 2**j)
+    return ties
+
+
+def test_batch_ties_go_to_the_template():
+    ties = rounding_ties()
     assert 2.0**-25 in ties and len(ties) > 400
     assert_batch_exact(neighbours(ties, ulps=1))
 
@@ -363,8 +376,6 @@ def test_batch_large_integers_exponents_and_specials():
 
 
 def test_snapshot_golden_bytes_batch_path(tmp_path, monkeypatch):
-    from hyperphase import WignerField
-
     rng = np.random.default_rng(17)
     values = rng.standard_normal((64, 64)) * 10.0 ** rng.integers(-30, 30, size=(64, 64))
     values[0, :3] = [0.0, -0.0, 2.0**-25]
@@ -375,4 +386,65 @@ def test_snapshot_golden_bytes_batch_path(tmp_path, monkeypatch):
     csv_path, _ = formats.write_snapshot(tmp_path, 0, field)
     assert sizes and min(sizes) >= formats._BATCH_MIN_DISTINCT  # every block took the kernel
     ref = "".join(",".join(ref17(x) for x in row) + "\n" for row in values[::-1])
-    assert csv_path.read_bytes() == ref.encode()
+    assert_same_lines(csv_path.read_bytes(), ref)
+
+
+# --- the CSV writers against a per-row ",".join(ref17) reference ----------------
+
+TIES = rounding_ties()[::10]
+LABEL_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), max_size=4)
+
+
+@st.composite
+def csv_matrices(draw):
+    """A matrix drawn from a few floats, -0.0, subnormals and rounding ties, with a
+    share of cells given their own random value: a block holds one distinct value,
+    fewer than _BATCH_MIN_DISTINCT, or more.  Row labels may be any text but NUL."""
+    rows, cols = draw(st.integers(0, 150)), draw(st.integers(0, 70))
+    pool = draw(st.lists(st.floats(width=64), min_size=1, max_size=8)) + SPECIAL + TIES
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.choice(pool, size=(rows, cols))
+    own = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    mat[own] = rng.standard_normal(own.sum()) * 10.0 ** rng.integers(-300, 300, own.sum())
+    stem = draw(LABEL_TEXT)
+    return mat, [f"{stem}{i}" for i in range(rows)]
+
+
+def all_distinct(shape, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+
+
+def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
+    return ",".join([""] + cols) + "\n" + "".join(
+        ",".join([label] + [ref17(x) for x in row]) + "\n" for label, row in zip(rows, mat)
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(csv_matrices())
+@example((np.zeros((0, 5)), []))
+@example((np.zeros((3, 0)), ["a", "é", ""]))
+@example((all_distinct((150, 64), 3), ["λ", "🙂", "", "x y"] * 37 + ["z", "z"]))  # 3 blocks
+def test_csv_writers_match_per_row_reference(matrix):
+    mat, rows = matrix
+    cols = [f"c{j}" for j in range(mat.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        formats.write_matrix_csv(path, mat, rows, cols)
+        assert_same_lines(path.read_bytes(), matrix_csv_reference(mat, rows, cols))
+        if min(mat.shape) >= 2 and np.all(np.isfinite(mat)):
+            grid = make_grid(mat.shape[1], mat.shape[0], (-1, 1), (-2, 2))
+            csv_path, _ = formats.write_snapshot(Path(tmp), 0, WignerField(grid, mat))
+            ref = "".join(",".join(ref17(x) for x in row) + "\n" for row in mat[::-1])
+            assert_same_lines(csv_path.read_bytes(), ref)
+
+
+def test_matrix_csv_refuses_nul_in_row_label_and_label_count_mismatch(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="NUL"):
+        formats.write_matrix_csv(path, np.eye(2), ["v1", "v\x002"], ["a", "b"])
+    for rows in (["v1"], ["v1", "v2", "v3"]):
+        with pytest.raises(ValueError, match="row labels for a matrix of 2 rows"):
+            formats.write_matrix_csv(path, np.eye(2), rows, ["a", "b"])
+    assert not path.exists()
