@@ -20,6 +20,7 @@ from . import formats
 from .hypergraph import (
     Hypergraph,
     PartitionEnsemble,
+    _from_incidence,
     adjacency_matrix,
     cut_cost,
     edge_degree_matrix,
@@ -89,8 +90,9 @@ def _parse_partition_spec(spec: str, n: int) -> list[list[int]]:
 
 def cmd_info(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.hypergraph)
-    dv = np.diag(vertex_degree_matrix(h))
-    de = np.diag(edge_degree_matrix(h))
+    # Both degree vectors from one incidence matrix: no n x n or m x m diagonal
+    degrees = _from_incidence(h, lambda inc, w, vw: np.concatenate([inc @ w, inc.sum(axis=0)]))
+    dv, de = np.split(degrees, [h.n_vertices])
     print(f"vertices: {h.n_vertices}")
     print("vertex weights: " + ", ".join(formats.fmt17(w) for w in h.vertex_weights))
     print(f"hyperedges: {h.n_edges}")

@@ -6,12 +6,14 @@ in every external format.
 
 Every numeric text (matrix CSVs, snapshots, wavefunctions, state dumps)
 comes from one line writer, ``_lines17``, with no Python string per line or
-number.  Per block of rows, ``_distinct17`` formats each distinct value once
-into a NUL-padded uint8 table whose rows start with the separator; the
-writer gathers the cells' table rows beside each line's label bytes and a
+number.  Per block of rows, sorting the cells' bit patterns finds the
+distinct values.  ``_distinct17`` formats them once into a NUL-padded uint8
+table whose rows start with the separator, and the cells gather their rows,
+when at least half the cells repeat; else it formats every cell in place.
+The writer sets the cells' rows beside each line's label bytes and a
 newline, then drops the NULs, so each number is exactly its "%.17g" text.
-``fmt17`` shares that spec for scalars.  For blocks with many distinct
-values ``_fmt17_batch`` computes the same texts with numpy array operations;
+``fmt17`` shares that spec for scalars.  For blocks with many values to
+format ``_fmt17_batch`` computes the same texts with numpy array operations;
 the values it cannot decide (zeros, subnormals, extremes, inf, nan and
 rounding ties) go through the "%.17g" template, so no byte depends on the path.
 """
@@ -47,17 +49,18 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _FMT17 = "%.17g"
-# Cells per block of _lines17.  A block's unique pass, text table and lines
+# Cells per block of _lines17.  A block's sorted bits, text table and lines
 # are alive at once, so the block size bounds the writers' extra memory:
 # 2**16-cell blocks raised a 16-qubit state dump's peak RSS by ~8%, 2**12 by <2%.
 _BLOCK_CELLS = 1 << 12
 
 
-# _distinct17 formats a block's distinct values with _fmt17_batch when there
-# are at least this many, else in one template call.  The kernel costs ~0.15 ms
-# a call; measured against the template (2-core VM, numpy 2.4.6) it broke even
-# near 200 distinct snapshot values, 400 normal deviates and 600 short ones
-# (multiples of 1/8), and was 2.5-4x faster at 4096.
+# _distinct17 formats its values (a block's distinct values or all its cells)
+# with _fmt17_batch when there are at least this many, else in one template
+# call.  The kernel costs ~0.15 ms a call; measured against the template
+# (2-core VM, numpy 2.4.6) it broke even near 200 distinct snapshot values,
+# 400 normal deviates and 600 short ones (multiples of 1/8), and was 2.5-4x
+# faster at 4096.
 _BATCH_MIN_DISTINCT = 512
 # The kernel formats |x| in [1e-280, 1e280].  There every scale 10**s it uses,
 # s = 16 - e10 in _SCALES, and every partial product of its two-product are
@@ -217,8 +220,9 @@ def _lines17(
 
     ``labels(start, stop)``, if given, returns the NUL-padded uint8 label
     bytes of rows start..stop-1, and a line is its label, then sep before
-    every cell.  Distinct bit patterns (so -0.0 stays apart from 0.0) are
-    formatted once per block of _BLOCK_CELLS cells.
+    every cell.  Per block of _BLOCK_CELLS cells, a sort finds the distinct
+    bit patterns (so -0.0 stays apart from 0.0); they are formatted once
+    when at least half the cells repeat, else every cell is formatted.
     """
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
@@ -226,9 +230,14 @@ def _lines17(
     for start in range(0, n_rows, step):
         block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
         rows = len(block)
-        bits, inverse = np.unique(block.view(np.uint64).ravel(), return_inverse=True)
-        table = _distinct17(bits, sep)
-        cells = np.take(table, inverse, axis=0).reshape(rows, n_cols * table.shape[1])
+        flat = block.view(np.uint64).ravel()
+        ordered = np.sort(flat)
+        bits = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+        if 2 * bits.size > flat.size:
+            table = _distinct17(flat, sep)
+        else:
+            table = np.take(_distinct17(bits, sep), np.searchsorted(bits, flat), axis=0)
+        cells = table.reshape(rows, n_cols * table.shape[1])
         parts = [cells, np.full((rows, 1), ord("\n"), dtype=np.uint8)]
         if labels is None:
             cells[:, :1] = 0  # no sep before a line's first cell
@@ -356,15 +365,15 @@ def write_matrix_csv(
     path.write_bytes(header + _lines17(mat, b",", lambda start, stop: labels[start:stop]))
 
 
-def dump_state(s: QubitStateVector) -> str:
-    """One line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
+def dump_state(s: QubitStateVector) -> bytes:
+    """One ASCII line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
     n = s.n_qubits
     pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows, no copy
-    return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n)).decode("ascii")
+    return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n))
 
 
 def parse_state(text: str) -> QubitStateVector:
-    """Inverse of dump_state."""
+    """Inverse of dump_state, given its bytes decoded as ASCII text."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("state dump is empty")
@@ -389,7 +398,7 @@ def parse_state(text: str) -> QubitStateVector:
 
 
 def write_state(path: Path, s: QubitStateVector) -> None:
-    path.write_text(dump_state(s), encoding="utf-8")
+    path.write_bytes(dump_state(s))
 
 
 def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Path, Path]:

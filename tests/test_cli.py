@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,10 +32,40 @@ def read_tree(root: Path) -> dict[str, bytes]:
 
 def test_info(fig4_file, capsys):
     assert main(["info", str(fig4_file)]) == 0
+    assert capsys.readouterr().out == (
+        "vertices: 4\n"
+        "vertex weights: 1, 1, 1, 1\n"
+        "hyperedges: 3\n"
+        "  e1: {1,2,3} weight 1\n"
+        "  e2: {2,3,4} weight 2\n"
+        "  e3: {1,4} weight 3\n"
+        "vertex degrees: 4, 3, 3, 5\n"
+        "edge degrees: 3, 3, 2\n"
+        "boundary: max edge weight 3, max vertex degree 5\n"
+    )
+
+
+def test_info_builds_no_square_matrix(tmp_path, capsys):
+    n = 3000  # an n x n float64 matrix would take 72 MB
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({"vertices": n, "edges": [{"members": [1, n], "weight": 2.5}]}))
+    tracemalloc.start()
+    try:
+        assert main(["info", str(doc)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
     out = capsys.readouterr().out
-    assert "vertices: 4" in out
-    assert "e1: {1,2,3} weight 1" in out
-    assert "vertex degrees: 4, 3, 3, 5" in out
+    assert f"vertex degrees: 2.5, {'0, ' * (n - 2)}2.5\n" in out
+    assert "edge degrees: 2\n" in out
+
+
+def test_info_overflowing_degrees_are_validation_error(tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text(HUGE_SUMS_DOC)
+    assert main(["info", str(doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: edge weights")
 
 
 # --- matrices ------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_round_trip_identity(fig4):
 
 def test_state_dump_round_trip(fig4):
     state = encode_hypergraph(fig4)
-    text = formats.dump_state(state)
+    text = formats.dump_state(state).decode("ascii")
     lines = text.strip().split("\n")
     assert len(lines) == 16
     assert lines[0].split() == ["0000", "0.25", "0"]
@@ -253,7 +253,7 @@ def test_dump_state_golden_bytes():
     ref = "".join(
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
-    assert_same_lines(formats.dump_state(state).encode(), ref)
+    assert_same_lines(formats.dump_state(state), ref)
 
 
 @st.composite
@@ -271,12 +271,12 @@ def hypergraph_state(n: int, edges, global_gate: bool) -> QubitStateVector:
 
 def assert_dump_matches_reference(state: QubitStateVector) -> None:
     n = state.n_qubits
-    text = formats.dump_state(state)
+    dump = formats.dump_state(state)
     ref = "".join(
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
-    assert_same_lines(text.encode(), ref)
-    assert np.array_equal(formats.parse_state(text).amplitudes, state.amplitudes)
+    assert_same_lines(dump, ref)
+    assert np.array_equal(formats.parse_state(dump.decode("ascii")).amplitudes, state.amplitudes)
 
 
 @settings(deadline=None, max_examples=40)
@@ -290,7 +290,7 @@ def test_dump_state_spans_blocks_with_global_gate():
     assert 2**n > formats._BLOCK_CELLS // 2
     state = hypergraph_state(n, [set(), {1, 2, 3}, {4, 13}, {7}], True)
     assert_dump_matches_reference(state)
-    last = formats.dump_state(state).rsplit("\n", 2)[-2]
+    last = formats.dump_state(state).decode("ascii").rsplit("\n", 2)[-2]
     assert last == f"{'1' * n} {ref17(-(2**-6.5))} -0"  # f(1...1) = 0, then the gate
 
 
@@ -389,6 +389,19 @@ def test_snapshot_golden_bytes_batch_path(tmp_path, monkeypatch):
     assert_same_lines(csv_path.read_bytes(), ref)
 
 
+def test_lines17_formats_repeating_blocks_once_and_others_in_place(tmp_path, monkeypatch):
+    mat = np.concatenate([block_of_distinct(2048, 6), block_of_distinct(2049, 7)])
+    assert [np.unique(block).size for block in np.split(mat, 2)] == [2048, 2049]
+    sizes = []
+    distinct17 = formats._distinct17
+    monkeypatch.setattr(formats, "_distinct17", lambda bits, sep: sizes.append(bits.size)
+                        or distinct17(bits, sep))
+    rows, cols = [f"r{i}" for i in range(128)], [f"c{j}" for j in range(64)]
+    formats.write_matrix_csv(tmp_path / "m.csv", mat, rows, cols)
+    assert sizes == [2048, formats._BLOCK_CELLS]  # its distinct values, then every cell
+    assert_same_lines((tmp_path / "m.csv").read_bytes(), matrix_csv_reference(mat, rows, cols))
+
+
 # --- the CSV writers against a per-row ",".join(ref17) reference ----------------
 
 TIES = rounding_ties()[::10]
@@ -399,13 +412,16 @@ LABEL_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters
 def csv_matrices(draw):
     """A matrix drawn from a few floats, -0.0, subnormals and rounding ties, with a
     share of cells given their own random value: a block holds one distinct value,
-    fewer than _BATCH_MIN_DISTINCT, or more.  Row labels may be any text but NUL."""
+    fewer than _BATCH_MIN_DISTINCT, or more.  Then a share of cells, up to nearly
+    all, become 0.0 or -0.0.  Row labels may be any text but NUL."""
     rows, cols = draw(st.integers(0, 150)), draw(st.integers(0, 70))
     pool = draw(st.lists(st.floats(width=64), min_size=1, max_size=8)) + SPECIAL + TIES
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mat = rng.choice(pool, size=(rows, cols))
     own = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
     mat[own] = rng.standard_normal(own.sum()) * 10.0 ** rng.integers(-300, 300, own.sum())
+    zero = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    mat[zero] = rng.choice([0.0, -0.0], zero.sum())  # a dominant value of either sign
     stem = draw(LABEL_TEXT)
     return mat, [f"{stem}{i}" for i in range(rows)]
 
@@ -413,6 +429,13 @@ def csv_matrices(draw):
 def all_distinct(shape, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+
+
+def block_of_distinct(k: int, seed: int) -> np.ndarray:
+    """One block of _BLOCK_CELLS = 64 x 64 cells holding exactly k >= 2048 distinct values."""
+    values = all_distinct(k, seed)
+    cells = np.concatenate([values, values[: formats._BLOCK_CELLS - k]])
+    return np.random.default_rng(seed).permutation(cells).reshape(64, 64)
 
 
 def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
@@ -426,6 +449,8 @@ def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
 @example((np.zeros((0, 5)), []))
 @example((np.zeros((3, 0)), ["a", "é", ""]))
 @example((all_distinct((150, 64), 3), ["λ", "🙂", "", "x y"] * 37 + ["z", "z"]))  # 3 blocks
+@example((block_of_distinct(2048, 4), [f"r{i}" for i in range(64)]))  # each value twice: gather
+@example((block_of_distinct(2049, 5), [f"r{i}" for i in range(64)]))  # over half: in place
 def test_csv_writers_match_per_row_reference(matrix):
     mat, rows = matrix
     cols = [f"c{j}" for j in range(mat.shape[1])]

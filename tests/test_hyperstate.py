@@ -217,7 +217,7 @@ def test_qubit_one_is_most_significant_bit():
 
 def dump_labels(state: QubitStateVector) -> list[str]:
     """The basis-state labels the state dump writes, one per line."""
-    return [line.split(" ")[0] for line in formats.dump_state(state).splitlines()]
+    return [line.split(" ")[0] for line in formats.dump_state(state).decode("ascii").splitlines()]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
