@@ -20,7 +20,8 @@ from . import formats
 from .hypergraph import (
     Hypergraph,
     PartitionEnsemble,
-    _from_incidence,
+    _edge_degrees,
+    _vertex_degrees,
     adjacency_matrix,
     cut_cost,
     edge_degree_matrix,
@@ -90,9 +91,7 @@ def _parse_partition_spec(spec: str, n: int) -> list[list[int]]:
 
 def cmd_info(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.hypergraph)
-    # Both degree vectors from one incidence matrix: no n x n or m x m diagonal
-    degrees = _from_incidence(h, lambda inc, w, vw: np.concatenate([inc @ w, inc.sum(axis=0)]))
-    dv, de = np.split(degrees, [h.n_vertices])
+    dv, de = _vertex_degrees(h), _edge_degrees(h)  # vectors: no n x n or m x m diagonal
     print(f"vertices: {h.n_vertices}")
     print("vertex weights: " + ", ".join(formats.fmt17(w) for w in h.vertex_weights))
     print(f"hyperedges: {h.n_edges}")

@@ -29,24 +29,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .hyperstate import MAX_QUBITS, QubitStateVector
+from .hyperstate import QubitStateVector
 from .wigner import Wavefunction, WignerField
 
 __all__ = [
-    "SCHEMA_VERSION",
     "fmt17",
     "parse_hypergraph",
     "serialize_hypergraph",
     "write_matrix_csv",
     "dump_state",
-    "parse_state",
     "write_state",
     "write_snapshot",
     "read_wavefunction",
     "write_wavefunction",
 ]
-
-SCHEMA_VERSION = 1
 
 _FMT17 = "%.17g"
 # Cells per block of _lines17.  A block's sorted bits, text table and lines
@@ -336,7 +332,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def serialize_hypergraph(h: Hypergraph) -> str:
     """Render the domain object back to its JSON document form."""
     doc = {
-        "schema": SCHEMA_VERSION,
+        "schema": 1,
         "vertices": h.n_vertices,
         "vertex_weights": list(h.vertex_weights),
         "edges": [
@@ -370,31 +366,6 @@ def dump_state(s: QubitStateVector) -> bytes:
     n = s.n_qubits
     pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows, no copy
     return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n))
-
-
-def parse_state(text: str) -> QubitStateVector:
-    """Inverse of dump_state, given its bytes decoded as ASCII text."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("state dump is empty")
-    n = len(rows[0][0])
-    if n > MAX_QUBITS:
-        raise ValueError(f"state dump line 1: {n}-qubit bitstring, capped at {MAX_QUBITS} qubits")
-    if len(rows) != 2**n:
-        raise ValueError(f"state dump has {len(rows)} lines, expected {2**n}")
-    for ln, row in enumerate(rows):
-        if len(row) != 3:
-            raise ValueError(f"state dump line {ln + 1}: expected 'bits re im'")
-        bits = row[0]
-        if len(bits) != n or any(c not in "01" for c in bits):
-            raise ValueError(f"state dump line {ln + 1}: bad bitstring {bits!r}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    for ln, (bits, re, im) in enumerate(rows):
-        try:
-            amps[int(bits, 2)] = float(re) + 1j * float(im)
-        except ValueError:
-            raise ValueError(f"state dump line {ln + 1}: non-numeric amplitude '{re} {im}'") from None
-    return QubitStateVector(n, amps)
 
 
 def write_state(path: Path, s: QubitStateVector) -> None:

@@ -120,14 +120,24 @@ def _adjacency(inc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a
 
 
+def _vertex_degrees(h: Hypergraph) -> np.ndarray:
+    """d(v) = sum of weights of hyperedges containing v (H w)."""
+    return _from_incidence(h, lambda inc, w, vw: inc @ w)
+
+
+def _edge_degrees(h: Hypergraph) -> np.ndarray:
+    """d(e) = |e|, the hyperedge cardinality (column sums of H)."""
+    return incidence_matrix(h).sum(axis=0)
+
+
 def vertex_degree_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal D_v with d(v) = sum of weights of hyperedges containing v (H w)."""
-    return np.diag(_from_incidence(h, lambda inc, w, vw: inc @ w))
+    """Diagonal D_v of the vertex degrees d(v)."""
+    return np.diag(_vertex_degrees(h))
 
 
 def edge_degree_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal D_e with d(e) = |e|, the hyperedge cardinality (column sums of H)."""
-    return np.diag(incidence_matrix(h).sum(axis=0))
+    """Diagonal D_e of the edge degrees d(e) = |e|."""
+    return np.diag(_edge_degrees(h))
 
 
 def edge_weight_sum_matrix(h: Hypergraph) -> np.ndarray:

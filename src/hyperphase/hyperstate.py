@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MAX_QUBITS = 20
+_AMPLITUDE_TOL = 1e-12  # is_real_equally_weighted's distance from +-2^(-n/2)
 
 
 class QubitStateVector:
@@ -118,12 +119,12 @@ def boolean_function(s: QubitStateVector) -> np.ndarray:
     return np.signbit(s.amplitudes.real).view(np.uint8)
 
 
-def is_real_equally_weighted(s: QubitStateVector, tol: float = 1e-12) -> bool:
-    """True iff every amplitude lies within tol of +-2^(-n/2) on the real axis."""
+def is_real_equally_weighted(s: QubitStateVector) -> bool:
+    """True iff every amplitude lies within _AMPLITUDE_TOL of +-2^(-n/2) on the real axis."""
     c = 2.0 ** (-s.n_qubits / 2.0)
     amps = s.amplitudes
     dist = np.minimum(np.abs(amps - c), np.abs(amps + c))
-    return bool(np.all(dist <= tol) and np.all(np.abs(amps.imag) <= tol))
+    return bool(np.all(dist <= _AMPLITUDE_TOL) and np.all(np.abs(amps.imag) <= _AMPLITUDE_TOL))
 
 
 def encode_partitioned(

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import (
-    Hypergraph,
-    edge_degree_matrix,
-    vertex_degree_matrix,
-)
+from .hypergraph import Hypergraph, _edge_degrees, _vertex_degrees
 from .wigner import PhaseSpaceGrid, WignerField
 
 __all__ = [
@@ -60,8 +56,8 @@ def _nearest_center(value: float, lo: float, delta: float, count: int) -> int:
 def _position_degrees(h: Hypergraph) -> tuple[np.ndarray, str]:
     """Position-column degrees and their source: edge degrees if any hyperedge is empty."""
     if any(len(members) == 0 for members in h.edge_members()):
-        return np.diag(edge_degree_matrix(h)), EDGE_DEGREE
-    return np.diag(vertex_degree_matrix(h)), VERTEX_DEGREE
+        return _edge_degrees(h), EDGE_DEGREE
+    return _vertex_degrees(h), VERTEX_DEGREE
 
 
 def grid_from_boundary(

@@ -12,9 +12,10 @@ in rfft space: one forward transform, the per-step phase (and the per-step
 Nyquist rule) applied once per step, one inverse transform, so ``evolve``
 transforms once per snapshot rather than once per step.
 
-The Wigner transform gathers rho(q + y, q - y) over the half offsets
-y = m dq inside the window (from psi's samples for a pure state, with no
-density matrix) and pairs +-y into one real cos/sin momentum sum.
+The Wigner transform takes pure states only.  It gathers
+psi(q + y) psi*(q - y) from psi's samples over the half offsets y = m dq
+inside the window, with no density matrix, and pairs +-y into one real
+cos/sin momentum sum.
 
 Conventions: field values are stored as an (n_p, n_q) real array, rows
 indexed from p_min upward; hbar and mass default to 1 and live on the grid.
@@ -32,7 +33,6 @@ __all__ = [
     "PhaseSpaceGrid",
     "WignerField",
     "Wavefunction",
-    "DensityMatrix",
     "MAX_CELLS",
     "make_grid",
     "gaussian_wavefunction",
@@ -178,47 +178,6 @@ class Wavefunction:
     def dq(self) -> float:
         return (self.q_max - self.q_min) / self.n_q
 
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.q_min, self.q_max, np.outer(self.samples, self.samples.conj()))
-
-
-class DensityMatrix:
-    """Position-basis density matrix rho(q_i, q_j), trace-normalized so tr(rho)*dq = 1."""
-
-    __slots__ = ("q_min", "q_max", "matrix")
-
-    def __init__(self, q_min: float, q_max: float, matrix: np.ndarray) -> None:
-        arr = np.array(matrix, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ValueError(f"density matrix must be square with n >= 2, got shape {arr.shape}")
-        if not q_max > q_min:
-            raise ValueError(f"inverted q bounds: [{q_min}, {q_max}]")
-        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if not herm_defect <= 1e-10:
-            raise ValueError(f"density matrix is not Hermitian (defect {herm_defect:.3e})")
-        dq = (q_max - q_min) / arr.shape[0]
-        tr = float(np.trace(arr).real) * dq
-        if not abs(tr - 1.0) <= 1e-8:
-            raise ValueError(f"trace * dq is {tr}, expected 1 within 1e-8")
-        min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if not min_eig >= -1e-8:
-            raise ValueError(f"density matrix has eigenvalue {min_eig:.3e} below -1e-8")
-        arr.flags.writeable = False
-        object.__setattr__(self, "q_min", float(q_min))
-        object.__setattr__(self, "q_max", float(q_max))
-        object.__setattr__(self, "matrix", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def n_q(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dq(self) -> float:
-        return (self.q_max - self.q_min) / self.n_q
-
 
 def gaussian_wavefunction(
     grid: PhaseSpaceGrid, sigma: float = 1.0, q0: float = 0.0, p0: float = 0.0
@@ -243,51 +202,46 @@ def gaussian_wavefunction(
     return Wavefunction(grid.q_min, grid.q_max, raw)
 
 
-def _correlation(state: Wavefunction | DensityMatrix) -> np.ndarray:
-    """c[i, m] = rho(q_i + m dq, q_i - m dq), m < ceil(n/2), zero outside the window."""
-    n = state.n_q
+def _correlation(psi: Wavefunction) -> np.ndarray:
+    """c[i, m] = psi(q_i + m dq) psi*(q_i - m dq), m < ceil(n/2), zero outside the window."""
+    n = psi.n_q
     half = (n + 1) // 2
-    if isinstance(state, DensityMatrix):
-        i = np.arange(n)[:, None]
-        m = np.arange(half)
-        rows, cols = i + m, i - m
-        valid = (rows < n) & (cols >= 0)
-        return np.where(valid, state.matrix[rows.clip(max=n - 1), cols.clip(min=0)], 0.0)
     # zero-padded samples: win[k, m] = pad[k + m], so psi(q_i + y) = win[half - 1 + i, m]
     # and psi(q_i - y) = win[i, half - 1 - m], both zero outside the window
     pad = np.zeros(n + 2 * half - 2, dtype=np.complex128)
-    pad[half - 1 : half - 1 + n] = state.samples
+    pad[half - 1 : half - 1 + n] = psi.samples
     win = np.lib.stride_tricks.sliding_window_view(pad, half)
     return win[half - 1 :] * win[:n, ::-1].conj()
 
 
-def wigner_transform(state: Wavefunction | DensityMatrix, grid: PhaseSpaceGrid) -> WignerField:
-    """Discrete Wigner transform of a pure or mixed state onto the grid.
+def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
+    """Discrete Wigner transform of a pure state onto the grid.
 
-    Realizes W(q_i, p_j) = (dq / (pi hbar)) * sum_y rho(q_i + y, q_i - y)
+    Realizes W(q_i, p_j) = (dq / (pi hbar)) * sum_y psi(q_i + y) psi*(q_i - y)
     * exp(-2 i p_j y / hbar) over offsets y = m dq.  The state is zero
     outside its window (no ghost image of the far side leaks into boundary
     columns), so only |m| < ceil(n_q/2) contribute; for even n_q the unpaired
     m = n_q/2 never does.  The -y term is the conjugate of the +y term, so
     W is the real c_0 + 2 Re sum_{m>0} c_m exp(-2 i p_j m dq / hbar): one
-    real matmul of the (Re c_m, Im c_m) pairs against (cos, sin) rows.  A
-    ``Wavefunction`` gives c_m = psi(q_i + y) psi*(q_i - y) from its
-    samples, with no n_q x n_q matrix.  The sum is a BLAS dgemm, so output
-    bytes repeat for a fixed numpy/BLAS build and thread count.
+    real matmul of the (Re c_m, Im c_m) pairs against (cos, sin) rows.  The
+    c_m come from psi's samples, with no n_q x n_q matrix.  The sum is a
+    BLAS dgemm, so output bytes repeat for a fixed numpy/BLAS build and
+    thread count.
 
-    Total mass equals tr(rho) * dq whenever the grid's momentum window covers
-    the state's momentum content; that is asserted by callers, not here.  An
+    Total mass equals psi's norm, sum |psi|^2 dq, whenever the grid's
+    momentum window covers psi's momentum content; that is asserted by
+    callers, not here.  An
     hbar that puts the kernel phase past 2**53 rad, or overflows the factor
     dq/(pi hbar), is refused before anything is computed.
     """
     n = grid.n_q
-    if state.n_q != n:
-        raise ValueError(f"state dimension {state.n_q} does not match grid n_q={n}")
+    if psi.n_q != n:
+        raise ValueError(f"wavefunction length {psi.n_q} does not match grid n_q={n}")
     if not (
-        math.isclose(state.q_min, grid.q_min, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(state.q_max, grid.q_max, rel_tol=1e-12, abs_tol=1e-12)
+        math.isclose(psi.q_min, grid.q_min, rel_tol=1e-12, abs_tol=1e-12)
+        and math.isclose(psi.q_max, grid.q_max, rel_tol=1e-12, abs_tol=1e-12)
     ):
-        raise ValueError("state q axis does not match grid")
+        raise ValueError("wavefunction q axis does not match grid")
     half = (n + 1) // 2
     if n * half > MAX_CELLS:
         raise ValueError(f"Wigner correlation of n_q={n} x {half} offsets = {n * half} cells "
@@ -305,14 +259,12 @@ def wigner_transform(state: Wavefunction | DensityMatrix, grid: PhaseSpaceGrid) 
     pair[0] = 1.0
     # columns 2m, 2m+1 of the float view hold (Re c_m, Im c_m); kernel rows hold (cos, sin)
     kernel = (pair * np.stack([np.cos(theta), np.sin(theta)], axis=1)).reshape(2 * half, -1)
-    w = _correlation(state).view(np.float64) @ kernel
+    w = _correlation(psi).view(np.float64) @ kernel
     return WignerField(grid, (grid.dq / (math.pi * grid.hbar)) * w.T, t=0.0, field_mode=False)
 
 
 def wigner_transform_pure(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
-    """Wigner transform of a pure state: ``wigner_transform`` on its samples, no density matrix."""
-    if psi.n_q != grid.n_q:
-        raise ValueError(f"wavefunction length {psi.n_q} does not match grid n_q={grid.n_q}")
+    """Wigner transform of a pure state: ``wigner_transform`` on its samples."""
     return wigner_transform(psi, grid)
 
 

@@ -22,3 +22,11 @@ def random_hypergraph(rng: np.random.Generator, n_max: int = 8, m_max: int = 8,
         members = rng.choice(np.arange(1, n + 1), size=size, replace=False)
         edges.append((set(int(v) for v in members), float(rng.choice(weight_pool))))
     return Hypergraph(n, edges)
+
+
+def dump_amplitudes(dump: bytes) -> np.ndarray:
+    """Amplitudes of a state dump, whose lines are 'bits re im' in basis order."""
+    fields = np.array(dump.split()).reshape(-1, 3)
+    n = len(fields[0, 0])
+    assert fields[:, 0].tolist() == [f"{i:0{n}b}".encode() for i in range(2**n)]
+    return fields[:, 1].astype(float) + 1j * fields[:, 2].astype(float)

@@ -13,3 +13,7 @@ def test_package_exports_are_the_submodule_exports():
     for module in modules:
         for name in module.__all__:
             assert getattr(hyperphase, name) is getattr(module, name), f"{module.__name__}.{name}"
+    # the benchmark tracer looks up every __all__ name, so a stale entry would crash it
+    for module in modules + [importlib.import_module(f"hyperphase.{n}") for n in ("cli", "formats")]:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hyperphase import (
     MAX_CELLS,
-    DensityMatrix,
     Wavefunction,
     WignerField,
     evolve,
@@ -95,27 +94,6 @@ def test_wavefunction_requires_unit_norm():
         Wavefunction(0, 1, np.array([np.nan, 0.0]))
 
 
-def test_density_matrix_validation():
-    g = make_grid(8, 8, (-4, 4), (-4, 4))
-    psi = gaussian_wavefunction(g)
-    rho = psi.density_matrix()
-    assert rho.n_q == 8
-    bad = np.array(rho.matrix)
-    bad[0, 1] += 1e-3
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(-4, 4, bad)
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(-4, 4, 2.0 * np.array(rho.matrix))
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(0, 1, np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    # Hermitian, unit trace, but indefinite
-    diag = np.zeros(8)
-    diag[0] = 1.1 / g.dq
-    diag[1] = -0.1 / g.dq
-    with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(-4, 4, np.diag(diag).astype(complex))
-
-
 # --- Wigner transform --------------------------------------------------------
 
 def test_gaussian_wigner_matches_analytic():
@@ -150,28 +128,6 @@ def test_gaussian_sigma_validation():
     for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
         with pytest.raises(ValueError, match=f"sigma={tiny} gives a Gaussian of norm"):
             gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
-
-
-def test_pure_and_density_routes_agree():
-    grid = make_grid(64, 64, (-6, 6), (-6, 6))
-    psi = gaussian_wavefunction(grid, sigma=0.8, q0=0.5, p0=1.0)
-    via_pure = wigner_transform_pure(psi, grid)
-    via_rho = wigner_transform(psi.density_matrix(), grid)
-    assert np.max(np.abs(via_pure.values - via_rho.values)) <= 1e-12
-
-
-def test_mixed_state_transform_is_linear_in_rho():
-    grid = make_grid(64, 64, (-8, 8), (-8, 8))
-    psi1 = gaussian_wavefunction(grid, sigma=0.9, q0=-1.5)
-    psi2 = gaussian_wavefunction(grid, sigma=1.1, q0=2.0)
-    mixed = DensityMatrix(
-        -8, 8, 0.5 * psi1.density_matrix().matrix + 0.5 * psi2.density_matrix().matrix
-    )
-    w_mixed = wigner_transform(mixed, grid)
-    w1 = wigner_transform_pure(psi1, grid)
-    w2 = wigner_transform_pure(psi2, grid)
-    assert np.max(np.abs(w_mixed.values - 0.5 * (w1.values + w2.values))) <= 1e-12
-    assert abs(total_mass(w_mixed) - 1.0) <= 1e-6
 
 
 def test_plane_wave_state_momentum_concentration():
@@ -214,8 +170,6 @@ def test_transform_dimension_checks():
     with pytest.raises(ValueError, match="does not match"):
         wigner_transform(psi, grid)
     shifted = make_grid(64, 64, (-4, 12), (-8, 8))
-    with pytest.raises(ValueError, match="axis"):
-        wigner_transform(gaussian_wavefunction(grid).density_matrix(), shifted)
     with pytest.raises(ValueError, match="axis"):
         wigner_transform(gaussian_wavefunction(grid), shifted)
 
@@ -270,28 +224,8 @@ def test_pure_transform_matches_reference(parity, half, n_p, q_half, p_center, p
     psi = random_wavefunction(grid, np.random.default_rng(seed))
     want = reference_transform(np.outer(psi.samples, psi.samples.conj()), grid)
     tol = 1e-12 * np.max(np.abs(want))
-    for got in (wigner_transform(psi, grid), wigner_transform(psi.density_matrix(), grid),
-                wigner_transform_pure(psi, grid)):
+    for got in (wigner_transform(psi, grid), wigner_transform_pure(psi, grid)):
         assert np.max(np.abs(got.values - want)) <= tol
-
-
-@pytest.mark.parametrize("parity", [0, 1])
-@settings(deadline=None)
-@given(**transform_grids, n_states=st.integers(1, 3))
-def test_mixed_transform_matches_reference(
-    parity, half, n_p, q_half, p_center, p_half, hbar, seed, n_states
-):
-    grid = make_grid(2 * half + parity, n_p, (-q_half, q_half),
-                     (p_center - p_half, p_center + p_half), hbar=hbar)
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(n_states))
-    matrix = sum(
-        wt * np.outer(psi.samples, psi.samples.conj())
-        for wt, psi in zip(weights, (random_wavefunction(grid, rng) for _ in range(n_states)))
-    )
-    got = wigner_transform(DensityMatrix(grid.q_min, grid.q_max, matrix), grid)
-    want = reference_transform(matrix, grid)
-    assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- free streaming -----------------------------------------------------------
