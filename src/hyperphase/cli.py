@@ -8,6 +8,7 @@ current directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -333,6 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # All that is alive here is numpy's and hyperphase's import-time state, kept until exit:
+    # frozen, no collection traverses it again, in the run or at shutdown (~30 ms a run).
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

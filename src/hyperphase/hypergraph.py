@@ -8,7 +8,6 @@ arithmetic keeps integer test oracles exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,18 +29,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value):
+    """``__setattr__`` of the package's value types: fields are set once, in ``__init__``."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Hypergraph:
     """A weighted hypergraph: n vertices, vertex weights, weighted hyperedges.
 
-    ``hyperedges`` is an ordered list of ``(members, weight)`` pairs; members
+    ``hyperedges`` is an ordered tuple of ``(members, weight)`` pairs; members
     are 1-based vertex indices stored as frozensets (duplicates collapse).
     Empty member sets are legal and contribute zero to every degree matrix.
     """
 
-    n_vertices: int
-    vertex_weights: tuple[float, ...]
-    hyperedges: tuple[tuple[frozenset[int], float], ...]
+    __slots__ = ("n_vertices", "vertex_weights", "hyperedges")
+    __setattr__ = _immutable
 
     def __init__(
         self,
@@ -77,6 +79,15 @@ class Hypergraph:
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "vertex_weights", weights)
         object.__setattr__(self, "hyperedges", tuple(edges))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is Hypergraph else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return self.n_vertices, self.vertex_weights, self.hyperedges
 
     @property
     def n_edges(self) -> int:
@@ -163,13 +174,11 @@ def position_laplacian(h: Hypergraph) -> np.ndarray:
     return _from_incidence(h, lambda inc, w, vw: 2 * np.diag(inc @ w) - (inc * (vw @ inc)) @ inc.T)
 
 
-@dataclass(frozen=True)
 class PartitionEnsemble:
     """Disjoint vertex groups P_1..P_K of a parent hypergraph, with balance factor delta."""
 
-    parent: Hypergraph
-    parts: tuple[frozenset[int], ...]
-    delta: float
+    __slots__ = ("parent", "parts", "delta")
+    __setattr__ = _immutable
 
     def __init__(
         self, parent: Hypergraph, parts: Iterable[Iterable[int]], delta: float
@@ -209,16 +218,17 @@ def part_weight(p: PartitionEnsemble, k: int) -> float:
     return float(sum(p.parent.vertex_weights[v - 1] for v in p.parts[k]))
 
 
-@dataclass(frozen=True)
 class BalanceReport:
     """Per-part balance check: each part weight must stay strictly below (1+delta)*mean."""
 
-    part_weights: tuple[float, ...]
-    mean_weight: float
-    bound: float
-    delta: float
-    per_part_ok: tuple[bool, ...]
-    balanced: bool
+    __slots__ = ("part_weights", "mean_weight", "bound", "delta", "per_part_ok", "balanced")
+    __setattr__ = _immutable
+
+    def __init__(self, part_weights: tuple[float, ...], mean_weight: float, bound: float,
+                 delta: float, per_part_ok: tuple[bool, ...], balanced: bool) -> None:
+        values = (part_weights, mean_weight, bound, delta, per_part_ok, balanced)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __bool__(self) -> bool:
         return self.balanced

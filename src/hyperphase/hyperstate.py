@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, PartitionEnsemble
+from .hypergraph import Hypergraph, PartitionEnsemble, _immutable
 
 __all__ = [
     "MAX_QUBITS",
@@ -42,6 +42,7 @@ class QubitStateVector:
     """2^n complex amplitudes with unit norm; qubit 1 is the index MSB."""
 
     __slots__ = ("n_qubits", "amplitudes")
+    __setattr__ = _immutable
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
@@ -58,9 +59,6 @@ class QubitStateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "amplitudes", amps)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("QubitStateVector is immutable")
 
 
 def plus_state(n: int) -> QubitStateVector:
@@ -81,14 +79,15 @@ def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} out of range 1..{n}")
-    out = QubitStateVector(n, s.amplitudes)  # the one copy; negating keeps the norm
-    amps = out.amplitudes  # owned by out alone, so it may be written until returned
-    amps.flags.writeable = True
-    # axis q-1 is qubit q; negation (unlike *= -1) also flips the sign of 0j
-    view = amps.reshape((2,) * n)
-    block = tuple(1 if q in qubits else slice(None) for q in range(1, n + 1))
-    view[block] = -view[block]
+    amps = s.amplitudes.copy()  # the one copy
+    # axis q-1 is qubit q; the trailing ... keeps an all-targets block a 0-d view
+    index = tuple(1 if q in qubits else slice(None) for q in range(1, n + 1)) + (...,)
+    block = amps.reshape((2,) * n)[index]
+    np.negative(block, out=block)  # like unary minus (unlike *= -1), flips the sign of 0j
     amps.flags.writeable = False
+    out = object.__new__(QubitStateVector)  # a sign flip keeps the norm: no re-check
+    object.__setattr__(out, "n_qubits", n)
+    object.__setattr__(out, "amplitudes", amps)
     return out
 
 

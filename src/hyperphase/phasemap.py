@@ -10,11 +10,10 @@ identity, p = omega(e) and q = d(v) in grid units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _edge_degrees, _vertex_degrees
+from .hypergraph import Hypergraph, _edge_degrees, _immutable, _vertex_degrees
 from .wigner import PhaseSpaceGrid, WignerField
 
 __all__ = [
@@ -29,7 +28,6 @@ VERTEX_DEGREE = "vertex_degree"
 EDGE_DEGREE = "edge_degree"
 
 
-@dataclass(frozen=True)
 class PhaseMap:
     """Slice assignment for a hypergraph on a grid.
 
@@ -39,11 +37,19 @@ class PhaseMap:
     index to a column and degree_source is "edge_degree".
     """
 
-    source: Hypergraph
-    grid: PhaseSpaceGrid
-    momentum_rows: dict[int, int]
-    position_cols: dict[int, int]
-    degree_source: str
+    __slots__ = ("source", "grid", "momentum_rows", "position_cols", "degree_source")
+    __setattr__ = _immutable
+
+    def __init__(self, source: Hypergraph, grid: PhaseSpaceGrid, momentum_rows: dict[int, int],
+                 position_cols: dict[int, int], degree_source: str) -> None:
+        values = (source, grid, momentum_rows, position_cols, degree_source)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not PhaseMap:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def _nearest_center(value: float, lo: float, delta: float, count: int) -> int:

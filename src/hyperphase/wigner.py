@@ -24,10 +24,11 @@ indexed from p_min upward; hbar and mass default to 1 and live on the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .hypergraph import _immutable
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -50,20 +51,16 @@ __all__ = [
 MAX_CELLS = 2**24
 
 
-@dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Uniform n_p x n_q phase-space lattice with cell-centered samples."""
+    """Uniform n_p x n_q phase-space lattice with cell-centered samples; immutable."""
 
-    n_q: int
-    n_p: int
-    q_min: float
-    q_max: float
-    p_min: float
-    p_max: float
-    mass: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("n_q", "n_p", "q_min", "q_max", "p_min", "p_max", "mass", "hbar")
+    __setattr__ = _immutable
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_q: int, n_p: int, q_min: float, q_max: float, p_min: float,
+                 p_max: float, mass: float = 1.0, hbar: float = 1.0) -> None:
+        for name, value in zip(self.__slots__, (n_q, n_p, q_min, q_max, p_min, p_max, mass, hbar)):
+            object.__setattr__(self, name, value)
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
         if self.n_q * self.n_p > MAX_CELLS:
@@ -122,6 +119,7 @@ class WignerField:
     """
 
     __slots__ = ("grid", "values", "t", "field_mode")
+    __setattr__ = _immutable
 
     def __init__(
         self,
@@ -143,14 +141,12 @@ class WignerField:
         object.__setattr__(self, "t", float(t))
         object.__setattr__(self, "field_mode", bool(field_mode))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("WignerField is immutable")
-
 
 class Wavefunction:
     """Complex position-basis samples psi(q_i) with unit discrete norm."""
 
     __slots__ = ("q_min", "q_max", "samples")
+    __setattr__ = _immutable
 
     def __init__(self, q_min: float, q_max: float, samples: np.ndarray) -> None:
         arr = np.array(samples, dtype=np.complex128, copy=True)
@@ -166,9 +162,6 @@ class Wavefunction:
         object.__setattr__(self, "q_min", float(q_min))
         object.__setattr__(self, "q_max", float(q_max))
         object.__setattr__(self, "samples", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("Wavefunction is immutable")
 
     @property
     def n_q(self) -> int:
@@ -277,17 +270,24 @@ def _spectral_shift(
     inverted by irfft, so real input gives real output by construction.  The
     coefficients stay in rfft space across steps.  An even-n Nyquist mode is
     set to its real part after every step, which is what irfft does to it
-    after one step: each step scales it by cos(k_N * shift).
+    after one step: each step scales it by cos(k_N * shift).  Rows of +0.0 stay
+    +0.0 untransformed; pocketfft transforms rows one by one, so skipping them
+    leaves the other rows' bytes as they were.
     """
     n = values.shape[1]
+    live = values.view(np.uint64).any(axis=1)  # any bit set: nonzero or -0.0
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
-    phase = np.exp(-1j * np.outer(shifts, k))
-    coeffs = np.fft.rfft(values)
+    phase = np.exp(-1j * np.outer(shifts[live], k))
+    coeffs = np.fft.rfft(values[live])
     for _ in range(steps):
         coeffs *= phase
         if n % 2 == 0:
             coeffs[:, -1] = coeffs[:, -1].real
-    return np.fft.irfft(coeffs, n=n)
+    # not np.zeros: its calloc moves where later arrays land, and numpy's sum in
+    # total_mass rounds by alignment, so run.json's mass drift would change
+    out = np.zeros_like(values)
+    out[live] = np.fft.irfft(coeffs, n=n)
+    return out
 
 
 def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:

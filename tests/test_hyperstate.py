@@ -114,6 +114,30 @@ def test_states_are_frozen_and_unaliased():
     assert not state.amplitudes.flags.writeable and not out.amplitudes.flags.writeable
 
 
+@settings(deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_ckz_matches_per_index_negation_bit_for_bit(n, data):
+    targets = data.draw(st.sets(st.integers(1, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.normal(size=2**n), rng.normal(size=2**n)
+    im[rng.random(2**n) < 0.5] = 0.0
+    im[rng.random(2**n) < 0.3] = -0.0
+    amps = re + 1j * im
+    amps /= np.linalg.norm(amps)  # division keeps the sign of each zero
+    state = QubitStateVector(n, amps)
+    before = state.amplitudes.copy()
+    out = apply_ckz(state, targets)
+    ref = before.copy()
+    for i in range(2**n):
+        if all((i >> (n - q)) & 1 for q in targets):
+            ref[i] = -ref[i]
+    assert np.array_equal(out.amplitudes.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(state.amplitudes.view(np.uint64), before.view(np.uint64))
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    assert out.n_qubits == n
+
+
 def test_ckz_target_range_checked():
     with pytest.raises(ValueError, match="out of range"):
         apply_ckz(plus_state(2), {3})

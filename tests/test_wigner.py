@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from hyperphase import (
     MAX_CELLS,
+    Hypergraph,
     Wavefunction,
     WignerField,
     evolve,
     free_stream_step,
     gaussian_wavefunction,
+    initial_field_from_hypergraph,
     make_grid,
     marginals,
     plane_wave_slice,
@@ -410,6 +412,48 @@ def test_multi_step_composes(parity, half, n_p, dt, a, b, seed):
     split = free_stream_step(free_stream_step(f, dt, a), dt, b)
     assert np.max(np.abs(whole.values - split.values)) <= 1e-12 * np.max(np.abs(f.values))
     assert whole.t == split.t
+
+
+def full_array_shift(values, shifts, spacing, steps):
+    """The spectral shift that transforms every row, empty or not."""
+    n = values.shape[1]
+    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
+    phase = np.exp(-1j * np.outer(shifts, k))
+    coeffs = np.fft.rfft(values)
+    for _ in range(steps):
+        coeffs *= phase
+        if n % 2 == 0:
+            coeffs[:, -1] = coeffs[:, -1].real
+    return np.fft.irfft(coeffs, n=n)
+
+
+@settings(deadline=None)
+@given(
+    # at 191 and 257 the full-array round trip of a zero row gives -0
+    n_q=st.one_of(st.integers(2, 40), st.sampled_from([64, 191, 256, 257])),
+    n_p=st.integers(2, 12),
+    dt=st.floats(-2.0, 2.0).filter(lambda x: x != 0.0),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_skips_zero_rows_and_keeps_live_row_bits(n_q, n_p, dt, steps, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(n_q, n_p, (-3, 5), (-2, 2))
+    values = rng.normal(size=(n_p, n_q))
+    values[rng.random(n_p) < 0.5] = 0.0
+    values[rng.random(n_p) < 0.2] = -0.0  # a row of -0.0 has bits set: it is transformed
+    out = free_stream_step(WignerField(g, values, field_mode=True), dt, steps).values
+    ref = full_array_shift(values, g.p_centers() * dt / g.mass, g.dq, steps)
+    live = values.view(np.uint64).any(axis=1)
+    assert np.array_equal(out[live].view(np.uint64), ref[live].view(np.uint64))
+    assert not out[~live].view(np.uint64).any()
+
+
+def test_edgeless_hypergraph_field_streams_to_positive_zeros():
+    g = make_grid(191, 8, (0, 4), (0, 4))
+    field = initial_field_from_hypergraph(Hypergraph(3), g)
+    for snap in evolve(field, 0.1, 5, 2):
+        assert not snap.values.view(np.uint64).any()
 
 
 # --- evolve ---------------------------------------------------------------------
