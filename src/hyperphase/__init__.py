@@ -1,93 +1,11 @@
 """hyperphase: hypergraph matrix algebra, spectral Wigner dynamics, hypergraph states."""
 
-from .hypergraph import (
-    BalanceReport,
-    Hypergraph,
-    PartitionEnsemble,
-    adjacency_matrix,
-    cut_cost,
-    edge_degree_matrix,
-    edge_weight_sum_matrix,
-    incidence_matrix,
-    is_balanced,
-    momentum_laplacian,
-    part_weight,
-    position_laplacian,
-    vertex_degree_matrix,
-)
-from .hyperstate import (
-    MAX_QUBITS,
-    QubitStateVector,
-    apply_ckz,
-    boolean_function,
-    encode_hypergraph,
-    encode_partitioned,
-    is_real_equally_weighted,
-    plus_state,
-)
-from .phasemap import (
-    PhaseMap,
-    build_phase_map,
-    grid_from_boundary,
-    initial_field_from_hypergraph,
-    map_momentum_rows,
-)
-from .wigner import (
-    MAX_CELLS,
-    PhaseSpaceGrid,
-    Wavefunction,
-    WignerField,
-    evolve,
-    free_stream_step,
-    gaussian_wavefunction,
-    make_grid,
-    marginals,
-    plane_wave_slice,
-    total_mass,
-    wigner_transform,
-    wigner_transform_pure,
-)
+from . import hypergraph, hyperstate, phasemap, wigner
+from .hypergraph import *
+from .hyperstate import *
+from .phasemap import *
+from .wigner import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Hypergraph",
-    "PartitionEnsemble",
-    "BalanceReport",
-    "incidence_matrix",
-    "vertex_degree_matrix",
-    "edge_degree_matrix",
-    "edge_weight_sum_matrix",
-    "adjacency_matrix",
-    "momentum_laplacian",
-    "position_laplacian",
-    "part_weight",
-    "is_balanced",
-    "cut_cost",
-    "MAX_CELLS",
-    "PhaseSpaceGrid",
-    "WignerField",
-    "Wavefunction",
-    "make_grid",
-    "gaussian_wavefunction",
-    "wigner_transform",
-    "wigner_transform_pure",
-    "free_stream_step",
-    "evolve",
-    "marginals",
-    "total_mass",
-    "plane_wave_slice",
-    "PhaseMap",
-    "grid_from_boundary",
-    "map_momentum_rows",
-    "build_phase_map",
-    "initial_field_from_hypergraph",
-    "MAX_QUBITS",
-    "QubitStateVector",
-    "plus_state",
-    "apply_ckz",
-    "encode_hypergraph",
-    "boolean_function",
-    "is_real_equally_weighted",
-    "encode_partitioned",
-]
+__all__ = hypergraph.__all__ + wigner.__all__ + phasemap.__all__ + hyperstate.__all__

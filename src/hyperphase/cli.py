@@ -42,6 +42,7 @@ from .hyperstate import (
 )
 from .phasemap import build_phase_map, grid_from_boundary, initial_field_from_hypergraph
 from .wigner import (
+    _mass,
     evolve,
     gaussian_wavefunction,
     make_grid,
@@ -232,7 +233,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     m0 = total_mass(initial)
     drift_abs = max(abs(mi - m0) for mi in masses)
     # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
-    l1_mass = float(np.abs(initial.values).sum() * grid.dq * grid.dp)
+    l1_mass = _mass(np.abs(initial.values), grid)
     drift_rel = drift_abs / max(l1_mass, 1e-30)
     run.update(
         {

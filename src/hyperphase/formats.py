@@ -364,7 +364,7 @@ def write_matrix_csv(
 def dump_state(s: QubitStateVector) -> bytes:
     """One ASCII line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
     n = s.n_qubits
-    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows, no copy
+    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows of the built amplitudes
     return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n))
 
 

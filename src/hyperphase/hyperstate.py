@@ -1,18 +1,16 @@
-"""Dense n-qubit state vectors and the hypergraph-state encoding.
+"""Hypergraph states as sign tables, and the hypergraph-state encoding.
 
 Each hyperedge acts as a multi-controlled Z: the amplitude of a basis state
 is negated exactly when every member qubit reads 1.  Applying one gate per
 hyperedge to |+>^n yields the hypergraph state, whose amplitudes are all
 +-2^(-n/2) with signs (-1)^f(v) for the Boolean function
-f(v) = XOR over hyperedges of AND over member bits.
+f(v) = XOR over hyperedges of AND over member bits.  A state is stored as
+that table, one byte per basis state, and a gate XORs a block of it; the
+amplitudes are built only when read.  Every partitioned state is
+``encode_hypergraph``, the one encoder, of some hypergraph.
 
-``encode_hypergraph`` is the one encoder: every partitioned state is
-``encode_hypergraph`` of some hypergraph.  ``boolean_function`` reads f off
-the sign bits of a state it is given, so nothing is encoded twice.
-
-Bit convention: qubit 1 is the most significant bit of the basis index, so
-basis state |10...0> has qubit 1 equal to 1.  An empty hyperedge is the
-literal zero-controlled Z: a global factor of -1.
+Qubit 1 is the most significant bit of the basis index: |10...0> has qubit
+1 equal to 1.  An empty hyperedge is the zero-controlled Z, a global -1.
 """
 
 from __future__ import annotations
@@ -39,55 +37,60 @@ _AMPLITUDE_TOL = 1e-12  # is_real_equally_weighted's distance from +-2^(-n/2)
 
 
 class QubitStateVector:
-    """2^n complex amplitudes with unit norm; qubit 1 is the index MSB."""
+    """The state (-1)^f(v) 2^(-n/2), held as ``signs``: f as a read-only uint8 table."""
 
-    __slots__ = ("n_qubits", "amplitudes")
+    __slots__ = ("n_qubits", "signs")
     __setattr__ = _immutable
 
-    def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
+    def __init__(self, n_qubits: int, signs: np.ndarray) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
-        amps = np.array(amplitudes, dtype=np.complex128, copy=True)
-        if amps.shape != (2**n_qubits,):
-            raise ValueError(
-                f"expected {2**n_qubits} amplitudes for {n_qubits} qubits, got shape {amps.shape}"
-            )
-        parts = amps.view(np.float64)
-        norm = float(np.einsum("i,i->", parts, parts))  # sum of |a|^2 in one pass, no BLAS
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"state norm is {norm}, expected 1 within 1e-12")
-        amps.flags.writeable = False
+        table = np.asarray(signs)
+        if table.shape != (2**n_qubits,):
+            raise ValueError(f"signs: expected shape ({2**n_qubits},), got {table.shape}")
+        if table.dtype.kind not in "biu" or table.min() < 0 or table.max() > 1:
+            raise ValueError(f"signs: expected bool or integer 0s and 1s, got dtype {table.dtype}")
+        table = table.astype(np.uint8)  # a copy, even of uint8 input
+        table.flags.writeable = False
         object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "signs", table)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only complex128 (-1)^f 2^(-n/2), built per access; f = 1 gives imaginary -0.0."""
+        c = complex(2.0 ** (-self.n_qubits / 2.0))
+        amps = np.array([c, -c]).take(self.signs)
+        amps.flags.writeable = False
+        return amps
 
 
 def plus_state(n: int) -> QubitStateVector:
-    """|+>^n: all 2^n amplitudes equal 2^(-n/2)."""
+    """|+>^n: the zero table, all 2^n amplitudes 2^(-n/2)."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    return QubitStateVector(n, np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128))
+    return QubitStateVector(n, np.zeros(2**n, dtype=np.uint8))
 
 
 def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
-    """Multi-controlled Z over ``targets``: negate amplitudes where all targets are 1.
-
-    The empty target set is the literal C^0 Z, a global factor of -1 (every
-    basis state trivially satisfies the condition).
-    """
+    """Multi-controlled Z on ``targets``: flip f where all are 1 (no targets: everywhere)."""
     n = s.n_qubits
     qubits = set(int(t) for t in targets)
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} out of range 1..{n}")
-    amps = s.amplitudes.copy()  # the one copy
-    # axis q-1 is qubit q; the trailing ... keeps an all-targets block a 0-d view
+    signs = s.signs.copy()
+    # axis q-1 is qubit q (a trailing ... keeps an all-targets block a 0-d view); the
+    # last k qubits' block is a mask XORed into whole runs of 2**k bytes, not a few at a time
     index = tuple(1 if q in qubits else slice(None) for q in range(1, n + 1)) + (...,)
-    block = amps.reshape((2,) * n)[index]
-    np.negative(block, out=block)  # like unary minus (unlike *= -1), flips the sign of 0j
-    amps.flags.writeable = False
-    out = object.__new__(QubitStateVector)  # a sign flip keeps the norm: no re-check
+    k = min(n, 10)
+    mask = np.zeros((2,) * k, dtype=np.uint8)
+    mask[index[n - k :]] = 1
+    block = signs.reshape((2,) * n)[index[: n - k] + (...,)]
+    block ^= mask
+    signs.flags.writeable = False
+    out = object.__new__(QubitStateVector)  # the table is 0s and 1s: no re-check
     object.__setattr__(out, "n_qubits", n)
-    object.__setattr__(out, "amplitudes", amps)
+    object.__setattr__(out, "signs", signs)
     return out
 
 
@@ -95,13 +98,11 @@ def encode_hypergraph(h: Hypergraph) -> QubitStateVector:
     """Hypergraph state: one C^kZ per hyperedge applied to |+>^n.
 
     The diagonal gates commute, so hyperedge order is irrelevant.  Hyperedge
-    weights play no role here; they act only in the matrix algebra and the
-    phase map.
+    weights act only in the matrix algebra and the phase map.
     """
     if h.n_vertices > MAX_QUBITS:
-        raise ValueError(
-            f"hypergraph has {h.n_vertices} vertices; dense encoding is capped at {MAX_QUBITS}"
-        )
+        raise ValueError(f"hypergraph has {h.n_vertices} vertices; "
+                         f"dense encoding is capped at {MAX_QUBITS}")
     state = plus_state(h.n_vertices)
     for members, _ in h.hyperedges:
         state = apply_ckz(state, members)
@@ -109,13 +110,12 @@ def encode_hypergraph(h: Hypergraph) -> QubitStateVector:
 
 
 def boolean_function(s: QubitStateVector) -> np.ndarray:
-    """Sign bits of the real parts of ``s``: f(v) as 2^n uint8 zeros and ones.
+    """The table of ``s``: f(v) as 2^n read-only uint8 zeros and ones.
 
-    For ``s = encode_hypergraph(h)`` this is f(v) = XOR over hyperedges of
-    AND over member bits of v; an empty hyperedge contributes the constant 1
-    (empty AND), flipping the whole table.
+    For ``s = encode_hypergraph(h)``, f(v) is the XOR over hyperedges of the
+    AND over member bits; an empty hyperedge (empty AND) flips every entry.
     """
-    return np.signbit(s.amplitudes.real).view(np.uint8)
+    return s.signs
 
 
 def is_real_equally_weighted(s: QubitStateVector) -> bool:
@@ -144,9 +144,8 @@ def encode_partitioned(
     if any(len(part) == 0 for part in p.parts):
         raise ValueError("empty parts cannot be encoded")
     if h.n_vertices > MAX_QUBITS:
-        raise ValueError(
-            f"hypergraph has {h.n_vertices} vertices; dense encoding is capped at {MAX_QUBITS}"
-        )
+        raise ValueError(f"hypergraph has {h.n_vertices} vertices; "
+                         f"dense encoding is capped at {MAX_QUBITS}")
 
     states: list[QubitStateVector] = []
     for k, part in enumerate(p.parts):

@@ -232,13 +232,21 @@ def test_snapshot_golden_bytes(tmp_path):
     assert_same_lines(csv_path.read_bytes(), ref)
 
 
-def test_dump_state_golden_bytes():
+def test_matrix_csv_golden_bytes_with_labels_and_signed_zeros(tmp_path, monkeypatch):
+    # (re, im) rows of golden amplitudes under bitstring labels: signed zeros and
+    # subnormals, in blocks with enough distinct values for the batch kernel
     n = 13
-    state = QubitStateVector(n, golden_state(n, 11))
-    ref = "".join(
-        f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
-    )
-    assert_same_lines(formats.dump_state(state), ref)
+    pairs = golden_state(n, 11).view(np.float64).reshape(-1, 2)
+    rows = [f"{i:0{n}b}" for i in range(2**n)]
+    sizes = []
+    batch = formats._fmt17_batch
+    monkeypatch.setattr(formats, "_fmt17_batch", lambda x: sizes.append(x.size) or batch(x))
+    path = tmp_path / "pairs.csv"
+    formats.write_matrix_csv(path, pairs, rows, ["re", "im"])
+    assert len(sizes) == 2**n // (formats._BLOCK_CELLS // 2)  # every block took the kernel
+    assert min(sizes) >= formats._BATCH_MIN_DISTINCT
+    ref = ",re,im\n" + "".join(f"{r},{ref17(re)},{ref17(im)}\n" for r, (re, im) in zip(rows, pairs))
+    assert_same_lines(path.read_bytes(), ref)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,20 +54,17 @@ def test_plus_state_guard():
 
 
 def test_state_vector_validation():
-    with pytest.raises(ValueError, match="norm"):
-        QubitStateVector(2, np.ones(4))
-    with pytest.raises(ValueError, match="norm"):
-        QubitStateVector(1, np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError, match="amplitudes"):
-        QubitStateVector(2, np.array([1.0, 0.0]))
+    for bad in ([0, 1, 2, 0], [0, -1, 0, 0], [0.0, 1.0, 0.0, 0.0], np.zeros(4, dtype=complex),
+                np.array([0.5, 0, 0, 0]), ["0", "1", "0", "1"], [0, 1]):
+        with pytest.raises(ValueError, match="signs"):  # no silent cast, no ComplexWarning
+            QubitStateVector(2, bad)
     with pytest.raises(ValueError, match="n_qubits"):
-        QubitStateVector(0, np.array([1.0]))
-
-
-def test_overflowing_norm_is_value_error():
-    # |a|^2 overflows to inf: rejected by the norm check, with no numpy warning
-    with pytest.raises(ValueError, match="norm is inf"):
-        QubitStateVector(1, np.array([1e200, 0.0]))
+        QubitStateVector(0, np.array([1]))
+    for good in ([True, False, False, True], [1, 0, 0, 1], np.array([1, 0, 0, 1], dtype=np.int8)):
+        state = QubitStateVector(2, good)
+        assert state.signs.dtype == np.uint8 and state.signs.tolist() == [1, 0, 0, 1]
+    assert state.signs.nbytes == 4  # one byte per basis state
+    assert np.array_equal(state.amplitudes, np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex))
 
 
 # --- single gates -----------------------------------------------------------
@@ -83,12 +80,9 @@ def test_ckz_two_qubit_graph_state():
 
 
 def test_ckz_is_involution():
-    rng = np.random.default_rng(0)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amps /= np.linalg.norm(amps)
-    s = QubitStateVector(3, amps)
+    s = QubitStateVector(3, np.random.default_rng(0).integers(0, 2, size=8))
     twice = apply_ckz(apply_ckz(s, {1, 3}), {1, 3})
-    assert np.array_equal(twice.amplitudes, s.amplitudes)
+    assert np.array_equal(twice.signs, s.signs)
 
 
 def test_ckz_empty_targets_global_phase():
@@ -105,36 +99,36 @@ def test_ckz_negates_zero_imaginary_part():
 
 
 def test_states_are_frozen_and_unaliased():
-    amps = np.full(4, 0.5, dtype=complex)
-    state = QubitStateVector(2, amps)
-    amps[0] = 7.0
+    signs = np.array([0, 1, 1, 0], dtype=np.uint8)
+    state = QubitStateVector(2, signs)
+    signs[0] = 1
     out = apply_ckz(state, [1, 2])
-    assert state.amplitudes[0] == 0.5 and state.amplitudes[3] == 0.5
-    assert not np.shares_memory(out.amplitudes, state.amplitudes)
-    assert not state.amplitudes.flags.writeable and not out.amplitudes.flags.writeable
+    assert state.signs.tolist() == [0, 1, 1, 0] and out.signs.tolist() == [0, 1, 1, 1]
+    assert not np.shares_memory(out.signs, state.signs)
+    for table in (state.signs, out.signs, boolean_function(out), state.amplitudes):
+        assert not table.flags.writeable
+    assert state.amplitudes is not state.amplitudes  # built on each access
 
 
 @settings(deadline=None)
-@given(n=st.integers(1, 8), data=st.data())
+@given(n=st.integers(1, 12), data=st.data())
 def test_ckz_matches_per_index_negation_bit_for_bit(n, data):
+    # n up to 12 crosses apply_ckz's rows of 2**10 bytes
     targets = data.draw(st.sets(st.integers(1, n)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    re, im = rng.normal(size=2**n), rng.normal(size=2**n)
-    im[rng.random(2**n) < 0.5] = 0.0
-    im[rng.random(2**n) < 0.3] = -0.0
-    amps = re + 1j * im
-    amps /= np.linalg.norm(amps)  # division keeps the sign of each zero
-    state = QubitStateVector(n, amps)
-    before = state.amplitudes.copy()
+    state = QubitStateVector(n, rng.integers(0, 2, size=2**n))
+    before, amps = state.signs.copy(), state.amplitudes.copy()
     out = apply_ckz(state, targets)
-    ref = before.copy()
+    ref, ref_amps = before.copy(), amps.copy()
     for i in range(2**n):
         if all((i >> (n - q)) & 1 for q in targets):
-            ref[i] = -ref[i]
-    assert np.array_equal(out.amplitudes.view(np.uint64), ref.view(np.uint64))
-    assert np.array_equal(state.amplitudes.view(np.uint64), before.view(np.uint64))
-    assert not out.amplitudes.flags.writeable
-    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            ref[i] ^= 1
+            ref_amps[i] = -ref_amps[i]
+    assert np.array_equal(out.signs, ref) and out.signs.dtype == np.uint8
+    assert np.array_equal(out.amplitudes.view(np.uint64), ref_amps.view(np.uint64))
+    assert np.array_equal(state.signs, before)
+    assert not out.signs.flags.writeable
+    assert not np.shares_memory(out.signs, state.signs)
     assert out.n_qubits == n
 
 
@@ -184,11 +178,7 @@ def test_boolean_function_empty_edge_constant_one():
 def test_real_equally_weighted_recognition(fig4):
     assert is_real_equally_weighted(encode_hypergraph(fig4))
     assert is_real_equally_weighted(plus_state(3))
-    basis = np.zeros(4, dtype=complex)
-    basis[0] = 1.0
-    assert not is_real_equally_weighted(QubitStateVector(2, basis))
-    phased = plus_state(2).amplitudes * np.exp(1j * 0.3)
-    assert not is_real_equally_weighted(QubitStateVector(2, phased))
+    assert is_real_equally_weighted(apply_ckz(plus_state(20), []))
 
 
 # --- properties ---------------------------------------------------------------------
@@ -381,9 +371,9 @@ def test_cut_partition_matches_brute_force(case):
 
 
 @st.composite
-def hypergraphs(draw):
-    """A hypergraph on up to 10 vertices; empty and repeated edges allowed."""
-    n = draw(st.integers(1, 10))
+def hypergraphs(draw, n_max=10):
+    """A hypergraph on up to n_max vertices; empty and repeated edges allowed."""
+    n = draw(st.integers(1, n_max))
     edges = draw(st.lists(st.sets(st.integers(1, n)), max_size=12))
     return Hypergraph(n, [(e, 1.0) for e in edges])
 
@@ -407,3 +397,50 @@ def test_hypergraph_state_stabilizers(h):
                     term &= bit[q]
                 expected ^= term
         assert np.array_equal(f[x ^ (1 << (n - i))] ^ f, expected)
+
+
+def gate_chain_amplitudes(h: Hypergraph, global_gate: bool) -> np.ndarray:
+    """The encoding as a chain of gates on complex amplitudes: |+>^n, then np.negative
+    of each hyperedge's block (unary minus, so an imaginary 0 becomes -0)."""
+    n = h.n_vertices
+    amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    edges = [members for members, _ in h.hyperedges] + [set(range(1, n + 1))] * global_gate
+    for members in edges:
+        index = tuple(1 if q in members else slice(None) for q in range(1, n + 1)) + (...,)
+        block = amps.reshape((2,) * n)[index]
+        np.negative(block, out=block)
+    return amps
+
+
+@settings(deadline=None)
+@given(hypergraphs(n_max=13), st.booleans())
+def test_amplitudes_equal_the_complex_gate_chain_bit_for_bit(h, global_gate):
+    state = encode_hypergraph(h)
+    if global_gate:
+        state = apply_ckz(state, range(1, h.n_vertices + 1))
+    want = gate_chain_amplitudes(h, global_gate)
+    assert np.array_equal(state.amplitudes.view(np.uint64), want.view(np.uint64))
+
+
+@settings(deadline=None)
+@given(hypergraphs())
+def test_boolean_function_matches_brute_force(h):
+    table = boolean_function(encode_hypergraph(h))
+    assert table.tolist() == [brute_force_f(h, v) for v in range(2**h.n_vertices)]
+
+
+def test_encoder_holds_one_byte_per_basis_state():
+    # tracemalloc peak of a 16-qubit, 48-edge encoding: ~0.17 MB as sign tables,
+    # ~2.4 MB when each gate copied 16-byte complex amplitudes
+    rng = np.random.default_rng(16)
+    edges = [(set(rng.choice(np.arange(1, 17), size=int(rng.integers(0, 5)), replace=False)), 1.0)
+             for _ in range(48)]
+    h = Hypergraph(16, edges)
+    encode_hypergraph(h)
+    tracemalloc.start()
+    try:
+        encode_hypergraph(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**16, peak

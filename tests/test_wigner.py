@@ -22,6 +22,7 @@ from hyperphase import (
     wigner_transform,
     wigner_transform_pure,
 )
+from hyperphase import wigner
 
 
 def smooth_field(grid, rng, n_modes: int = 5) -> WignerField:
@@ -555,6 +556,25 @@ def test_total_mass_scaling():
     m2 = total_mass(WignerField(g, 2.0 * values, field_mode=True))
     assert m2 == 2.0 * m1
     assert total_mass(WignerField(g, np.zeros((8, 16)))) == 0.0
+
+
+def test_mass_has_one_bit_pattern_at_every_alignment():
+    # a sheared 512x64 Gaussian snapshot, copied in its own memory order to each
+    # 8-byte offset mod 64: np.sum's rounding may follow the data pointer, the mass must not
+    g = make_grid(512, 64, (-8, 8), (-8, 8))
+    field = evolve(wigner_transform_pure(gaussian_wavefunction(g), g), 0.125, 8, 1)[6]
+    order = "F" if field.values.flags.f_contiguous else "C"
+    masses = set()
+    for offset in range(0, 64, 8):
+        buf = np.empty(field.values.nbytes + 64, dtype=np.uint8)
+        start = (offset - buf.ctypes.data) % 64
+        values = np.ndarray((64, 512), np.float64, buffer=buf, offset=start, order=order)
+        values[...] = field.values
+        assert values.ctypes.data % 64 == offset
+        masses.add(wigner._mass(values, g).hex())
+        masses.add(wigner._mass(np.abs(values, out=values), g).hex() + " L1")
+    assert len(masses) == 2, masses
+    assert total_mass(field).hex() in masses
 
 
 # --- plane-wave slices --------------------------------------------------------------
