@@ -4,18 +4,19 @@ All numeric output uses 17 significant digits with a '.' decimal separator,
 so identical inputs produce byte-identical files.  Vertex labels are 1-based
 in every external format.
 
-Every numeric text (matrix CSVs, snapshots, wavefunctions, state dumps)
-comes from one line writer, ``_lines17``, with no Python string per line or
-number.  Per block of rows, sorting the cells' bit patterns finds the
-distinct values.  ``_distinct17`` formats them once into a NUL-padded uint8
-table whose rows start with the separator, and the cells gather their rows,
-when at least half the cells repeat; else it formats every cell in place.
-The writer sets the cells' rows beside each line's label bytes and a
-newline, then drops the NULs, so each number is exactly its "%.17g" text.
-``fmt17`` shares that spec for scalars.  For blocks with many values to
-format ``_fmt17_batch`` computes the same texts with numpy array operations;
-the values it cannot decide (zeros, subnormals, extremes, inf, nan and
-rounding ties) go through the "%.17g" template, so no byte depends on the path.
+Matrix CSVs, snapshots and wavefunctions come from one line writer,
+``_lines17``, with no Python string per line or number.  Per block of rows,
+sorting the cells' bit patterns finds the distinct values.  ``_distinct17``
+formats them once into a NUL-padded uint8 table whose rows start with the
+separator, and the cells gather their rows, when at least half the cells
+repeat; else it formats every cell in place.  The writer sets the cells' rows
+beside each line's label bytes and a newline, then drops the NULs, so each
+number is exactly its "%.17g" text.  ``fmt17`` shares that spec for scalars.
+For blocks with many values to format ``_fmt17_batch`` computes the same
+texts with numpy array operations; the values it cannot decide (zeros,
+subnormals, extremes, inf, nan and rounding ties) go through the "%.17g"
+template, so no byte depends on the path.  State dumps are written from the
+sign table: ``dump_state`` gathers one of two fixed line tails per state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import json
 import math
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +46,9 @@ __all__ = [
 ]
 
 _FMT17 = "%.17g"
-# Cells per block of _lines17.  A block's sorted bits, text table and lines
-# are alive at once, so the block size bounds the writers' extra memory:
-# 2**16-cell blocks raised a 16-qubit state dump's peak RSS by ~8%, 2**12 by <2%.
+# Cells per block of _lines17 (dump_state writes blocks of half as many lines).
+# A block's sorted bits, text table and lines are alive at once, so this bounds
+# the writers' extra memory: 2**16 raised a 16-qubit dump's peak RSS ~8%, 2**12 <2%.
 _BLOCK_CELLS = 1 << 12
 
 
@@ -209,16 +210,14 @@ def _distinct17(bits: np.ndarray, sep: bytes) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _lines17(
-    values: np.ndarray, sep: bytes, labels: Callable[[int, int], np.ndarray] | None = None
-) -> bytes:
+def _lines17(values: np.ndarray, sep: bytes, labels: np.ndarray | None = None) -> bytes:
     """Lines of a 2-D float64 array: each cell as fmt17, sep between cells.
 
-    ``labels(start, stop)``, if given, returns the NUL-padded uint8 label
-    bytes of rows start..stop-1, and a line is its label, then sep before
-    every cell.  Per block of _BLOCK_CELLS cells, a sort finds the distinct
-    bit patterns (so -0.0 stays apart from 0.0); they are formatted once
-    when at least half the cells repeat, else every cell is formatted.
+    ``labels``, if given, holds the NUL-padded uint8 label bytes of each row,
+    and a line is its label, then sep before every cell.  Per block of
+    _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so -0.0 stays
+    apart from 0.0); they are formatted once when at least half the cells
+    repeat, else every cell is formatted.
     """
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
@@ -238,21 +237,9 @@ def _lines17(
         if labels is None:
             cells[:, :1] = 0  # no sep before a line's first cell
         else:
-            parts.insert(0, labels(start, start + rows))
+            parts.insert(0, labels[start : start + rows])
         chunks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
     return b"".join(chunks)
-
-
-def _label_bytes(start: int, stop: int, n: int) -> np.ndarray:
-    """(stop - start, n) uint8 array: row r is the ASCII bitstring of index start + r.
-
-    Qubit 1 (the index MSB) goes first: the unpacked bits of the index's
-    big-endian bytes, less the leading bits beyond n.
-    """
-    width = -(-n // 8)
-    index = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(stop - start, 4)
-    bits = np.unpackbits(index[:, 4 - width :], axis=1)
-    return bits[:, 8 * width - n :] + np.uint8(ord("0"))
 
 
 def _require_number(value, path: str, positive: bool = False) -> float:
@@ -358,14 +345,25 @@ def write_matrix_csv(
     labels = np.array([label.encode("utf-8") for label in row_labels], dtype=bytes)
     labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
     header = ",".join([""] + list(col_labels)).encode("utf-8") + b"\n"
-    path.write_bytes(header + _lines17(mat, b",", lambda start, stop: labels[start:stop]))
+    path.write_bytes(header + _lines17(mat, b",", labels))
 
 
 def dump_state(s: QubitStateVector) -> bytes:
     """One ASCII line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
     n = s.n_qubits
-    pairs = s.amplitudes.view(np.float64).reshape(-1, 2)  # (re, im) rows of the built amplitudes
-    return _lines17(pairs, b" ", lambda start, stop: _label_bytes(start, stop, n))
+    c = 2.0 ** (-n / 2.0)
+    # the sign table picks each line's tail: (c, 0) where f = 0, (-c, -0) where f = 1
+    tails = np.array([b" %.17g %.17g\n" % (c, 0.0), b" %.17g %.17g\n" % (-c, -0.0)])
+    tails = tails.view(np.uint8).reshape(2, tails.itemsize)  # NUL-padded
+    width, step = -(-n // 8), _BLOCK_CELLS // 2
+    chunks = []
+    for start in range(0, 2**n, step):
+        # labels: the index's big-endian bits, less the leading bits beyond n
+        index = np.arange(start, min(start + step, 2**n), dtype=">u4").view(np.uint8)
+        bits = np.unpackbits(index.reshape(-1, 4)[:, 4 - width :], axis=1)[:, 8 * width - n :]
+        lines = [bits + np.uint8(ord("0")), np.take(tails, s.signs[start : start + step], axis=0)]
+        chunks.append(np.concatenate(lines, axis=1).tobytes().translate(None, b"\0"))
+    return b"".join(chunks)
 
 
 def write_state(path: Path, s: QubitStateVector) -> None:

@@ -5,8 +5,8 @@ is negated exactly when every member qubit reads 1.  Applying one gate per
 hyperedge to |+>^n yields the hypergraph state, whose amplitudes are all
 +-2^(-n/2) with signs (-1)^f(v) for the Boolean function
 f(v) = XOR over hyperedges of AND over member bits.  A state is stored as
-that table, one byte per basis state, and a gate XORs a block of it; the
-amplitudes are built only when read.  Every partitioned state is
+that table, one byte per basis state, and a gate XORs a block of it; only
+``amplitudes`` builds the complex amplitudes.  Every partitioned state is
 ``encode_hypergraph``, the one encoder, of some hypergraph.
 
 Qubit 1 is the most significant bit of the basis index: |10...0> has qubit
@@ -121,7 +121,7 @@ def boolean_function(s: QubitStateVector) -> np.ndarray:
 def is_real_equally_weighted(s: QubitStateVector) -> bool:
     """True iff every amplitude lies within _AMPLITUDE_TOL of +-2^(-n/2) on the real axis."""
     c = 2.0 ** (-s.n_qubits / 2.0)
-    amps = s.amplitudes
+    amps = np.array([c, -c], dtype=np.complex128)  # the table picks every amplitude from these
     dist = np.minimum(np.abs(amps - c), np.abs(amps + c))
     return bool(np.all(dist <= _AMPLITUDE_TOL) and np.all(np.abs(amps.imag) <= _AMPLITUDE_TOL))
 

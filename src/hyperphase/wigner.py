@@ -73,12 +73,17 @@ class PhaseSpaceGrid:
             raise ValueError(f"inverted q bounds: [{self.q_min}, {self.q_max}]")
         if not self.p_max > self.p_min:
             raise ValueError(f"inverted p bounds: [{self.p_min}, {self.p_max}]")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be > 0, got {self.hbar}")
+        for name, value in (("mass", self.mass), ("hbar", self.hbar)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not math.isfinite(self.dq * self.dp):
             raise ValueError(f"phase-space cell area dq*dp overflows float64 for {bounds}")
+        for name, d in (("dq", self.dq), ("dp", self.dp)):
+            if not (d > 0 and math.isfinite(math.pi / d)):  # d > 0 first: pi / 0.0 raises
+                raise ValueError(f"phase-space spacing {name}={d} is 0 or makes pi/{name} "
+                                 f"overflow float64 for {bounds}")
 
     @property
     def dq(self) -> float:
@@ -155,7 +160,8 @@ class Wavefunction:
         if not q_max > q_min:
             raise ValueError(f"inverted q bounds: [{q_min}, {q_max}]")
         dq = (q_max - q_min) / arr.size
-        norm = float(np.sum(np.abs(arr) ** 2) * dq)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            norm = float(np.sum(np.abs(arr) ** 2) * dq)
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"wavefunction norm is {norm}, expected 1 within 1e-10")
         arr.flags.writeable = False

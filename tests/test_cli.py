@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperphase import formats, gaussian_wavefunction, make_grid
+from hyperphase import QubitStateVector, formats, gaussian_wavefunction, make_grid
 from hyperphase.cli import main
 
 from conftest import dump_amplitudes
@@ -186,6 +186,19 @@ def test_encode_single_vertex_loop(tmp_path):
     assert np.array_equal(state, np.array([2**-0.5, -(2**-0.5)], dtype=complex))
 
 
+def test_encode_builds_no_amplitudes(fig4_file, tmp_path, monkeypatch):
+    argv = ["encode", str(fig4_file), "--partition", "1,2|3,4", "--with-global-gate", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+
+    def refuse(state):
+        raise AssertionError("amplitudes built")
+
+    monkeypatch.setattr(QubitStateVector, "amplitudes", property(refuse))
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    written = read_tree(tmp_path / "b")
+    assert written == read_tree(tmp_path / "a") and len(written) == 5
+
+
 def test_encode_oversize_refused(tmp_path, capsys):
     doc = tmp_path / "big.json"
     doc.write_text('{"vertices": 21, "edges": []}')
@@ -237,8 +250,14 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-300", *SMALL_PHYSICAL],
          "error: dt=0.5 implies a shear p*dt/m of up to 3.9999999999999996e+300 per step, "
          "whose spectral phase of"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--mass", "inf"],
+         "error: mass must be finite, got inf"),
+        ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e-320}]}',
+         ["evolve", "--dt", "0.1", "--steps", "2", "--nq", "4", "--np", "4"],
+         "error: phase-space spacing dq=3.122e-321 is 0 or makes pi/dq overflow float64 "
+         "for q in [0.0, 1.25e-320], p in [0.0, 1.25e-320]"),
     ],
-    ids=[f"command{i}" for i in range(12)],
+    ids=[f"command{i}" for i in range(14)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -384,6 +403,22 @@ def test_wigner_transform_tiny_hbar(hbar, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: hbar={float(hbar)} gives a Wigner kernel phase")
     assert err.count("\n") == 1
+
+
+def test_wigner_transform_infinite_hbar(tmp_path, capsys):
+    psi_path = tmp_path / "psi.csv"
+    formats.write_wavefunction(psi_path, gaussian_wavefunction(make_grid(64, 64, (-8, 8), (-8, 8))))
+    argv = ["wigner-transform", "--state", str(psi_path), "--hbar", "inf", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: hbar must be finite, got inf\n"
+
+
+def test_wigner_transform_overflowing_norm(tmp_path, capsys):
+    psi_path = tmp_path / "big.csv"
+    psi_path.write_text("q,re,im\n0.5,1e308,0\n1.5,1e308,0\n")
+    # the squares overflow: a leaked RuntimeWarning would fail under the suite's filter
+    assert main(["wigner-transform", "--state", str(psi_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: wavefunction norm is inf, expected 1 within 1e-10\n"
 
 
 def test_wigner_transform_missing_file(tmp_path, capsys):

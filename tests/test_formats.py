@@ -274,6 +274,8 @@ def assert_dump_matches_reference(state: QubitStateVector) -> None:
 
 @settings(deadline=None, max_examples=40)
 @given(hypergraph_documents())
+@example((1, [], False))
+@example((1, [{1}], True))
 def test_dump_state_matches_per_line_reference(document):
     assert_dump_matches_reference(hypergraph_state(*document))
 

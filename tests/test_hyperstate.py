@@ -181,6 +181,18 @@ def test_real_equally_weighted_recognition(fig4):
     assert is_real_equally_weighted(apply_ckz(plus_state(20), []))
 
 
+def test_real_equally_weighted_reads_no_amplitudes():
+    # tracemalloc peak at 20 qubits: ~50 MB when the check built 2**20 complex amplitudes
+    state = apply_ckz(plus_state(20), [1, 20])
+    tracemalloc.start()
+    try:
+        assert is_real_equally_weighted(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
 # --- properties ---------------------------------------------------------------------
 
 def test_sign_oracle_random():
