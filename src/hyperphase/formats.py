@@ -7,14 +7,14 @@ in every external format.
 Matrix CSVs, snapshots and wavefunctions come from one line writer,
 ``_lines17``, with no Python string per line or number.  Per block of rows,
 sorting the cells' bit patterns finds the distinct values.  ``_distinct17``
-formats them once into a NUL-padded uint8 table whose rows start with the
-separator, and the cells gather their rows, when at least half the cells
-repeat; else it formats every cell in place.  The writer sets the cells' rows
-beside each line's label bytes and a newline, then drops the NULs, so each
-number is exactly its "%.17g" text.  ``fmt17`` shares that spec for scalars.
-For blocks with many values to format ``_fmt17_batch`` computes the same
-texts with numpy array operations; the values it cannot decide (zeros,
-subnormals, extremes, inf, nan and rounding ties) go through the "%.17g"
+formats them once into a uint8 table whose rows hold the text, NUL-padded,
+and the separator last, and the cells gather their rows, when at least half
+the cells repeat; else it formats every cell in place.  A line's cells are
+then its bytes once its last cell's separator is a newline, and dropping the
+NULs leaves each number exactly its "%.17g" text.  ``fmt17`` shares that
+spec for scalars.  For many values ``_fmt17_batch`` computes the same texts
+as uint64 words with numpy array operations; the values it cannot decide
+(subnormals, extremes, inf, nan and rounding ties) go through the "%.17g"
 template, so no byte depends on the path.  State dumps are written from the
 sign table: ``dump_state`` gathers one of two fixed line tails per state.
 """
@@ -54,9 +54,9 @@ _BLOCK_CELLS = 1 << 12
 
 # _distinct17 formats its values (a block's distinct values or all its cells)
 # with _fmt17_batch when there are at least this many, else in one template
-# call.  The kernel costs ~0.15 ms a call; measured against the template
-# (2-core VM, numpy 2.4.6) it broke even near 200 distinct snapshot values,
-# 400 normal deviates and 600 short ones (multiples of 1/8), and was 2.5-4x
+# call.  The kernel costs ~0.13 ms a call; measured against the template
+# (2-core VM, numpy 2.4.6) it broke even near 130 distinct snapshot values,
+# 200 normal deviates and 300 short ones (multiples of 1/8), and was 3.4-7x
 # faster at 4096.
 _BATCH_MIN_DISTINCT = 512
 # The kernel formats |x| in [1e-280, 1e280].  There every scale 10**s it uses,
@@ -83,12 +83,12 @@ def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _batch_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _batch_tables() -> tuple[np.ndarray, ...]:
     """Constant tables of ``_fmt17_batch``, built on its first call.
 
     10**s for s in _SCALES as a double-double: its hi part, split in two
     halves, and its lo part, each correctly rounded from exact integers.
-    Then the four ASCII digits of each of 0..9999, packed in one uint32.
+    Then the layout tables that ``_fmt17_batch`` describes.
     """
     his, los = [], []
     for s in _SCALES:
@@ -103,8 +103,37 @@ def _batch_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         his.append(hi)
         los.append(lo)
     hi_hi, hi_lo = _veltkamp(np.array(his))
-    digits4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    return hi_hi, hi_lo, np.array(los), digits4.view(np.uint32).ravel()
+    # q = 0..9999 as four ASCII digits, the first in the low byte; for each
+    # quad of D1-D16, 1 + the count of those digits up to q's last nonzero one
+    ten = np.arange(10, dtype=np.uint8)
+    quad = functools.reduce(np.add.outer, [(ten + 48).astype(np.uint64) << 8 * i for i in range(4)])
+    last = functools.reduce(np.maximum.outer, [(ten > 0).view(np.uint8) * i for i in range(1, 5)])
+    sig = np.where(last.ravel() > 0, last.ravel() + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 1)
+    # Per form f (fixed for e10 = f - 4 <= 16, then exponent) and count 1..17
+    # of significant digits, masks of the 17 slots after D0: D1-D16 before the
+    # dot (words 1, 2), D1-D16 shifted up one slot after it (1-3), the dot (1, 2).
+    form = np.arange(22)[:, None]
+    before = np.where(form < 4, 18, np.where(form < 21, form - 3, 1))  # 18: "0." is in the prefix
+    kept = np.maximum(np.arange(1, 18), before * (form >= 4))
+    dot, slot, at = kept > before, np.arange(1, 25), before[..., None]
+    masks = np.stack([slot < np.where(dot, before, kept)[..., None],
+                      (slot > at) & (slot <= kept[..., None]) & dot[..., None],
+                      (slot == at) & dot[..., None]]).view(np.uint8)
+    masks = (masks * np.array([255, 255, ord(".")], np.uint8)[:, None, None, None]).view("<u8")
+    masks = masks.reshape(3, -1, 3).transpose(0, 2, 1).reshape(9, -1)[[0, 1, 3, 4, 5, 6, 7]]
+    # Per scale: its form's row before the first, word 0's "0.000" prefix after
+    # the sign slot, and word 3's exponent bytes "e±[d]dd" after its digit slot.
+    e10 = 16 - np.arange(_SCALES.start, _SCALES.stop)
+    fixed, a = (e10 >= -4) & (e10 <= 16), np.abs(e10)
+    words = np.zeros((2, e10.size, 8), dtype=np.uint8)
+    prefix = (np.arange(5) <= a[:, None]) & (fixed & (e10 < 0))[:, None]
+    words[0, :, 1:6] = np.frombuffer(b"0.000", np.uint8) * prefix
+    words[1, :, 1:6] = np.stack([ord("e") + 0 * a, np.where(e10 < 0, ord("-"), ord("+")),
+                                 (a // 100 + 48) * (a >= 100), a // 10 % 10 + 48, a % 10 + 48],
+                                axis=1) * ~fixed[:, None]
+    return (hi_hi, hi_lo, np.array(los), quad.ravel(), quad.ravel() << 32,
+            (ten + 48).astype(np.uint64) << 56, sig, masks.astype(np.uint64),
+            np.where(fixed, e10 + 4, 21) * 17 - 1, *words.view("<u8")[..., 0].astype(np.uint64))
 
 
 def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,22 +158,22 @@ def _fmt17_batch(x: np.ndarray) -> np.ndarray:
     """``"%.17g" % v`` for each v of a 1-D float64 array, byte for byte, as a uint8 table.
 
     Each |v| becomes a 17-digit integer N = round(|v| * 10**(16 - e10)),
-    where e10 = floor(log10 |v|) is estimated, then corrected by one when N
-    falls outside [1e16, 1e17).  N's digits come from a 4-digit table.  Each
-    text is cut from one fixed row of 30 characters, a free slot | sign |
-    "0.000" | the digits with a dot | "e", exponent sign, three exponent
-    digits, by keeping what the %g rules keep: fixed form for -4 <= e10 < 17,
-    else exponent form, with trailing zeros stripped.  Row i of the
-    (size, 30) result is that row with NUL in every slot not kept, so the
-    text of x[i] is the row with its NULs dropped.  Values the kernel cannot
-    decide are written into their rows' slots 1.. by the template instead:
-    |v| outside _BATCH_RANGE (so zeros, subnormals, inf and nan), and values
-    within _TIE_WINDOW of a rounding tie.
+    digits D0-D16, where e10 = floor(log10 |v|) is estimated, then corrected
+    by one when N falls outside [1e16, 1e17); a zero is N = 0 with e10 = 0.
+    Row i of the (size, 32) result is the text of x[i] as four little-endian
+    uint64 words, NUL in every byte not kept.  Word 0 is the sign slot, a
+    "0.000" prefix and D0; words 1 and 2 are D1-D8 and D9-D16, from a 4-digit
+    table.  The %g form (fixed for -4 <= e10 < 17, else exponent) depends on
+    e10 alone, so masks picked by form and count of significant digits merge
+    each word with the digits shifted up one byte, put the dot and cut the
+    trailing zeros.  Word 3 takes the digit shifted out, the "e±[d]dd"
+    exponent and, last, a NUL for the caller's separator.  The template writes
+    the rest: nonzero |v| outside _BATCH_RANGE and ties within _TIE_WINDOW.
     """
-    digits4 = _batch_tables()[3]
+    quad, quad_high, lead_byte, sig4, masks, form, word0, word3 = _batch_tables()[3:]
     a = np.abs(x)
     inside = (a >= _BATCH_RANGE[0]) & (a <= _BATCH_RANGE[1])
-    a = np.where(inside, a, 1.0)
+    a = np.where(inside, a, 1.0)  # a zero's N is 1e16 here, 0 below
     e10 = np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled(a, e10)
     off = (n < 10**16) | (n >= 10**17)
@@ -152,72 +181,59 @@ def _fmt17_batch(x: np.ndarray) -> np.ndarray:
         e10[off] += np.where(n[off] < 10**16, -1, 1)
         n[off], frac[off] = _scaled(a[off], e10[off])
     n += frac > 0.5  # cannot carry to 1e17: no float64 lies that close below 10**k
-    template = ~inside | (np.abs(frac - 0.5) < _TIE_WINDOW) | (n < 10**16) | (n >= 10**17)
+    zero = x == 0
+    template = ~(inside | zero) | (np.abs(frac - 0.5) < _TIE_WINDOW) | (n < 10**16) | (n >= 10**17)
+    n[template | zero] = 0  # keeps every gather below in range
 
-    size = n.size
-    high, low = np.divmod(n, 10**8)
-    lead, mid = np.divmod(high, 10**8)
-    halves = np.stack([mid, low]).astype(np.uint32)  # uint32 divides faster than int64
-    tops = halves // 10**4
-    quads = np.stack([tops[0], halves[0] - tops[0] * 10**4, tops[1], halves[1] - tops[1] * 10**4])
-    # Work column-major (one column per value), in uint8 arithmetic: rows of
-    # a few thousand bytes keep numpy's loops long.  Rows: a blank, the 17
-    # digits of N, a blank.
-    digits = np.zeros((19, size), dtype=np.uint8)
-    digits[1] = lead + 48
-    quad_digits = digits4[quads].view(np.uint8).reshape(4, size, 4)
-    digits[2:18] = quad_digits.transpose(0, 2, 1).reshape(16, size)
-    slot = np.arange(18, dtype=np.uint8)[:, None]
-    sig = ((digits[1:18] != 48) * slot[1:]).max(axis=0)  # digits left once zeros strip
-    fixed = (e10 >= -4) & (e10 < 17)
-    small = fixed & (e10 < 0)  # 0.000ddd: "0." and the zeros come from the prefix
-    dot = np.where(fixed, np.where(small, 17, e10 + 1), 1).astype(np.uint8)
-    body = np.where(small, sig, np.maximum(sig + (sig > dot), dot))
-
-    chars = np.zeros((30, size), dtype=np.uint8)
-    chars[1:7] = np.frombuffer(b"-0.000", dtype=np.uint8)[:, None]
-    chars[7:25] = digits[:18] + (digits[1:] - digits[:18]) * (slot < dot)
-    chars[7 + dot, np.arange(size)] = ord(".")
-    chars[25] = ord("e")
-    chars[26] = np.where(e10 < 0, ord("-"), ord("+"))
-    chars[27:30] = digits4[np.abs(e10)].view(np.uint8).reshape(size, 4)[:, 1:].T
-    keep = np.zeros((30, size), dtype=bool)
-    keep[1] = np.signbit(x)
-    keep[2:7] = slot[1:6] <= np.where(small, 1 - e10, 0).astype(np.uint8)
-    keep[7:25] = slot < body
-    keep[25:30] = ~fixed
-    keep[27] &= np.abs(e10) >= 100
-    chars *= keep
-    table = chars.T.copy()
+    # int64 // and multiply-subtract beat divmod, and int64 indices beat uint64 ones
+    s, high = (16 - _SCALES.start) - e10, n // 10**8
+    lead = high // 10**8
+    table = np.empty((n.size, 4), dtype="<u8")
+    table[:, 0] = word0.take(s) | lead_byte.take(lead) | np.signbit(x) * np.uint64(ord("-"))
+    quads = []
+    for half in (high - lead * 10**8, n - high * 10**8):  # D1-D8, D9-D16
+        top = half // 10**4
+        quads += [top, half - top * 10**4]
+    sig = np.maximum(np.maximum(sig4[0].take(quads[0]), sig4[1].take(quads[1])),
+                     np.maximum(sig4[2].take(quads[2]), sig4[3].take(quads[3])))
+    row, carry = form.take(s) + sig, np.uint64(0)
+    for i in range(2):  # each word's masks are gathered as it is laid out: fewer live arrays
+        word = quad.take(quads[2 * i]) | quad_high.take(quads[2 * i + 1])
+        table[:, i + 1] = (word & masks[i].take(row)) | masks[5 + i].take(row) | (
+            ((word << 8) | carry) & masks[2 + i].take(row))
+        carry = word >> 56
+    table[:, 3] = (carry & masks[4].take(row)) | word3.take(s)
     fallback = np.flatnonzero(template)
-    texts = np.array([b"%.17g" % v for v in x[fallback].tolist()], dtype="S29")
-    table[fallback, 1:] = texts.view(np.uint8).reshape(-1, 29)
-    return table
+    texts = np.array([b"%.17g" % v for v in x[fallback].tolist()], dtype="S32")
+    table[fallback] = texts.view("<u8").reshape(-1, 4)
+    return table.view(np.uint8)
 
 
 def _distinct17(bits: np.ndarray, sep: bytes) -> np.ndarray:
-    """uint8 table whose row i is sep, then fmt17 of the float64 bits[i], NUL-padded.
+    """uint8 table whose row i is fmt17 of the float64 bits[i], NUL-padded, then sep.
 
-    By ``_fmt17_batch`` when there are at least _BATCH_MIN_DISTINCT values,
-    else in one template call.
+    By ``_fmt17_batch`` (32-byte rows) when there are at least _BATCH_MIN_DISTINCT
+    values, else in one template call (rows one byte wider than the longest text).
     """
     x = bits.view(np.float64)
     if x.size >= _BATCH_MIN_DISTINCT:
         table = _fmt17_batch(x)
-        table[:, 0] = sep[0]
-        return table
-    texts = np.array((b"\n".join([sep + b"%.17g"] * x.size) % tuple(x.tolist())).split(b"\n"))
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    else:
+        texts = np.array((b"\n".join([b"%.17g"] * x.size) % tuple(x.tolist())).split(b"\n"))
+        table = np.zeros((len(texts), texts.itemsize + 1), dtype=np.uint8)
+        table[:, :-1] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    table[:, -1] = sep[0]
+    return table
 
 
 def _lines17(values: np.ndarray, sep: bytes, labels: np.ndarray | None = None) -> bytes:
-    """Lines of a 2-D float64 array: each cell as fmt17, sep between cells.
+    """Lines of a 2-D float64 array: each cell as fmt17, then sep (a line's last, a newline).
 
-    ``labels``, if given, holds the NUL-padded uint8 label bytes of each row,
-    and a line is its label, then sep before every cell.  Per block of
-    _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so -0.0 stays
-    apart from 0.0); they are formatted once when at least half the cells
-    repeat, else every cell is formatted.
+    ``labels``, if given, holds the NUL-padded uint8 bytes that start each
+    line: its label and sep, or a newline when there are no cells.  Per block
+    of _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so -0.0
+    stays apart from 0.0); they are formatted once when at least half the
+    cells repeat, else every cell is formatted.
     """
     n_rows, n_cols = values.shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
@@ -232,13 +248,11 @@ def _lines17(values: np.ndarray, sep: bytes, labels: np.ndarray | None = None) -
             table = _distinct17(flat, sep)
         else:
             table = np.take(_distinct17(bits, sep), np.searchsorted(bits, flat), axis=0)
-        cells = table.reshape(rows, n_cols * table.shape[1])
-        parts = [cells, np.full((rows, 1), ord("\n"), dtype=np.uint8)]
-        if labels is None:
-            cells[:, :1] = 0  # no sep before a line's first cell
-        else:
-            parts.insert(0, labels[start : start + rows])
-        chunks.append(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+        lines = table.reshape(rows, n_cols * table.shape[1])
+        lines[:, -1:] = ord("\n")
+        if labels is not None:
+            lines = np.concatenate([labels[start : start + rows], lines], axis=1)
+        chunks.append(lines.tobytes().translate(None, b"\0"))
     return b"".join(chunks)
 
 
@@ -342,7 +356,8 @@ def write_matrix_csv(
         raise ValueError(f"{len(row_labels)} row labels for a matrix of {len(mat)} rows")
     if any("\0" in label for label in row_labels):
         raise ValueError("row labels may not contain a NUL character")
-    labels = np.array([label.encode("utf-8") for label in row_labels], dtype=bytes)
+    end = "," if mat.shape[1] else "\n"
+    labels = np.array([(label + end).encode("utf-8") for label in row_labels], dtype=bytes)
     labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
     header = ",".join([""] + list(col_labels)).encode("utf-8") + b"\n"
     path.write_bytes(header + _lines17(mat, b",", labels))
@@ -423,4 +438,7 @@ def read_wavefunction(path: Path) -> Wavefunction:
     dq = q[1] - q[0]
     if dq <= 0 or not np.allclose(np.diff(q), dq, rtol=1e-9, atol=1e-12):
         raise ValueError(f"{path}: q column is not uniformly increasing")
-    return Wavefunction(float(q[0] - dq / 2), float(q[-1] + dq / 2), np.array(amps))
+    try:
+        return Wavefunction(float(q[0] - dq / 2), float(q[-1] + dq / 2), np.array(amps))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

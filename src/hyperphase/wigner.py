@@ -133,11 +133,13 @@ class WignerField:
         t: float = 0.0,
         field_mode: bool = False,
     ) -> None:
-        arr = np.array(values, dtype=np.float64, copy=True)
-        if arr.shape != (grid.n_p, grid.n_q):
-            raise ValueError(
-                f"values shape {arr.shape} does not match grid ({grid.n_p}, {grid.n_q})"
-            )
+        self._adopt(grid, np.array(values, dtype=np.float64, copy=True), t, field_mode)
+
+    def _adopt(self, grid: PhaseSpaceGrid, arr: np.ndarray, t: float, field_mode: bool):
+        """Check the float64 ``arr`` and make it the read-only values, without a copy."""
+        shape = (grid.n_p, grid.n_q)
+        if arr.shape != shape:
+            raise ValueError(f"values shape {arr.shape} does not match grid {shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         arr.flags.writeable = False
@@ -145,6 +147,7 @@ class WignerField:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "t", float(t))
         object.__setattr__(self, "field_mode", bool(field_mode))
+        return self
 
 
 class Wavefunction:
@@ -327,7 +330,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     t = w.t
     for _ in range(steps):
         t += dt
-    return WignerField(g, out, t=t, field_mode=w.field_mode)
+    return object.__new__(WignerField)._adopt(g, out, t, w.field_mode)  # out is fresh: no copy
 
 
 def evolve(

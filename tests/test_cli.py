@@ -330,6 +330,22 @@ def test_evolve_physical_gaussian(tmp_path):
     assert len(list(out.glob("snapshot_*.csv"))) == 50
 
 
+def test_evolve_peak_memory_does_not_grow_with_snapshots(tmp_path):
+    # each snapshot is written, and its mass taken, before the next is computed
+    argv = ["evolve", "--physical", "gaussian", "--t", "1", "--nq", "128", "--np", "64"]
+    assert main(argv + ["--out", str(tmp_path / "warm-up")]) == 0  # import-time and table caches
+    peaks = {}
+    for steps in (2, 40):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--steps", str(steps), "--out", str(tmp_path / str(steps))]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "40").glob("snapshot_*.csv"))) == 40
+    assert peaks[40] - peaks[2] < 2 * 128 * 64 * 8  # two fields, where one per snapshot is 38
+
+
 @pytest.mark.parametrize("mode", [["--physical", "gaussian", "--t", "1"], ["--dt", "0.1"]])
 def test_evolve_oversized_grid(mode, fig4_file, tmp_path, capsys):
     doc = [] if mode[0] == "--physical" else [str(fig4_file)]
@@ -418,7 +434,15 @@ def test_wigner_transform_overflowing_norm(tmp_path, capsys):
     psi_path.write_text("q,re,im\n0.5,1e308,0\n1.5,1e308,0\n")
     # the squares overflow: a leaked RuntimeWarning would fail under the suite's filter
     assert main(["wigner-transform", "--state", str(psi_path), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: wavefunction norm is inf, expected 1 within 1e-10\n"
+    assert capsys.readouterr().err == (
+        f"error: {psi_path}: wavefunction norm is inf, expected 1 within 1e-10\n")
+
+
+def test_wigner_transform_unnormalized_state_names_its_file(tmp_path, capsys):
+    psi_path = tmp_path / "psi.csv"
+    psi_path.write_text("q,re,im\n0.5,1,0\n1.5,1,0\n")
+    assert main(["wigner-transform", "--state", str(psi_path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {psi_path}: wavefunction norm is 2")
 
 
 def test_wigner_transform_missing_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import tempfile
@@ -222,6 +223,10 @@ def test_matrix_csv_one_dimensional_and_zero_columns(tmp_path):
     assert path.read_bytes() == (header + "\nr," + ",".join(map(ref17, SPECIAL)) + "\n").encode()
     formats.write_matrix_csv(path, np.zeros((2, 0)), ["v1", "v2"], [])
     assert path.read_bytes() == b"\nv1\nv2\n"
+    # no cells, so each line is its label and a newline, over two blocks of rows
+    rows = [f"v{i}" for i in range(formats._BLOCK_CELLS + 5)]
+    formats.write_matrix_csv(path, np.zeros((len(rows), 0)), rows, [])
+    assert path.read_bytes() == ("\n" + "".join(f"{r}\n" for r in rows)).encode()
 
 
 def test_snapshot_golden_bytes(tmp_path):
@@ -306,7 +311,7 @@ def test_wavefunction_golden_bytes(tmp_path):
 def assert_batch_exact(values) -> None:
     x = np.asarray(values, dtype=np.float64)
     table = formats._fmt17_batch(x)
-    assert table.shape == (x.size, 30)
+    assert table.shape == (x.size, 32)
     texts = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in table]
     assert texts == [ref17(v) for v in x.tolist()]
 
@@ -339,6 +344,44 @@ def test_batch_powers_of_ten_and_form_switch():
     assert_batch_exact(neighbours([float(f"1e{k}") for k in range(-300, 300)]))
     # %g switches between fixed and exponent form at 1e-4 and 1e17
     assert_batch_exact(neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999991e-05]))
+
+
+def layout17(x: float) -> tuple[int, int]:
+    """The exponent e10 and the count of significant digits of x's "%.17g" text."""
+    digits = decimal.Context(prec=17).plus(decimal.Decimal(x)).normalize()
+    return digits.adjusted(), len(digits.as_tuple().digits)
+
+
+def every_layout() -> list[float]:
+    """For each %g form, fixed at each e10 in -4..16 or exponent with a 2- or 3-digit
+    exponent of either sign, and for each count 1..17 of significant digits: a value
+    of each sign whose text has that layout.  Found by drawing decimals of that many
+    digits (the first and last nonzero) until the nearest float keeps them."""
+    rng = np.random.default_rng(8)
+    forms = [[e] for e in range(-4, 17)] + [range(-99, -4), range(17, 100),
+                                            range(-279, -99), range(100, 280)]
+    values = []
+    for exponents in forms:
+        for sig in range(1, 18):
+            for _ in range(1000):
+                e10 = int(rng.choice(exponents))
+                digits = rng.integers(0, 10, size=sig)
+                digits[[0, -1]] = rng.integers(1, 10, size=2)
+                text = "".join(map(str, digits))
+                x = float(f"{text[0]}.{text[1:]}e{e10}")
+                if layout17(x) == (e10, sig):
+                    values += [x, -x]
+                    break
+            else:
+                raise AssertionError(f"no value with e10 in {exponents} and {sig} digits")
+    return values
+
+
+def test_batch_every_form_and_digit_count():
+    # one value of each sign per row of the kernel's (form, significant digits) masks
+    values = every_layout()
+    assert len(values) == 25 * 17 * 2
+    assert_batch_exact(values)
 
 
 def rounding_ties() -> list[float]:

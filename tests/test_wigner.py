@@ -241,6 +241,19 @@ def test_zero_dt_is_exact_identity():
     assert out.t == f.t
 
 
+def test_streamed_field_is_read_only_and_the_constructor_copies():
+    g = make_grid(32, 8, (0, 8), (0, 4))
+    source = np.random.default_rng(3).normal(size=(8, 32))
+    f = WignerField(g, source, field_mode=True)
+    assert not np.shares_memory(f.values, source)
+    out = free_stream_step(f, 0.3)  # takes its fresh array over without a copy
+    assert out.values.shape == (8, 32) and out.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        out.values[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        out.t = 2.0
+
+
 def test_zero_momentum_row_unchanged():
     g = make_grid(32, 4, (0, 8), (-0.5, 3.5))  # p centers 0, 1, 2, 3
     assert g.p_centers()[0] == 0.0
