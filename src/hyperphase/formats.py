@@ -4,28 +4,29 @@ All numeric output uses 17 significant digits with a '.' decimal separator,
 so identical inputs produce byte-identical files.  Vertex labels are 1-based
 in every external format.
 
-Matrix CSVs, snapshots and wavefunctions come from one line writer,
-``_lines17``, with no Python string per line or number.  Per block of rows,
-sorting the cells' bit patterns finds the distinct values.  ``_distinct17``
-formats them once into a uint8 table whose rows hold the text, NUL-padded,
-and the separator last, and the cells gather their rows, when at least half
-the cells repeat; else it formats every cell in place.  A line's cells are
-then its bytes once its last cell's separator is a newline, and dropping the
-NULs leaves each number exactly its "%.17g" text.  ``fmt17`` shares that
-spec for scalars.  For many values ``_fmt17_batch`` computes the same texts
-as uint64 words with numpy array operations; the values it cannot decide
-(subnormals, extremes, inf, nan and rounding ties) go through the "%.17g"
-template, so no byte depends on the path.  State dumps are written from the
-sign table: ``dump_state`` gathers one of two fixed line tails per state.
+``_write_csv`` writes matrix CSVs, snapshots and wavefunctions: the header,
+then each block of rows from the line writer ``_lines17`` as soon as it is
+made, so no file's text is held whole.  Per block, sorting the cells' bit
+patterns finds the distinct values.  ``_distinct17`` formats them once into a
+uint8 table whose rows hold the text, NUL-padded, and a comma last, and the
+cells gather their rows, when at least half the cells repeat; else it formats
+every cell in place.  A line's cells are then its bytes once its last comma
+is a newline, and dropping the NULs leaves each number exactly its "%.17g"
+text.  ``fmt17`` shares that spec for scalars.  For many values
+``_fmt17_batch`` computes the same texts as uint64 words with numpy array
+operations; the values it cannot decide (subnormals, extremes, inf, nan and
+rounding ties) go through the "%.17g" template, so no byte depends on the
+path.  ``dump_state`` builds a state dump once, from the sign table.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,8 +210,8 @@ def _fmt17_batch(x: np.ndarray) -> np.ndarray:
     return table.view(np.uint8)
 
 
-def _distinct17(bits: np.ndarray, sep: bytes) -> np.ndarray:
-    """uint8 table whose row i is fmt17 of the float64 bits[i], NUL-padded, then sep.
+def _distinct17(bits: np.ndarray) -> np.ndarray:
+    """uint8 table whose row i is fmt17 of the float64 bits[i], NUL-padded, then a comma.
 
     By ``_fmt17_batch`` (32-byte rows) when there are at least _BATCH_MIN_DISTINCT
     values, else in one template call (rows one byte wider than the longest text).
@@ -222,38 +223,46 @@ def _distinct17(bits: np.ndarray, sep: bytes) -> np.ndarray:
         texts = np.array((b"\n".join([b"%.17g"] * x.size) % tuple(x.tolist())).split(b"\n"))
         table = np.zeros((len(texts), texts.itemsize + 1), dtype=np.uint8)
         table[:, :-1] = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-    table[:, -1] = sep[0]
+    table[:, -1] = ord(",")
     return table
 
 
-def _lines17(values: np.ndarray, sep: bytes, labels: np.ndarray | None = None) -> bytes:
-    """Lines of a 2-D float64 array: each cell as fmt17, then sep (a line's last, a newline).
+def _lines17(shape: tuple[int, int], rows: Callable[[slice], np.ndarray],
+             labels: np.ndarray | None = None) -> Iterator[bytes]:
+    """Yield the lines of a 2-D float64 array, one block of rows at a time: each cell
+    as fmt17, then a comma (a line's last, a newline).
 
-    ``labels``, if given, holds the NUL-padded uint8 bytes that start each
-    line: its label and sep, or a newline when there are no cells.  Per block
-    of _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so -0.0
-    stays apart from 0.0); they are formatted once when at least half the
+    ``rows`` returns the array's rows in a slice, so no caller needs the whole
+    array.  ``labels``, if given, holds the NUL-padded uint8 bytes that start
+    each line: its label and a comma, or a newline when there are no cells.
+    Per block of _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so
+    -0.0 stays apart from 0.0); they are formatted once when at least half the
     cells repeat, else every cell is formatted.
     """
-    n_rows, n_cols = values.shape
+    n_rows, n_cols = shape
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
-    chunks = []
     for start in range(0, n_rows, step):
-        block = np.ascontiguousarray(values[start : start + step], dtype=np.float64)
-        rows = len(block)
+        block = np.ascontiguousarray(rows(slice(start, min(start + step, n_rows))), dtype=np.float64)
         flat = block.view(np.uint64).ravel()
         ordered = np.sort(flat)
         bits = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
         if 2 * bits.size > flat.size:
-            table = _distinct17(flat, sep)
+            table = _distinct17(flat)
         else:
-            table = np.take(_distinct17(bits, sep), np.searchsorted(bits, flat), axis=0)
-        lines = table.reshape(rows, n_cols * table.shape[1])
+            table = np.take(_distinct17(bits), np.searchsorted(bits, flat), axis=0)
+        lines = table.reshape(len(block), n_cols * table.shape[1])
         lines[:, -1:] = ord("\n")
         if labels is not None:
-            lines = np.concatenate([labels[start : start + rows], lines], axis=1)
-        chunks.append(lines.tobytes().translate(None, b"\0"))
-    return b"".join(chunks)
+            lines = np.concatenate([labels[start : start + len(block)], lines], axis=1)
+        yield lines.tobytes().translate(None, b"\0")
+
+
+def _write_csv(path: Path, header: bytes, shape: tuple[int, int],
+               rows: Callable[[slice], np.ndarray], labels: np.ndarray | None = None) -> None:
+    """Write ``header``, then each block of ``_lines17`` as soon as it is made."""
+    with open(path, "wb") as f:
+        f.write(header)
+        f.writelines(_lines17(shape, rows, labels))
 
 
 def _require_number(value, path: str, positive: bool = False) -> float:
@@ -344,12 +353,8 @@ def serialize_hypergraph(h: Hypergraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_matrix_csv(
-    path: Path,
-    matrix: np.ndarray,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-) -> None:
+def write_matrix_csv(path: Path, matrix: np.ndarray, row_labels: Sequence[str],
+                     col_labels: Sequence[str]) -> None:
     """Labeled CSV: header of column labels, one labeled row per matrix row (no NUL in a label)."""
     mat = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if len(row_labels) != len(mat):
@@ -360,7 +365,7 @@ def write_matrix_csv(
     labels = np.array([(label + end).encode("utf-8") for label in row_labels], dtype=bytes)
     labels = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
     header = ",".join([""] + list(col_labels)).encode("utf-8") + b"\n"
-    path.write_bytes(header + _lines17(mat, b",", labels))
+    _write_csv(path, header, mat.shape, mat.__getitem__, labels)
 
 
 def dump_state(s: QubitStateVector) -> bytes:
@@ -371,14 +376,14 @@ def dump_state(s: QubitStateVector) -> bytes:
     tails = np.array([b" %.17g %.17g\n" % (c, 0.0), b" %.17g %.17g\n" % (-c, -0.0)])
     tails = tails.view(np.uint8).reshape(2, tails.itemsize)  # NUL-padded
     width, step = -(-n // 8), _BLOCK_CELLS // 2
-    chunks = []
+    dump = io.BytesIO()  # each block is appended as it is made, so the text is held once
     for start in range(0, 2**n, step):
         # labels: the index's big-endian bits, less the leading bits beyond n
         index = np.arange(start, min(start + step, 2**n), dtype=">u4").view(np.uint8)
         bits = np.unpackbits(index.reshape(-1, 4)[:, 4 - width :], axis=1)[:, 8 * width - n :]
         lines = [bits + np.uint8(ord("0")), np.take(tails, s.signs[start : start + step], axis=0)]
-        chunks.append(np.concatenate(lines, axis=1).tobytes().translate(None, b"\0"))
-    return b"".join(chunks)
+        dump.write(np.concatenate(lines, axis=1).tobytes().translate(None, b"\0"))
+    return dump.getvalue()
 
 
 def write_state(path: Path, s: QubitStateVector) -> None:
@@ -392,29 +397,22 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
     """
     csv_path = directory / f"snapshot_{index:04d}.csv"
     meta_path = directory / f"snapshot_{index:04d}.meta.json"
-    csv_path.write_bytes(_lines17(field.values[::-1], b","))
-    g = field.grid
-    meta = {
-        "n_q": g.n_q,
-        "n_p": g.n_p,
-        "q_min": g.q_min,
-        "q_max": g.q_max,
-        "p_min": g.p_min,
-        "p_max": g.p_max,
-        "mass": g.mass,
-        "hbar": g.hbar,
-        "t": field.t,
-        "field_mode": field.field_mode,
-    }
+    values = field.values[::-1]
+    _write_csv(csv_path, b"", values.shape, values.__getitem__)
+    meta = {name: getattr(field.grid, name) for name in field.grid.__slots__}  # keys sorted below
+    meta.update(t=field.t, field_mode=field.field_mode)
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return csv_path, meta_path
 
 
 def write_wavefunction(path: Path, psi: Wavefunction) -> None:
     """CSV of position-basis samples: q,re,im per cell center."""
-    q = psi.q_min + (np.arange(psi.n_q) + 0.5) * psi.dq
-    samples = np.column_stack([q, psi.samples.real, psi.samples.imag])
-    path.write_bytes(b"q,re,im\n" + _lines17(samples, b","))
+    pairs = psi.samples.view(np.float64).reshape(-1, 2)  # (re, im) without a copy
+
+    def rows(s: slice) -> np.ndarray:
+        return np.column_stack([psi.q_min + (np.arange(s.start, s.stop) + 0.5) * psi.dq, pairs[s]])
+
+    _write_csv(path, b"q,re,im\n", (psi.n_q, 3), rows)
 
 
 def read_wavefunction(path: Path) -> Wavefunction:

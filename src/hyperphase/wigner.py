@@ -133,7 +133,7 @@ class WignerField:
         t: float = 0.0,
         field_mode: bool = False,
     ) -> None:
-        self._adopt(grid, np.array(values, dtype=np.float64, copy=True), t, field_mode)
+        self._adopt(grid, np.array(values, dtype=np.float64, copy=True, order="C"), t, field_mode)
 
     def _adopt(self, grid: PhaseSpaceGrid, arr: np.ndarray, t: float, field_mode: bool):
         """Check the float64 ``arr`` and make it the read-only values, without a copy."""

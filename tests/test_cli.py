@@ -1,10 +1,17 @@
+import contextlib
+import gc
+import io
 import json
+import math
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import QubitStateVector, formats, gaussian_wavefunction, make_grid
 from hyperphase.cli import main
@@ -374,6 +381,33 @@ def test_evolve_physical_needs_time(tmp_path, capsys):
     assert "--t" in capsys.readouterr().err
 
 
+def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
+    small = ["evolve", "--physical", "gaussian", "--steps", "4", "--nq", "33", "--np", "33"]
+    trees = []
+    for time in (["--dt", "0.25"], ["--t", "1"]):
+        out = tmp_path / time[0][2:]
+        assert main([*small, *time, "--out", str(out)]) == 0
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
+    assert json.loads(trees[0]["run.json"])["dt"] == 0.25
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "FIG4", "--partition", "1,x|2,3,4"], "partition part 1: 'x' is not an integer"),
+    (["encode", "FIG4", "--partition", "1,4|2,9"], "partition part 2: vertex 9 out of range 1..4"),
+    (["evolve", "FIG4", "--dt", "0.1", "--snapshot-every", "-1"],
+     "snapshot_every must be >= 0, got -1"),
+    (["evolve", "--physical", "box", "--t", "1"],
+     "unknown physical state 'box' (expected 'gaussian')"),
+    (["evolve", "--dt", "0.1"], "evolve needs a hypergraph document (or --physical gaussian)"),
+    (["evolve", "FIG4", "--steps", "2"], "hypergraph mode needs --dt"),
+])
+def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
+    argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # --- wigner-transform ----------------------------------------------------------------
 
 def test_wigner_transform_command(tmp_path, capsys):
@@ -476,3 +510,95 @@ def test_output_dir_env_var(fig4_file, tmp_path, monkeypatch):
     flag_dir = tmp_path / "flagout"
     assert main(["encode", str(fig4_file), "--out", str(flag_dir)]) == 0
     assert (flag_dir / "state.txt").exists()
+
+
+# --- every subcommand under extreme flags and documents -------------------------
+
+EXTREME_FLOATS = ["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-320", "1e308", "-1e308"]
+LARGE_INTS = [str(2**31), str(2**63), str(10**30)]
+EXTREME_WEIGHTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308,
+                   2**63, 10**30, 1, 2.5]
+FLAGS = {  # subcommand: its float flags, its int flags
+    "info": ([], []),
+    "matrices": ([], []),
+    "encode": (["--delta"], []),
+    "evolve": (["--dt", "--margin", "--k-default", "--mass", "--hbar", "--sigma", "--t",
+                "--extent"], ["--nq", "--np", "--steps", "--snapshot-every"]),
+    "wigner-transform": (["--pmin", "--pmax", "--mass", "--hbar"], ["--np"]),
+}
+# huge step counts are only ever drawn with one of these, each refused before a step
+REFUSE_STEPS = [["--snapshot-every", "-1"], ["--nq", LARGE_INTS[0]], ["--np", "1"]]
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand, its document or state file, and flags set to small or extreme values."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.sampled_from([1, 2.5]), st.sampled_from(EXTREME_WEIGHTS))
+    edges = draw(st.lists(st.fixed_dictionaries(
+        {"members": st.lists(st.integers(1, n), max_size=n)}, optional={"weight": weight}),
+        max_size=4))
+    doc = {"vertices": n, "edges": edges}
+    if draw(st.booleans()):
+        doc["vertex_weights"] = draw(st.lists(weight, min_size=n, max_size=n))
+    samples = draw(st.one_of(st.integers(1, 6).map(lambda k: [k**-0.5] * k),  # unit norm
+                             st.lists(st.sampled_from(EXTREME_WEIGHTS), min_size=1, max_size=6)))
+    floats, ints = FLAGS[command]
+    argv = []
+    if command == "evolve":
+        argv += draw(st.sampled_from([["--dt", "0.1"], ["--physical", "gaussian", "--t", "1"],
+                                      ["--physical", "box"], []]))
+        argv += ["--nq", "8", "--np", "8", "--steps", "2"]
+    if command == "encode" and draw(st.booleans()):
+        argv += ["--partition", draw(st.sampled_from(["1|2", "1,2", "x|1", "0|1", "1,,2", "7"]))]
+    flags = floats + ints
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)) if flags else []:
+        small = ["1", "2", "3"] if flag in ints else ["0.5", "2"]
+        argv += [flag, draw(st.sampled_from(small + EXTREME_FLOATS + LARGE_INTS))]
+    steps = [value for flag, value in zip(argv, argv[1:]) if flag == "--steps"]
+    if steps and steps[-1] in LARGE_INTS:
+        argv += draw(st.sampled_from(REFUSE_STEPS))
+    return command, doc, samples, argv
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, int]:
+    """main(argv) in-process: exit code, stderr and peak traced allocation."""
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag value
+                code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()  # main freezes what is alive; the next example's leftovers must not stay
+    return code, err.getvalue(), peak
+
+
+@settings(deadline=None, max_examples=500)
+@given(cli_runs())
+def test_cli_survives_extreme_flags_and_documents(run):
+    command, doc, samples, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "h.json").write_text(json.dumps(doc))
+        (tmp / "psi.csv").write_text("q,re,im\n" + "".join(
+            f"{i + 0.5},{x!r},0\n" for i, x in enumerate(samples)))
+        target = ["--state", str(tmp / "psi.csv")] if command == "wigner-transform" else [
+            str(tmp / "h.json")]
+        if command == "evolve" and "--physical" in argv:
+            target = []
+        out = [] if command == "info" else ["--out", str(tmp / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, peak = run_cli([command, *target, *argv, *out])
+    assert code in (0, 1, 2), (code, err)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    elif code == 0:
+        assert err == ""
+    assert peak < 4 * 2**20, (argv, peak)

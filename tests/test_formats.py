@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,31 @@ def test_read_wavefunction_rejects_irregular_axis(tmp_path):
     path.write_text("q,re,im\n0,1,0\n1,1,0\n3,1,0\n")
     with pytest.raises(ValueError, match="uniform"):
         formats.read_wavefunction(path)
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("h.json", '{"vertices": 1, "edges": [{"members": [1], "weight": 1e999}]}',
+     "edges[0].weight: expected a finite number, got inf"),
+    ("h.json", '{"vertices": 1, "vertex_weights": [NaN]}',
+     "vertex_weights[0]: expected a finite number, got nan"),
+    ("h.json", '{"vertices": 1, "vertex_weights": {"1": 2}}', "vertex_weights: expected a list"),
+    ("h.json", '{"vertices": 1, "edges": {"members": [1]}}', "edges: expected a list"),
+    ("h.json", '{"vertices": 1, "edges": [{"members": [1]}, [1]]}',
+     "edges[1]: expected an object"),
+    ("h.json", '{"vertices": 1, "edges": [{"members": 1}]}', "edges[0].members: expected a list"),
+    ("psi.csv", "q,re,im\n0.5,1,0\n", "PATH: wavefunction file needs at least 2 samples"),
+    ("psi.csv", "q,re,im\n0.5,1,0\n1.5,1\n", "PATH:2: expected 'q,re,im'"),
+    ("psi.csv", "0.5,1,0\n1.5,one,0\n", "PATH:2: non-numeric value"),
+])
+def test_bad_input_is_named(name, text, message, tmp_path):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        if name == "h.json":
+            formats.parse_hypergraph(path.read_text())
+        else:
+            formats.read_wavefunction(path)
+    assert str(info.value) == message.replace("PATH", str(path))
 
 
 def test_fmt17_round_trips_floats():
@@ -432,8 +458,8 @@ def test_lines17_formats_repeating_blocks_once_and_others_in_place(tmp_path, mon
     assert [np.unique(block).size for block in np.split(mat, 2)] == [2048, 2049]
     sizes = []
     distinct17 = formats._distinct17
-    monkeypatch.setattr(formats, "_distinct17", lambda bits, sep: sizes.append(bits.size)
-                        or distinct17(bits, sep))
+    monkeypatch.setattr(formats, "_distinct17", lambda bits: sizes.append(bits.size)
+                        or distinct17(bits))
     rows, cols = [f"r{i}" for i in range(128)], [f"c{j}" for j in range(64)]
     formats.write_matrix_csv(tmp_path / "m.csv", mat, rows, cols)
     assert sizes == [2048, formats._BLOCK_CELLS]  # its distinct values, then every cell
@@ -511,3 +537,42 @@ def test_matrix_csv_refuses_nul_in_row_label_and_label_count_mismatch(tmp_path):
         with pytest.raises(ValueError, match="row labels for a matrix of 2 rows"):
             formats.write_matrix_csv(path, np.eye(2), rows, ["a", "b"])
     assert not path.exists()
+
+
+# --- the writers hold one block of text, not the whole file -----------------------
+
+def traced_peak(write) -> int:
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_writer_streams_blocks(tmp_path):
+    values = all_distinct((1024, 1024), 19)
+    field = WignerField(make_grid(1024, 1024, (-1, 1), (-2, 2)), values, field_mode=True)
+    peak = traced_peak(lambda: formats.write_snapshot(tmp_path, 0, field))
+    size = (tmp_path / "snapshot_0000.csv").stat().st_size
+    assert size > 16 * 2**20 and peak < 4 * 2**20, (size, peak)  # whole text: ~40 MiB
+
+
+def test_matrix_and_wavefunction_writers_peak_under_a_quarter_of_the_file(tmp_path):
+    mat = all_distinct((512, 512), 23)
+    rows, cols = [f"v{i}" for i in range(512)], [f"v{j}" for j in range(512)]
+    psi = Wavefunction(0.0, 2.0**17, golden_state(17, 29))
+    writes = {"m.csv": lambda path: formats.write_matrix_csv(path, mat, rows, cols),
+              "psi.csv": lambda path: formats.write_wavefunction(path, psi)}
+    for name, write in writes.items():
+        path = tmp_path / name
+        peak = traced_peak(lambda: write(path))
+        size = path.stat().st_size
+        assert size >= 4 * 2**20 and peak < size / 4, (name, size, peak)
+
+
+def test_state_dump_is_held_once():
+    state = hypergraph_state(18, [{1, 2}, {3, 4, 5}, {18}], False)
+    dump = []
+    peak = traced_peak(lambda: dump.append(formats.dump_state(state)))
+    assert peak <= 1.25 * len(dump[0]), (len(dump[0]), peak)  # a join of blocks: ~2x

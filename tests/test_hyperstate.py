@@ -151,6 +151,23 @@ def test_encoding_oversize_refused():
         encode_hypergraph(Hypergraph(21))
 
 
+BIG = Hypergraph(21)
+
+
+@pytest.mark.parametrize("h, parent, parts, message", [
+    (BIG, BIG, [range(1, 11), range(11, 22)],
+     "hypergraph has 21 vertices; dense encoding is capped at 20"),
+    (BIG, BIG, [range(1, 21)], "partition must cover every vertex"),
+    (BIG, BIG, [range(1, 22), []], "empty parts cannot be encoded"),
+    # an equal hypergraph is not this one
+    (Hypergraph(2), Hypergraph(2), [[1], [2]], "partition ensemble does not belong to this hypergraph"),
+])
+def test_encode_partitioned_refusals_are_named(h, parent, parts, message):
+    with pytest.raises(ValueError) as info:
+        encode_partitioned(h, PartitionEnsemble(parent, parts, 0.5))
+    assert str(info.value) == message
+
+
 def test_boolean_function_single_and():
     table = boolean_function(encode_hypergraph(Hypergraph(2, [({1, 2}, 1.0)])))
     assert table.dtype == np.uint8

@@ -97,6 +97,18 @@ def test_wavefunction_requires_unit_norm():
         Wavefunction(0, 1, np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_grid(4, 4, (0, 1), (1, 0)), "inverted p bounds: [1.0, 0.0]"),
+    (lambda: Wavefunction(0, 1, np.full((2, 2), 0.5)), "samples must be a 1-D array of length >= 2"),
+    (lambda: Wavefunction(0, 1, [1.0]), "samples must be a 1-D array of length >= 2"),
+    (lambda: Wavefunction(1, 0, [1.0, 1.0]), "inverted q bounds: [1, 0]"),
+])
+def test_bad_grid_and_state_are_named(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # --- Wigner transform --------------------------------------------------------
 
 def test_gaussian_wigner_matches_analytic():
@@ -588,6 +600,17 @@ def test_mass_has_one_bit_pattern_at_every_alignment():
         masses.add(wigner._mass(np.abs(values, out=values), g).hex() + " L1")
     assert len(masses) == 2, masses
     assert total_mass(field).hex() in masses
+
+
+def test_fields_are_c_ordered_so_mass_does_not_follow_memory_order():
+    # the transform's product is transposed; a field kept in its order sums its
+    # columns in another order than a row-major copy of the same values
+    g = make_grid(512, 64, (-8, 8), (-8, 8))
+    field = evolve(wigner_transform(gaussian_wavefunction(g, sigma=1.0), g), 0.125, 8)[0]
+    assert field.values.flags.c_contiguous
+    masses = {total_mass(WignerField(g, copy(field.values))).hex()
+              for copy in (np.ascontiguousarray, np.asfortranarray)}
+    assert masses == {total_mass(field).hex()} == {"0x1.0000000000000p+0"}
 
 
 # --- plane-wave slices --------------------------------------------------------------
