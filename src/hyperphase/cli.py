@@ -191,6 +191,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     out = _output_dir(args)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
+    if args.steps > sys.float_info.max:  # t / steps and t + steps * dt take it as a float64
+        raise ValueError(f"steps must be at most {sys.float_info.max:g}, got {len(str(args.steps))} digits")
 
     if args.physical is not None:
         if args.physical != "gaussian":

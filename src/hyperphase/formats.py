@@ -6,17 +6,18 @@ in every external format.
 
 ``_write_csv`` writes matrix CSVs, snapshots and wavefunctions: the header,
 then each block of rows from the line writer ``_lines17`` as soon as it is
-made, so no file's text is held whole.  Per block, sorting the cells' bit
-patterns finds the distinct values.  ``_distinct17`` formats them once into a
-uint8 table whose rows hold the text, NUL-padded, and a comma last, and the
-cells gather their rows, when at least half the cells repeat; else it formats
-every cell in place.  A line's cells are then its bytes once its last comma
-is a newline, and dropping the NULs leaves each number exactly its "%.17g"
-text.  ``fmt17`` shares that spec for scalars.  For many values
-``_fmt17_batch`` computes the same texts as uint64 words with numpy array
-operations; the values it cannot decide (subnormals, extremes, inf, nan and
-rounding ties) go through the "%.17g" template, so no byte depends on the
-path.  ``dump_state`` builds a state dump once, from the sign table.
+made, so no file's text is held whole.  Per block, sorting the bit patterns of
+its cells but +0.0 finds the distinct values; narrow texts allow larger blocks.
+``_distinct17`` formats them once into a uint8 table whose rows hold the text,
+NUL-padded, and a comma last, and the cells gather their rows, when at least
+half the cells repeat; else it formats every cell in place.  A line's cells
+are then its bytes once its last comma is a newline, and dropping the NULs
+leaves each number exactly its "%.17g" text.  ``fmt17`` shares that spec for
+scalars.  For many values ``_fmt17_batch`` computes the same texts as uint64
+words with numpy array operations; the values it cannot decide (subnormals,
+extremes, inf, nan and rounding ties) go through the "%.17g" template, so no
+byte depends on the path.  ``dump_state`` builds a state dump once, from the
+sign table.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ _FMT17 = "%.17g"
 # A block's sorted bits, text table and lines are alive at once, so this bounds
 # the writers' extra memory: 2**16 raised a 16-qubit dump's peak RSS ~8%, 2**12 <2%.
 _BLOCK_CELLS = 1 << 12
+# Most cells per block of _lines17 while its rows are narrow.  The kernel keeps
+# 2**12: it formatted the 8 evolve-snapshots fields in 43 ms so, 62 ms in 2**14.
+_CHUNK_CELLS = 1 << 14
 
 
 # _distinct17 formats its values (a block's distinct values or all its cells)
@@ -235,26 +239,40 @@ def _lines17(shape: tuple[int, int], rows: Callable[[slice], np.ndarray],
     ``rows`` returns the array's rows in a slice, so no caller needs the whole
     array.  ``labels``, if given, holds the NUL-padded uint8 bytes that start
     each line: its label and a comma, or a newline when there are no cells.
-    Per block of _BLOCK_CELLS cells, a sort finds the distinct bit patterns (so
-    -0.0 stays apart from 0.0); they are formatted once when at least half the
-    cells repeat, else every cell is formatted.
+    A sort of a block's bit patterns, less its +0.0 cells (code 0, so -0.0 stays
+    apart), finds the distinct values: formatted once when at least half the
+    cells repeat, else every cell is.  A block holds _BLOCK_CELLS cells, and
+    after a table of rows at most 8 bytes wide (few short texts, by the template)
+    16 // width times as many, up to _CHUNK_CELLS.  A larger block whose values
+    would reach the kernel is read again, as are the rest, at _BLOCK_CELLS.
     """
     n_rows, n_cols = shape
-    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
-    for start in range(0, n_rows, step):
-        block = np.ascontiguousarray(rows(slice(start, min(start + step, n_rows))), dtype=np.float64)
+    start, cells, most = 0, _BLOCK_CELLS, _CHUNK_CELLS
+    while start < n_rows:
+        stop = min(start + max(1, cells // max(n_cols, 1)), n_rows)
+        block = np.ascontiguousarray(rows(slice(start, stop)), dtype=np.float64)
         flat = block.view(np.uint64).ravel()
-        ordered = np.sort(flat)
-        bits = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+        nonzero = np.flatnonzero(flat != 0)
+        ordered = np.sort(flat[nonzero])
+        zero = np.zeros(min(1, flat.size - nonzero.size), np.uint64)  # +0.0 if a cell is
+        bits = np.concatenate([zero, ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+        del ordered  # freed before the table's temporaries are made
+        if bits.size >= _BATCH_MIN_DISTINCT and cells > _BLOCK_CELLS:
+            cells = most = _BLOCK_CELLS
+            continue
         if 2 * bits.size > flat.size:
             table = _distinct17(flat)
         else:
-            table = np.take(_distinct17(bits), np.searchsorted(bits, flat), axis=0)
+            codes = np.zeros(flat.size, dtype=np.intp)
+            codes[nonzero] = np.searchsorted(bits, flat[nonzero])
+            table = np.take(_distinct17(bits), codes, axis=0)
+        cells = min(most, _BLOCK_CELLS * max(1, 16 // table.shape[1]))
         lines = table.reshape(len(block), n_cols * table.shape[1])
         lines[:, -1:] = ord("\n")
         if labels is not None:
-            lines = np.concatenate([labels[start : start + len(block)], lines], axis=1)
+            lines = np.concatenate([labels[start:stop], lines], axis=1)
         yield lines.tobytes().translate(None, b"\0")
+        start = stop
 
 
 def _write_csv(path: Path, header: bytes, shape: tuple[int, int],
@@ -325,16 +343,13 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raw_members = e["members"]
         if not isinstance(raw_members, list):
             raise ValueError(f"edges[{j}].members: expected a list")
-        members = []
         for i, v in enumerate(raw_members):
-            v = _require_int(v, f"edges[{j}].members[{i}]")
+            if type(v) is not int:  # the path is built only for a bad member (True is one)
+                _require_int(v, f"edges[{j}].members[{i}]")
             if not 1 <= v <= n:
-                raise ValueError(
-                    f"edges[{j}].members[{i}]: vertex {v} out of range 1..{n}"
-                )
-            members.append(v)
+                raise ValueError(f"edges[{j}].members[{i}]: vertex {v} out of range 1..{n}")
         weight = _require_number(e.get("weight", 1), f"edges[{j}].weight", positive=True)
-        edges.append((members, weight))
+        edges.append((raw_members, weight))
 
     return Hypergraph(n, edges, vertex_weights=weights)
 

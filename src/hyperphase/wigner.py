@@ -24,6 +24,7 @@ indexed from p_min upward; hbar and mass default to 1 and live on the grid.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -320,7 +321,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     if not math.isfinite(phase):
         raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
                          f"whose spectral phase overflows float64")
-    if not math.isfinite(w.t + steps * dt):
+    if steps > sys.float_info.max or not math.isfinite(w.t + steps * dt):
         raise ValueError(f"dt={dt} over {steps} steps from t={w.t} overflows float64")
     if phase > 2.0**53:  # past 2**53 rad a phase has no correct digit left
         raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "

@@ -401,6 +401,11 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
      "unknown physical state 'box' (expected 'gaussian')"),
     (["evolve", "--dt", "0.1"], "evolve needs a hypergraph document (or --physical gaussian)"),
     (["evolve", "FIG4", "--steps", "2"], "hypergraph mode needs --dt"),
+    # a step count past float64 would overflow t / steps and t + steps * dt
+    (["evolve", "--physical", "gaussian", "--t", "1", "--steps", str(10**400)],
+     "steps must be at most 1.79769e+308, got 401 digits"),
+    (["evolve", "FIG4", "--dt", "0.1", "--steps", str(10**400), "--snapshot-every", "0"],
+     "steps must be at most 1.79769e+308, got 401 digits"),
 ])
 def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
     argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
@@ -516,6 +521,7 @@ def test_output_dir_env_var(fig4_file, tmp_path, monkeypatch):
 
 EXTREME_FLOATS = ["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-320", "1e308", "-1e308"]
 LARGE_INTS = [str(2**31), str(2**63), str(10**30)]
+PAST_FLOAT64 = str(10**400)  # as --steps it is refused on its own: drawn with no REFUSE_STEPS
 EXTREME_WEIGHTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308,
                    2**63, 10**30, 1, 2.5]
 FLAGS = {  # subcommand: its float flags, its int flags
@@ -526,7 +532,8 @@ FLAGS = {  # subcommand: its float flags, its int flags
                 "--extent"], ["--nq", "--np", "--steps", "--snapshot-every"]),
     "wigner-transform": (["--pmin", "--pmax", "--mass", "--hbar"], ["--np"]),
 }
-# huge step counts are only ever drawn with one of these, each refused before a step
+# huge step counts that fit a float64 run (10**12 would): they are only ever drawn
+# with one of these, each refused before a step
 REFUSE_STEPS = [["--snapshot-every", "-1"], ["--nq", LARGE_INTS[0]], ["--np", "1"]]
 
 
@@ -555,7 +562,7 @@ def cli_runs(draw):
     flags = floats + ints
     for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)) if flags else []:
         small = ["1", "2", "3"] if flag in ints else ["0.5", "2"]
-        argv += [flag, draw(st.sampled_from(small + EXTREME_FLOATS + LARGE_INTS))]
+        argv += [flag, draw(st.sampled_from(small + EXTREME_FLOATS + LARGE_INTS + [PAST_FLOAT64]))]
     steps = [value for flag, value in zip(argv, argv[1:]) if flag == "--steps"]
     if steps and steps[-1] in LARGE_INTS:
         argv += draw(st.sampled_from(REFUSE_STEPS))

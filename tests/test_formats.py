@@ -502,6 +502,25 @@ def block_of_distinct(k: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).permutation(cells).reshape(64, 64)
 
 
+def chunk_boundaries(cols: int, narrow: int, distinct: int, seed: int) -> np.ndarray:
+    """``narrow`` rows of +0.0 sprinkled with -0.0 and small integers, whose short
+    texts let the writer's blocks grow to chunks; if ``distinct``, the first chunk
+    (after the first block) holds exactly that many distinct values.  Then rows of
+    +0.0 sprinkled with subnormals, then golden_values rows."""
+    rng = np.random.default_rng(seed)
+    sprinkle = rng.random((narrow + 20, cols)) < 0.05
+    mat = np.where(sprinkle, rng.choice([-0.0, 1.0, -2.0, 3.0], sprinkle.shape), 0.0)
+    mat[narrow:] = np.where(sprinkle[narrow:], rng.choice([5e-324, -1e-320], (20, cols)), 0.0)
+    if distinct:
+        first = formats._BLOCK_CELLS // cols
+        chunk = mat[first : first + formats._CHUNK_CELLS // cols].reshape(-1)  # a view
+        zeros = np.flatnonzero(chunk.view(np.uint64) == 0)
+        extra = distinct - np.unique(chunk.view(np.uint64)).size
+        chunk[rng.choice(zeros[1:], extra, replace=False)] = all_distinct(extra, seed)
+        assert np.unique(chunk.view(np.uint64)).size == distinct
+    return np.concatenate([mat, golden_values((20, cols), seed)])
+
+
 def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
     return ",".join([""] + cols) + "\n" + "".join(
         ",".join([label] + [ref17(x) for x in row]) + "\n" for label, row in zip(rows, mat)
@@ -515,6 +534,12 @@ def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
 @example((all_distinct((150, 64), 3), ["λ", "🙂", "", "x y"] * 37 + ["z", "z"]))  # 3 blocks
 @example((block_of_distinct(2048, 4), [f"r{i}" for i in range(64)]))  # each value twice: gather
 @example((block_of_distinct(2049, 5), [f"r{i}" for i in range(64)]))  # over half: in place
+# blocks that grow to chunks and back, across chunk boundaries; a chunk holding one
+# value fewer than _BATCH_MIN_DISTINCT, and one holding that many; chunks of no cells
+@example((chunk_boundaries(37, 1300, 0, 6), [f"r{i}" for i in range(1340)]))
+@example((chunk_boundaries(64, 400, formats._BATCH_MIN_DISTINCT - 1, 7), ["é"] * 440))
+@example((chunk_boundaries(64, 400, formats._BATCH_MIN_DISTINCT, 8), ["é"] * 440))
+@example((np.zeros((40000, 0)), [f"v{i}" for i in range(40000)]))
 def test_csv_writers_match_per_row_reference(matrix):
     mat, rows = matrix
     cols = [f"c{j}" for j in range(mat.shape[1])]

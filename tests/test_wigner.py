@@ -382,6 +382,8 @@ def test_overflowing_shear_rejected():
     late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e10), np.zeros((4, 8)), t=1.7e308)
     with pytest.raises(ValueError, match=r"dt=1e\+307 over 2 steps from t=1.7e\+308 overflows"):
         free_stream_step(late, 1e307, 2)
+    with pytest.raises(ValueError, match=r"dt=0.1 over 10{400} steps from t=0.0 overflows"):
+        free_stream_step(f, 0.1, 10**400)  # a step count past float64, refused as a ValueError
 
 
 def test_meaningless_shear_rejected():
