@@ -42,6 +42,7 @@ from .hyperstate import (
 )
 from .phasemap import build_phase_map, grid_from_boundary, initial_field_from_hypergraph
 from .wigner import (
+    MAX_CELLS,
     WignerField,
     _mass,
     evolve,
@@ -63,14 +64,6 @@ def _output_dir(args: argparse.Namespace) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _vertex_labels(n: int) -> list[str]:
-    return [f"v{i + 1}" for i in range(n)]
-
-
-def _edge_labels(m: int) -> list[str]:
-    return [f"e{j + 1}" for j in range(m)]
 
 
 def _parse_partition_spec(spec: str, n: int) -> list[list[int]]:
@@ -111,30 +104,32 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_matrices(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.hypergraph)
+    n, m = h.n_vertices, h.n_edges
+    if max(n, m) ** 2 > MAX_CELLS:
+        raise ValueError(f"matrices of n_vertices={n}, n_edges={m} hold up to {max(n, m) ** 2} "
+                         f"cells, over the cap of {MAX_CELLS}")
     out = _output_dir(args)
-    vl, el = _vertex_labels(h.n_vertices), _edge_labels(h.n_edges)
-    files = {
-        "incidence.csv": (incidence_matrix(h), vl, el),
-        "vertex_degree.csv": (vertex_degree_matrix(h), vl, vl),
-        "edge_degree.csv": (edge_degree_matrix(h), el, el),
-        "edge_weight_sum.csv": (edge_weight_sum_matrix(h), el, el),
-        "adjacency.csv": (adjacency_matrix(h), vl, vl),
-        "laplacian.csv": (momentum_laplacian(h), vl, vl),
-        "position_laplacian.csv": (position_laplacian(h), vl, vl),
-    }
-    for name, (matrix, rows, cols) in files.items():
-        formats.write_matrix_csv(out / name, matrix, rows, cols)
+    vl, el = [f"v{i + 1}" for i in range(n)], [f"e{j + 1}" for j in range(m)]
+    files = (  # each matrix is built as it is written, so one is alive at a time
+        ("incidence.csv", incidence_matrix, vl, el),
+        ("vertex_degree.csv", vertex_degree_matrix, vl, vl),
+        ("edge_degree.csv", edge_degree_matrix, el, el),
+        ("edge_weight_sum.csv", edge_weight_sum_matrix, el, el),
+        ("adjacency.csv", adjacency_matrix, vl, vl),
+        ("laplacian.csv", momentum_laplacian, vl, vl),
+        ("position_laplacian.csv", position_laplacian, vl, vl),
+    )
+    for name, build, rows, cols in files:
+        formats.write_matrix_csv(out / name, build(h), rows, cols)
         print(f"wrote {out / name}")
     return 0
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.hypergraph)
-    out = _output_dir(args)
     plain = encode_hypergraph(h)
     table = boolean_function(plain)
     state = apply_ckz(plain, range(1, h.n_vertices + 1)) if args.with_global_gate else plain
-    formats.write_state(out / "state.txt", state)
     report: dict = {
         "n_qubits": h.n_vertices,
         "n_edges": h.n_edges,
@@ -144,27 +139,20 @@ def cmd_encode(args: argparse.Namespace) -> int:
         "f_table_ones": int(table.sum()),
         "f_table_size": table.size,
     }
-
-    if args.partition:
-        parts = _parse_partition_spec(args.partition, h.n_vertices)
-        ensemble = PartitionEnsemble(h, parts, args.delta)
+    files = {"state.txt": state}
+    if args.partition:  # every refusal comes before the first file is written
+        ensemble = PartitionEnsemble(h, _parse_partition_spec(args.partition, h.n_vertices), args.delta)
         balance = is_balanced(ensemble)
         states, combined = encode_partitioned(h, ensemble)
-        for k, s in enumerate(states):
-            formats.write_state(out / f"part_{k + 1}.txt", s)
-        formats.write_state(out / "combined.txt", combined)
-        report["partition"] = {
-            "parts": [sorted(p) for p in ensemble.parts],
-            "delta": ensemble.delta,
-            "part_weights": list(balance.part_weights),
-            "mean_weight": balance.mean_weight,
-            "bound": balance.bound,
-            "per_part_ok": list(balance.per_part_ok),
-            "balanced": balance.balanced,
-            "cut_cost": cut_cost(ensemble),
-        }
+        files.update((f"part_{k + 1}.txt", s) for k, s in enumerate(states))
+        files["combined.txt"] = combined
+        report["partition"] = {name: getattr(balance, name) for name in balance.__slots__}
+        report["partition"].update(parts=[sorted(p) for p in ensemble.parts], cut_cost=cut_cost(ensemble))
 
-    (out / "report.json").write_text(
+    out = _output_dir(args)
+    for name, s in files.items():
+        formats.write_state(out / name, s)
+    (out / "report.json").write_text(  # json writes the report's tuples as lists
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"encoded {h.n_vertices}-qubit state ({2 ** h.n_vertices} amplitudes) -> {out / 'state.txt'}")
@@ -175,24 +163,28 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_series(out: Path, w: WignerField, dt: float, steps: int, every: int):
-    """``evolve`` one snapshot at a time, writing each and its mass before the next."""
-    if every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {every}")
-    masses = []
-    for i, done in enumerate(range(0, steps, every or steps), start=1):
-        w = evolve(w, dt, min(every or steps, steps - done))[0]
+def _write_series(args: argparse.Namespace, w: WignerField, dt: float):
+    """``evolve`` one snapshot at a time, writing each and its mass before the next.
+
+    ``--out`` is made once the first stretch has passed its checks, so a refused step leaves it
+    as it was; a later stretch can still be refused (only t overflowing float64 does that).
+    """
+    steps, every, out, masses = args.steps, args.snapshot_every or args.steps, None, []
+    for i, done in enumerate(range(0, steps, every), start=1):
+        w = evolve(w, dt, min(every, steps - done))[0]
+        out = out or _output_dir(args)
         formats.write_snapshot(out, i, w)
         masses.append(total_mass(w))
-    return w, masses
+    return out, w, masses
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     if args.steps > sys.float_info.max:  # t / steps and t + steps * dt take it as a float64
         raise ValueError(f"steps must be at most {sys.float_info.max:g}, got {len(str(args.steps))} digits")
+    if args.snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {args.snapshot_every}")
 
     if args.physical is not None:
         if args.physical != "gaussian":
@@ -207,7 +199,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
         initial = wigner_transform_pure(psi, grid)
-        final, masses = _write_series(out, initial, dt, args.steps, args.snapshot_every)
+        out, final, masses = _write_series(args, initial, dt)
         q = grid.q_centers()[None, :]
         p = grid.p_centers()[:, None]
         # a shear past the float64 range gives inf here, and exp(-inf) = 0 is its exact limit
@@ -226,7 +218,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid = grid_from_boundary(h, args.nq, args.np, args.margin, args.mass, args.hbar)
         pmap = build_phase_map(h, grid)
         initial = initial_field_from_hypergraph(h, grid, args.k_default)
-        masses = _write_series(out, initial, dt, args.steps, args.snapshot_every)[1]
+        out, _, masses = _write_series(args, initial, dt)
         run = {
             "mode": "hypergraph",
             "k_default": args.k_default,
@@ -262,14 +254,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_wigner_transform(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
     psi = formats.read_wavefunction(Path(args.state))
     n_p = args.np if args.np is not None else psi.n_q
     p_min = args.pmin if args.pmin is not None else psi.q_min
     p_max = args.pmax if args.pmax is not None else psi.q_max
     grid = make_grid(psi.n_q, n_p, (psi.q_min, psi.q_max), (p_min, p_max), args.mass, args.hbar)
     field = wigner_transform_pure(psi, grid)
-    csv_path, _ = formats.write_snapshot(out, 0, field)
+    csv_path, _ = formats.write_snapshot(_output_dir(args), 0, field)
     print(f"wrote {csv_path}")
     print(f"total mass: {formats.fmt17(total_mass(field))}")
     print(f"min value: {formats.fmt17(float(field.values.min()))}")

@@ -54,7 +54,7 @@ class Hypergraph:
         if isinstance(n_vertices, bool) or not isinstance(n_vertices, int) or n_vertices < 1:
             raise ValueError(f"n_vertices must be a positive integer, got {n_vertices!r}")
         if vertex_weights is None:
-            weights = tuple(1.0 for _ in range(n_vertices))
+            weights = (1.0,) * n_vertices
         else:
             weights = tuple(float(w) for w in vertex_weights)
             if len(weights) != n_vertices:
@@ -131,14 +131,21 @@ def _adjacency(inc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a
 
 
+def _laplacian(gram: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """diag(diag) - gram in gram's own array, bit for bit: 0 - g keeps zeros +0.0, -g + d is d - g."""
+    np.subtract(0.0, gram, out=gram)
+    gram.flat[:: len(gram) + 1] += diag
+    return gram
+
+
 def _vertex_degrees(h: Hypergraph) -> np.ndarray:
     """d(v) = sum of weights of hyperedges containing v (H w)."""
     return _from_incidence(h, lambda inc, w, vw: inc @ w)
 
 
 def _edge_degrees(h: Hypergraph) -> np.ndarray:
-    """d(e) = |e|, the hyperedge cardinality (column sums of H)."""
-    return incidence_matrix(h).sum(axis=0)
+    """d(e) = |e|, the hyperedge cardinality (column sums of H), counted without building H."""
+    return np.fromiter(map(len, h.edge_members()), dtype=np.float64, count=h.n_edges)
 
 
 def vertex_degree_matrix(h: Hypergraph) -> np.ndarray:
@@ -166,12 +173,12 @@ def adjacency_matrix(h: Hypergraph) -> np.ndarray:
 
 def momentum_laplacian(h: Hypergraph) -> np.ndarray:
     """Unnormalized Laplacian L = D_v - A (equivalently 2 D_v - H W H^T)."""
-    return _from_incidence(h, lambda inc, w, vw: np.diag(inc @ w) - _adjacency(inc, w))
+    return _from_incidence(h, lambda inc, w, vw: _laplacian(_adjacency(inc, w), inc @ w))
 
 
 def position_laplacian(h: Hypergraph) -> np.ndarray:
     """Position-form Laplacian L = 2 D_v - H f_w H^T."""
-    return _from_incidence(h, lambda inc, w, vw: 2 * np.diag(inc @ w) - (inc * (vw @ inc)) @ inc.T)
+    return _from_incidence(h, lambda inc, w, vw: _laplacian((inc * (vw @ inc)) @ inc.T, 2 * (inc @ w)))
 
 
 class PartitionEnsemble:

@@ -117,6 +117,24 @@ def test_matrices_edgeless(tmp_path):
     }
 
 
+def test_matrices_holds_one_matrix_at_a_time(tmp_path):
+    n, m = 300, 600
+    rng = np.random.default_rng(0)
+    edges = [{"members": sorted(int(v) for v in rng.choice(n, int(rng.integers(2, 6)), False) + 1),
+              "weight": int(rng.integers(1, 10))} for _ in range(m)]
+    doc = tmp_path / "h.json"
+    doc.write_text(json.dumps({"vertices": n, "edges": edges}))
+    tracemalloc.start()
+    try:
+        assert main(["matrices", str(doc), "--out", str(tmp_path / "m")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the largest (m x m) matrix plus two n x m arrays (H and H scaled for a Gram product),
+    # where holding all seven matrices at once took 13.6 MiB
+    assert peak < (m * m + 2 * n * m) * 8
+
+
 def test_unwritable_output_is_io_error(fig4_file, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -263,8 +281,11 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
          ["evolve", "--dt", "0.1", "--steps", "2", "--nq", "4", "--np", "4"],
          "error: phase-space spacing dq=3.122e-321 is 0 or makes pi/dq overflow float64 "
          "for q in [0.0, 1.25e-320], p in [0.0, 1.25e-320]"),
+        # only the position Laplacian's 2 d(v) overflows: refused after the other six files
+        ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}]}', ["matrices"],
+         "error: edge weights"),
     ],
-    ids=[f"command{i}" for i in range(14)],
+    ids=[f"command{i}" for i in range(15)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -411,6 +432,40 @@ def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
     argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+REFUSAL_INPUTS = {
+    "fig4.json": FIG4_DOC,
+    "big.json": '{"vertices": 21, "edges": []}',
+    "wide.json": '{"vertices": 200000}',
+    "long.json": json.dumps({"vertices": 1, "edges": [{"members": [1]}] * 4097}),
+    "one.csv": "q,re,im\n0.5,1,0\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encode", "fig4.json", "--partition", "1,4|2,9"], "partition part 2: vertex 9 out of range"),
+    (["encode", "fig4.json", "--partition", "1,4|2,3", "--delta", "1.5"],
+     "delta must lie in (0, 1), got 1.5"),
+    (["encode", "big.json"], "hypergraph has 21 vertices; dense encoding is capped at 20"),
+    (["evolve", "fig4.json", "--steps", "0", "--dt", "0.1"], "steps must be >= 1, got 0"),
+    (["evolve", "fig4.json", "--dt", "0.1", "--snapshot-every", "-1"],
+     "snapshot_every must be >= 0, got -1"),
+    (["evolve", "fig4.json", "--dt", "1e308", "--steps", "3"],
+     "dt=1e+308 implies a shear p*dt/m of up to inf"),
+    (["wigner-transform", "--state", "one.csv"], "wavefunction file needs at least 2 samples"),
+    (["matrices", "wide.json"], "matrices of n_vertices=200000, n_edges=0 hold up to 40000000000 "
+     "cells, over the cap of 16777216"),
+    (["matrices", "long.json"], "matrices of n_vertices=1, n_edges=4097 hold up to 16785409 cells"),
+])
+def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
+    for name, text in REFUSAL_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in REFUSAL_INPUTS else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # --- wigner-transform ----------------------------------------------------------------

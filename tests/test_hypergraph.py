@@ -165,10 +165,16 @@ def float_hypergraphs(draw) -> Hypergraph:
     return Hypergraph(n, edges, vertex_weights=vertex_weights)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality, so -0.0 and +0.0 differ (np.array_equal takes them as equal)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_laplacian_is_degree_minus_adjacency(h):
-    assert np.array_equal(momentum_laplacian(h), vertex_degree_matrix(h) - adjacency_matrix(h))
+    # bit for bit: the in-place assembly must write +0.0 where D_v - A does, not -0.0
+    assert same_bits(momentum_laplacian(h), vertex_degree_matrix(h) - adjacency_matrix(h))
 
 
 @settings(deadline=None)
@@ -185,7 +191,7 @@ def test_property_position_laplacian_form(h):
     inc = incidence_matrix(h)
     f = np.diag(edge_weight_sum_matrix(h))
     expected = 2.0 * vertex_degree_matrix(h) - (inc * f) @ inc.T
-    assert np.array_equal(position_laplacian(h), expected)
+    assert same_bits(position_laplacian(h), expected)
 
 
 def test_graph_specialization_matches_classic_laplacian():
