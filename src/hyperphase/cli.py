@@ -43,7 +43,6 @@ from .hyperstate import (
 from .phasemap import build_phase_map, grid_from_boundary, initial_field_from_hypergraph
 from .wigner import (
     MAX_CELLS,
-    WignerField,
     _mass,
     evolve,
     gaussian_wavefunction,
@@ -53,6 +52,9 @@ from .wigner import (
 )
 
 OUTPUT_DIR_ENV = "WHN_OUTPUT_DIR"
+# evolve's caps: steps * max(n_q * n_p, 2**12) cell-steps, about a minute of free streaming on a
+# 2-core x86-64 VM, and the snapshots that four-digit snapshot_NNNN names keep in order
+_MAX_STEP_WORK, _MAX_SNAPSHOTS = 2**36, 9999
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -163,19 +165,27 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_series(args: argparse.Namespace, w: WignerField, dt: float):
-    """``evolve`` one snapshot at a time, writing each and its mass before the next.
+def _write_series(args: argparse.Namespace, start, dt: float):
+    """``evolve`` the field ``start()`` builds, writing each snapshot and its mass before the next.
 
-    ``--out`` is made once the first stretch has passed its checks, so a refused step leaves it
-    as it was; a later stretch can still be refused (only t overflowing float64 does that).
+    Returns the output directory, the last field and run.json's mass entries.  The first
+    field's masses are taken before the first stretch, and no caller holds that field, so it
+    is freed as the stretch ends.  ``--out`` is made once the first stretch has passed its
+    checks, so a refused step leaves it as it was; a later stretch can still be refused (only
+    t overflowing float64 does that).
     """
+    w = start()
+    m0, l1_mass = total_mass(w), _mass(np.abs(w.values), w.grid)
     steps, every, out, masses = args.steps, args.snapshot_every or args.steps, None, []
     for i, done in enumerate(range(0, steps, every), start=1):
         w = evolve(w, dt, min(every, steps - done))[0]
         out = out or _output_dir(args)
         formats.write_snapshot(out, i, w)
         masses.append(total_mass(w))
-    return out, w, masses
+    drift = max(abs(mi - m0) for mi in masses)
+    # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
+    return out, w, {"snapshots": len(masses), "mass_initial": m0, "mass_drift_abs": drift,
+                    "mass_drift_rel": drift / max(l1_mass, 1e-30)}
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -185,6 +195,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError(f"steps must be at most {sys.float_info.max:g}, got {len(str(args.steps))} digits")
     if args.snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {args.snapshot_every}")
+    # n_q * n_p is clipped to MAX_CELLS: a larger grid is refused with its own message
+    if args.steps * max(min(args.nq * args.np, MAX_CELLS), 2**12) > _MAX_STEP_WORK:
+        raise ValueError(f"steps={args.steps} on an n_q={args.nq} x n_p={args.np} grid is too much "
+                         f"work: steps * max(n_q * n_p, 4096) must be at most {_MAX_STEP_WORK}")
+    if args.snapshot_every and args.steps > _MAX_SNAPSHOTS * args.snapshot_every:
+        raise ValueError(f"steps={args.steps} with snapshot_every={args.snapshot_every} writes "
+                         f"more than {_MAX_SNAPSHOTS} snapshots")
 
     if args.physical is not None:
         if args.physical != "gaussian":
@@ -198,14 +215,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ext = args.extent
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
-        initial = wigner_transform_pure(psi, grid)
-        out, final, masses = _write_series(args, initial, dt)
+        out, final, series = _write_series(args, lambda: wigner_transform_pure(psi, grid), dt)
         q = grid.q_centers()[None, :]
         p = grid.p_centers()[:, None]
         # a shear past the float64 range gives inf here, and exp(-inf) = 0 is its exact limit
         with np.errstate(over="ignore"):
             sheared = (q - p * final.t / grid.mass) ** 2 / args.sigma**2
             analytic = np.exp(-sheared - (args.sigma * p / grid.hbar) ** 2) / (math.pi * grid.hbar)
+        del sheared
         max_err = float(np.max(np.abs(final.values - analytic)))
         run: dict = {"mode": "physical", "sigma": args.sigma, "max_error_vs_analytic": max_err}
     else:
@@ -217,8 +234,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         h = _load_hypergraph(args.hypergraph)
         grid = grid_from_boundary(h, args.nq, args.np, args.margin, args.mass, args.hbar)
         pmap = build_phase_map(h, grid)
-        initial = initial_field_from_hypergraph(h, grid, args.k_default)
-        out, _, masses = _write_series(args, initial, dt)
+        out, _, series = _write_series(
+            args, lambda: initial_field_from_hypergraph(h, grid, args.k_default), dt)
         run = {
             "mode": "hypergraph",
             "k_default": args.k_default,
@@ -227,27 +244,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "momentum_rows": {str(k): v for k, v in pmap.momentum_rows.items()},
         }
 
-    m0 = total_mass(initial)
-    drift_abs = max(abs(mi - m0) for mi in masses)
-    # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
-    l1_mass = _mass(np.abs(initial.values), grid)
-    drift_rel = drift_abs / max(l1_mass, 1e-30)
-    run.update(
-        {
-            "n_q": grid.n_q,
-            "n_p": grid.n_p,
-            "dt": dt,
-            "steps": args.steps,
-            "snapshot_every": args.snapshot_every,
-            "snapshots": len(masses),
-            "mass_initial": m0,
-            "mass_drift_abs": drift_abs,
-            "mass_drift_rel": drift_rel,
-        }
-    )
+    run.update(series, n_q=grid.n_q, n_p=grid.n_p, dt=dt, steps=args.steps,
+               snapshot_every=args.snapshot_every)
     (out / "run.json").write_text(json.dumps(run, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(masses)} snapshots to {out}")
-    print(f"mass drift: {drift_rel:.3e} (relative), {drift_abs:.3e} (absolute)")
+    print(f"wrote {run['snapshots']} snapshots to {out}")
+    print(f"mass drift: {run['mass_drift_rel']:.3e} (relative), {run['mass_drift_abs']:.3e} (absolute)")
     if "max_error_vs_analytic" in run:
         print(f"max error vs analytic shear: {run['max_error_vs_analytic']:.3e}")
     return 0

@@ -29,12 +29,22 @@ __all__ = [
 ]
 
 
-def _immutable(self, name, value):
-    """``__setattr__`` of the package's value types: fields are set once, in ``__init__``."""
-    raise AttributeError(f"{type(self).__name__} is immutable")
+class _Value:
+    """Base of the package's value types: each slot is set once, by ``_set``, then read only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *values):
+        """Fill the slots in order; returns self."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
 
-class Hypergraph:
+class Hypergraph(_Value):
     """A weighted hypergraph: n vertices, vertex weights, weighted hyperedges.
 
     ``hyperedges`` is an ordered tuple of ``(members, weight)`` pairs; members
@@ -43,7 +53,6 @@ class Hypergraph:
     """
 
     __slots__ = ("n_vertices", "vertex_weights", "hyperedges")
-    __setattr__ = _immutable
 
     def __init__(
         self,
@@ -76,9 +85,7 @@ class Hypergraph:
             if not omega > 0:
                 raise ValueError(f"hyperedges[{j}]: weight must be > 0, got {omega}")
             edges.append((mset, omega))
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "vertex_weights", weights)
-        object.__setattr__(self, "hyperedges", tuple(edges))
+        self._set(n_vertices, weights, tuple(edges))
 
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is Hypergraph else NotImplemented
@@ -181,11 +188,10 @@ def position_laplacian(h: Hypergraph) -> np.ndarray:
     return _from_incidence(h, lambda inc, w, vw: _laplacian((inc * (vw @ inc)) @ inc.T, 2 * (inc @ w)))
 
 
-class PartitionEnsemble:
+class PartitionEnsemble(_Value):
     """Disjoint vertex groups P_1..P_K of a parent hypergraph, with balance factor delta."""
 
     __slots__ = ("parent", "parts", "delta")
-    __setattr__ = _immutable
 
     def __init__(
         self, parent: Hypergraph, parts: Iterable[Iterable[int]], delta: float
@@ -205,9 +211,7 @@ class PartitionEnsemble:
                 raise ValueError(f"parts[{k}]: vertices {sorted(overlap)} already assigned")
             seen |= pset
             frozen.append(pset)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "parts", tuple(frozen))
-        object.__setattr__(self, "delta", delta)
+        self._set(parent, tuple(frozen), delta)
 
     @property
     def n_parts(self) -> int:
@@ -225,17 +229,14 @@ def part_weight(p: PartitionEnsemble, k: int) -> float:
     return float(sum(p.parent.vertex_weights[v - 1] for v in p.parts[k]))
 
 
-class BalanceReport:
+class BalanceReport(_Value):
     """Per-part balance check: each part weight must stay strictly below (1+delta)*mean."""
 
     __slots__ = ("part_weights", "mean_weight", "bound", "delta", "per_part_ok", "balanced")
-    __setattr__ = _immutable
 
     def __init__(self, part_weights: tuple[float, ...], mean_weight: float, bound: float,
                  delta: float, per_part_ok: tuple[bool, ...], balanced: bool) -> None:
-        values = (part_weights, mean_weight, bound, delta, per_part_ok, balanced)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(part_weights, mean_weight, bound, delta, per_part_ok, balanced)
 
     def __bool__(self) -> bool:
         return self.balanced

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, PartitionEnsemble, _immutable
+from .hypergraph import Hypergraph, PartitionEnsemble, _Value
 
 __all__ = [
     "MAX_QUBITS",
@@ -36,11 +36,10 @@ MAX_QUBITS = 20
 _AMPLITUDE_TOL = 1e-12  # is_real_equally_weighted's distance from +-2^(-n/2)
 
 
-class QubitStateVector:
+class QubitStateVector(_Value):
     """The state (-1)^f(v) 2^(-n/2), held as ``signs``: f as a read-only uint8 table."""
 
     __slots__ = ("n_qubits", "signs")
-    __setattr__ = _immutable
 
     def __init__(self, n_qubits: int, signs: np.ndarray) -> None:
         if not 1 <= n_qubits <= MAX_QUBITS:
@@ -52,8 +51,7 @@ class QubitStateVector:
             raise ValueError(f"signs: expected bool or integer 0s and 1s, got dtype {table.dtype}")
         table = table.astype(np.uint8)  # a copy, even of uint8 input
         table.flags.writeable = False
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "signs", table)
+        self._set(n_qubits, table)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -68,7 +66,9 @@ def plus_state(n: int) -> QubitStateVector:
     """|+>^n: the zero table, all 2^n amplitudes 2^(-n/2)."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
-    return QubitStateVector(n, np.zeros(2**n, dtype=np.uint8))
+    table = np.zeros(2**n, dtype=np.uint8)
+    table.flags.writeable = False
+    return object.__new__(QubitStateVector)._set(n, table)  # all 0s: no scan, no copy
 
 
 def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
@@ -88,10 +88,7 @@ def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     block = signs.reshape((2,) * n)[index[: n - k] + (...,)]
     block ^= mask
     signs.flags.writeable = False
-    out = object.__new__(QubitStateVector)  # the table is 0s and 1s: no re-check
-    object.__setattr__(out, "n_qubits", n)
-    object.__setattr__(out, "signs", signs)
-    return out
+    return object.__new__(QubitStateVector)._set(n, signs)  # the table is 0s and 1s: no re-check
 
 
 def encode_hypergraph(h: Hypergraph) -> QubitStateVector:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _edge_degrees, _immutable, _vertex_degrees
+from .hypergraph import Hypergraph, _Value, _edge_degrees, _vertex_degrees
 from .wigner import PhaseSpaceGrid, WignerField
 
 __all__ = [
@@ -28,7 +28,7 @@ VERTEX_DEGREE = "vertex_degree"
 EDGE_DEGREE = "edge_degree"
 
 
-class PhaseMap:
+class PhaseMap(_Value):
     """Slice assignment for a hypergraph on a grid.
 
     momentum_rows maps hyperedge index (0-based list position) to a row.
@@ -38,13 +38,10 @@ class PhaseMap:
     """
 
     __slots__ = ("source", "grid", "momentum_rows", "position_cols", "degree_source")
-    __setattr__ = _immutable
 
     def __init__(self, source: Hypergraph, grid: PhaseSpaceGrid, momentum_rows: dict[int, int],
                  position_cols: dict[int, int], degree_source: str) -> None:
-        values = (source, grid, momentum_rows, position_cols, degree_source)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(source, grid, momentum_rows, position_cols, degree_source)
 
     def __eq__(self, other):
         if type(other) is not PhaseMap:

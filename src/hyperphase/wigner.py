@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import _immutable
+from .hypergraph import _Value
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -52,16 +52,14 @@ __all__ = [
 MAX_CELLS = 2**24
 
 
-class PhaseSpaceGrid:
+class PhaseSpaceGrid(_Value):
     """Uniform n_p x n_q phase-space lattice with cell-centered samples; immutable."""
 
     __slots__ = ("n_q", "n_p", "q_min", "q_max", "p_min", "p_max", "mass", "hbar")
-    __setattr__ = _immutable
 
     def __init__(self, n_q: int, n_p: int, q_min: float, q_max: float, p_min: float,
                  p_max: float, mass: float = 1.0, hbar: float = 1.0) -> None:
-        for name, value in zip(self.__slots__, (n_q, n_p, q_min, q_max, p_min, p_max, mass, hbar)):
-            object.__setattr__(self, name, value)
+        self._set(n_q, n_p, q_min, q_max, p_min, p_max, mass, hbar)
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
         if self.n_q * self.n_p > MAX_CELLS:
@@ -115,7 +113,7 @@ def make_grid(
     return PhaseSpaceGrid(n_q, n_p, q_min, q_max, p_min, p_max, float(m), float(hbar))
 
 
-class WignerField:
+class WignerField(_Value):
     """Real quasiprobability samples on a grid at time t.
 
     values[j, i] is the sample at (q_i, p_j).  Fields are immutable; the
@@ -125,7 +123,6 @@ class WignerField:
     """
 
     __slots__ = ("grid", "values", "t", "field_mode")
-    __setattr__ = _immutable
 
     def __init__(
         self,
@@ -144,18 +141,13 @@ class WignerField:
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         arr.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "t", float(t))
-        object.__setattr__(self, "field_mode", bool(field_mode))
-        return self
+        return self._set(grid, arr, float(t), bool(field_mode))
 
 
-class Wavefunction:
+class Wavefunction(_Value):
     """Complex position-basis samples psi(q_i) with unit discrete norm."""
 
     __slots__ = ("q_min", "q_max", "samples")
-    __setattr__ = _immutable
 
     def __init__(self, q_min: float, q_max: float, samples: np.ndarray) -> None:
         arr = np.array(samples, dtype=np.complex128, copy=True)
@@ -169,9 +161,7 @@ class Wavefunction:
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"wavefunction norm is {norm}, expected 1 within 1e-10")
         arr.flags.writeable = False
-        object.__setattr__(self, "q_min", float(q_min))
-        object.__setattr__(self, "q_max", float(q_max))
-        object.__setattr__(self, "samples", arr)
+        self._set(float(q_min), float(q_max), arr)
 
     @property
     def n_q(self) -> int:
@@ -258,12 +248,12 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise ValueError(f"hbar={grid.hbar} makes the Wigner normalization dq/(pi*hbar) overflow")
 
     theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
-    pair = np.full((half, 1, 1), 2.0)
-    pair[0] = 1.0
+    kernel = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    kernel[1:] *= 2.0  # row m > 0 stands for the +-m pair; doubling is exact
     # columns 2m, 2m+1 of the float view hold (Re c_m, Im c_m); kernel rows hold (cos, sin)
-    kernel = (pair * np.stack([np.cos(theta), np.sin(theta)], axis=1)).reshape(2 * half, -1)
-    w = _correlation(psi).view(np.float64) @ kernel
-    return WignerField(grid, (grid.dq / (math.pi * grid.hbar)) * w.T, t=0.0, field_mode=False)
+    w = _correlation(psi).view(np.float64) @ kernel.reshape(2 * half, -1)
+    scaled = np.multiply(w.T, grid.dq / (math.pi * grid.hbar), order="C")
+    return object.__new__(WignerField)._adopt(grid, scaled, 0.0, False)  # fresh: no copy
 
 
 def wigner_transform_pure(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
@@ -293,6 +283,7 @@ def _spectral_shift(
         coeffs *= phase
         if n % 2 == 0:
             coeffs[:, -1] = coeffs[:, -1].real
+    del phase  # so the inverse transform runs with one field fewer alive
     out = np.zeros_like(values)
     out[live] = np.fft.irfft(coeffs, n=n)
     return out

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,47 @@ def test_pure_transform_matches_reference(parity, half, n_p, q_half, p_center, p
     tol = 1e-12 * np.max(np.abs(want))
     for got in (wigner_transform(psi, grid), wigner_transform_pure(psi, grid)):
         assert np.max(np.abs(got.values - want)) <= tol
+
+
+def pair_kernel_transform(psi: Wavefunction, grid) -> WignerField:
+    """The momentum sum against a kernel built as pair * stack, then WignerField(grid, scale * w.T)."""
+    half = (grid.n_q + 1) // 2
+    theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
+    pair = np.full((half, 1, 1), 2.0)
+    pair[0] = 1.0
+    kernel = (pair * np.stack([np.cos(theta), np.sin(theta)], axis=1)).reshape(2 * half, -1)
+    w = wigner._correlation(psi).view(np.float64) @ kernel
+    return WignerField(grid, (grid.dq / (math.pi * grid.hbar)) * w.T)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(deadline=None)
+@given(**transform_grids)
+def test_transform_has_the_pair_kernel_bits(parity, half, n_p, q_half, p_center, p_half, hbar, seed):
+    # the kernel's m > 0 rows are doubled in place and the result scaled in C order: a doubling
+    # is exact and the scale is one IEEE multiply per cell, so no bit may differ
+    grid = make_grid(2 * half + parity, n_p, (-q_half, q_half),
+                     (p_center - p_half, p_center + p_half), hbar=hbar)
+    psi = random_wavefunction(grid, np.random.default_rng(seed))
+    got, want = wigner_transform(psi, grid).values, pair_kernel_transform(psi, grid).values
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_transform_holds_under_four_fields_above_its_input():
+    n = 1024
+    grid = make_grid(n, n, (-8, 8), (-8, 8))
+    psi = gaussian_wavefunction(grid)
+    tracemalloc.start()
+    try:
+        field = wigner_transform_pure(psi, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values.shape == (n, n)
+    # theta is half a field; the kernel, the correlation, the product and the scaled field are
+    # one each, and three of them are alive at a time
+    assert peak < 4 * n * n * 8
 
 
 # --- free streaming -----------------------------------------------------------
