@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -283,21 +282,21 @@ def _write_csv(path: Path, header: bytes, shape: tuple[int, int],
         f.writelines(_lines17(shape, rows, labels))
 
 
-def _require_number(value, path: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{path}: expected a finite number, got {value!r}")
-    if positive and not v > 0:
-        raise ValueError(f"{path}: expected a positive number, got {value!r}")
-    return v
+def _list(value, path: str) -> Iterator:
+    """Yield a JSON list's items; any other value is refused when the first item is asked for."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: expected a list")
+    yield from value
 
 
-def _require_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _edges(raw) -> Iterator[tuple[Iterator, object]]:
+    """Yield each edge's members and weight, its shape checked when the reader reaches it."""
+    for j, e in enumerate(_list(raw, "edges")):
+        if not isinstance(e, dict):
+            raise ValueError(f"edges[{j}]: expected an object")
+        if "members" not in e:
+            raise ValueError(f"edges[{j}]: missing required key 'members'")
+        yield _list(e["members"], f"edges[{j}].members"), e.get("weight", 1)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -305,7 +304,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     Shape: {"vertices": n, "vertex_weights": [...]?, "edges":
     [{"members": [ints], "weight": number?}, ...]}.  Missing weights default
-    to 1.  Errors carry the offending document path.
+    to 1.  This checks the document's shape, lazily; ``Hypergraph`` checks the
+    values, so errors come in document order and carry the document path.
     """
     try:
         doc = json.loads(text)
@@ -315,43 +315,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise ValueError(f"document root: expected an object, got {type(doc).__name__}")
     if "vertices" not in doc:
         raise ValueError("document: missing required key 'vertices'")
-    n = _require_int(doc["vertices"], "vertices")
-    if n < 1:
-        raise ValueError(f"vertices: must be >= 1, got {n}")
-
-    weights = None
-    if doc.get("vertex_weights") is not None:
-        raw = doc["vertex_weights"]
-        if not isinstance(raw, list):
-            raise ValueError("vertex_weights: expected a list")
-        if len(raw) != n:
-            raise ValueError(f"vertex_weights: expected {n} entries, got {len(raw)}")
-        weights = [
-            _require_number(w, f"vertex_weights[{i}]", positive=True)
-            for i, w in enumerate(raw)
-        ]
-
-    edges = []
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ValueError("edges: expected a list")
-    for j, e in enumerate(raw_edges):
-        if not isinstance(e, dict):
-            raise ValueError(f"edges[{j}]: expected an object")
-        if "members" not in e:
-            raise ValueError(f"edges[{j}]: missing required key 'members'")
-        raw_members = e["members"]
-        if not isinstance(raw_members, list):
-            raise ValueError(f"edges[{j}].members: expected a list")
-        for i, v in enumerate(raw_members):
-            if type(v) is not int:  # the path is built only for a bad member (True is one)
-                _require_int(v, f"edges[{j}].members[{i}]")
-            if not 1 <= v <= n:
-                raise ValueError(f"edges[{j}].members[{i}]: vertex {v} out of range 1..{n}")
-        weight = _require_number(e.get("weight", 1), f"edges[{j}].weight", positive=True)
-        edges.append((raw_members, weight))
-
-    return Hypergraph(n, edges, vertex_weights=weights)
+    weights = doc.get("vertex_weights")
+    return Hypergraph(doc["vertices"], _edges(doc.get("edges", [])),
+                      None if weights is None else _list(weights, "vertex_weights"))
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
@@ -432,21 +398,22 @@ def write_wavefunction(path: Path, psi: Wavefunction) -> None:
 
 def read_wavefunction(path: Path) -> Wavefunction:
     """Inverse of write_wavefunction; the q column must be uniformly spaced."""
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if lines and lines[0].lower().replace(" ", "") == "q,re,im":
+    every = path.read_text(encoding="utf-8").splitlines()
+    lines = [(k, ln) for k, ln in enumerate(every, 1) if ln.strip()]  # errors name line k
+    if lines and lines[0][1].lower().replace(" ", "") == "q,re,im":
         lines = lines[1:]
     if len(lines) < 2:
         raise ValueError(f"{path}: wavefunction file needs at least 2 samples")
     qs, amps = [], []
-    for ln, line in enumerate(lines):
+    for k, line in lines:
         parts = line.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path}:{ln + 1}: expected 'q,re,im'")
+            raise ValueError(f"{path}:{k}: expected 'q,re,im'")
         try:
             qs.append(float(parts[0]))
             amps.append(float(parts[1]) + 1j * float(parts[2]))
         except ValueError:
-            raise ValueError(f"{path}:{ln + 1}: non-numeric value") from None
+            raise ValueError(f"{path}:{k}: non-numeric value") from None
     q = np.array(qs)
     dq = q[1] - q[0]
     if dq <= 0 or not np.allclose(np.diff(q), dq, rtol=1e-9, atol=1e-12):

@@ -8,7 +8,8 @@ arithmetic keeps integer test oracles exact.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -28,6 +29,10 @@ __all__ = [
     "cut_cost",
 ]
 
+# Cells an incidence matrix (n * m), grid (n_q * n_p) or Wigner correlation (n_q *
+# ceil(n_q/2)) may span, checked before allocating: 2**24 float64 cells are 128 MiB.
+MAX_CELLS = 2**24
+
 
 class _Value:
     """Base of the package's value types: each slot is set once, by ``_set``, then read only."""
@@ -44,12 +49,31 @@ class _Value:
         return self
 
 
+def _require_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _require_number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{path}: expected a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    if not v > 0:
+        raise ValueError(f"{path}: expected a positive number, got {value!r}")
+    return v
+
+
 class Hypergraph(_Value):
     """A weighted hypergraph: n vertices, vertex weights, weighted hyperedges.
 
     ``hyperedges`` is an ordered tuple of ``(members, weight)`` pairs; members
     are 1-based vertex indices stored as frozensets (duplicates collapse).
     Empty member sets are legal and contribute zero to every degree matrix.
+    Each value is checked here, once and in order, and refused with its JSON document
+    path: vertices an integer >= 1, members in 1..n, weights finite positive numbers.
     """
 
     __slots__ = ("n_vertices", "vertex_weights", "hyperedges")
@@ -58,34 +82,29 @@ class Hypergraph(_Value):
         self,
         n_vertices: int,
         hyperedges: Iterable[tuple[Iterable[int], float]] = (),
-        vertex_weights: Sequence[float] | None = None,
+        vertex_weights: Iterable[float] | None = None,
     ) -> None:
-        if isinstance(n_vertices, bool) or not isinstance(n_vertices, int) or n_vertices < 1:
-            raise ValueError(f"n_vertices must be a positive integer, got {n_vertices!r}")
+        n = _require_int(n_vertices, "vertices")
+        if n < 1:
+            raise ValueError(f"vertices: must be >= 1, got {n}")
         if vertex_weights is None:
-            weights = (1.0,) * n_vertices
+            weights = (1.0,) * n
         else:
-            weights = tuple(float(w) for w in vertex_weights)
-            if len(weights) != n_vertices:
-                raise ValueError(
-                    f"vertex_weights has length {len(weights)}, expected {n_vertices}"
-                )
-            for i, w in enumerate(weights):
-                if not w > 0:
-                    raise ValueError(f"vertex_weights[{i}] must be > 0, got {w}")
+            weights = tuple(vertex_weights)
+            if len(weights) != n:
+                raise ValueError(f"vertex_weights: expected {n} entries, got {len(weights)}")
+            weights = tuple(_require_number(w, f"vertex_weights[{i}]") for i, w in enumerate(weights))
         edges = []
-        for j, (members, omega) in enumerate(hyperedges):
-            mset = frozenset(int(v) for v in members)
-            for v in mset:
-                if not 1 <= v <= n_vertices:
-                    raise ValueError(
-                        f"hyperedges[{j}]: member {v} out of range 1..{n_vertices}"
-                    )
-            omega = float(omega)
-            if not omega > 0:
-                raise ValueError(f"hyperedges[{j}]: weight must be > 0, got {omega}")
-            edges.append((mset, omega))
-        self._set(n_vertices, weights, tuple(edges))
+        for j, (members, weight) in enumerate(hyperedges):
+            checked = []
+            for i, v in enumerate(members):
+                if type(v) is not int:  # the path is built only for other types (True is one)
+                    v = _require_int(v, f"edges[{j}].members[{i}]")
+                if not 1 <= v <= n:
+                    raise ValueError(f"edges[{j}].members[{i}]: vertex {v} out of range 1..{n}")
+                checked.append(v)
+            edges.append((frozenset(checked), _require_number(weight, f"edges[{j}].weight")))
+        self._set(n, weights, tuple(edges))
 
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is Hypergraph else NotImplemented
@@ -109,6 +128,9 @@ class Hypergraph(_Value):
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """n x m 0/1 matrix: entry (i, j) is 1 iff vertex i+1 belongs to hyperedge j."""
+    if h.n_vertices * h.n_edges > MAX_CELLS:
+        raise ValueError(f"incidence matrix of n_vertices={h.n_vertices} x n_edges={h.n_edges} = "
+                         f"{h.n_vertices * h.n_edges} cells exceeds the cap of {MAX_CELLS}")
     members = h.edge_members()
     rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)
     cols = np.repeat(np.arange(h.n_edges), np.fromiter(map(len, members), dtype=np.intp))

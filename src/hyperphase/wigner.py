@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import _Value
+from .hypergraph import MAX_CELLS, _Value
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -46,10 +46,6 @@ __all__ = [
     "total_mass",
     "plane_wave_slice",
 ]
-
-# Cells a grid (n_q * n_p) or Wigner correlation (n_q * ceil(n_q/2)) may span,
-# checked before allocating: 2**24 float64 cells are 128 MiB per array.
-MAX_CELLS = 2**24
 
 
 class PhaseSpaceGrid(_Value):
@@ -249,9 +245,11 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
 
     theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
     kernel = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    del theta  # each temporary is let go once used, so the product runs with fewer alive
     kernel[1:] *= 2.0  # row m > 0 stands for the +-m pair; doubling is exact
     # columns 2m, 2m+1 of the float view hold (Re c_m, Im c_m); kernel rows hold (cos, sin)
     w = _correlation(psi).view(np.float64) @ kernel.reshape(2 * half, -1)
+    del kernel
     scaled = np.multiply(w.T, grid.dq / (math.pi * grid.hbar), order="C")
     return object.__new__(WignerField)._adopt(grid, scaled, 0.0, False)  # fresh: no copy
 

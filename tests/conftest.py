@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hyperphase import Hypergraph
 
@@ -22,6 +23,18 @@ def random_hypergraph(rng: np.random.Generator, n_max: int = 8, m_max: int = 8,
         members = rng.choice(np.arange(1, n + 1), size=size, replace=False)
         edges.append((set(int(v) for v in members), float(rng.choice(weight_pool))))
     return Hypergraph(n, edges)
+
+
+_weights = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def float_hypergraphs(draw) -> Hypergraph:
+    """Hypergraphs of 1-8 vertices and up to 8 edges with float weights in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.sets(st.integers(1, n)), _weights), max_size=8))
+    vertex_weights = draw(st.lists(_weights, min_size=n, max_size=n))
+    return Hypergraph(n, edges, vertex_weights=vertex_weights)
 
 
 def dump_amplitudes(dump: bytes) -> np.ndarray:

@@ -74,6 +74,20 @@ def test_info_builds_no_square_matrix(tmp_path, capsys):
     assert "edge degrees: 2\n" in out
 
 
+# One single-member edge per vertex: an n x m incidence matrix of 4097**2 cells,
+# over MAX_CELLS = 2**24, which info and hypergraph-mode evolve refuse before building it.
+SQUARE_DOC = json.dumps({"vertices": 4097, "edges": [{"members": [v]} for v in range(1, 4098)]})
+SQUARE_REFUSAL = ("incidence matrix of n_vertices=4097 x n_edges=4097 = 16785409 cells "
+                  "exceeds the cap of 16777216")
+
+
+def test_info_refuses_an_incidence_matrix_over_the_cap(tmp_path, capsys):
+    doc = tmp_path / "square.json"
+    doc.write_text(SQUARE_DOC)
+    assert main(["info", str(doc)]) == 1
+    assert capsys.readouterr() == ("", f"error: {SQUARE_REFUSAL}\n")
+
+
 def test_info_overflowing_degrees_are_validation_error(tmp_path, capsys):
     doc = tmp_path / "huge.json"
     doc.write_text(HUGE_SUMS_DOC)
@@ -455,6 +469,7 @@ REFUSAL_INPUTS = {
     "wide.json": '{"vertices": 200000}',
     "long.json": json.dumps({"vertices": 1, "edges": [{"members": [1]}] * 4097}),
     "one.csv": "q,re,im\n0.5,1,0\n",
+    "square.json": SQUARE_DOC,
 }
 
 
@@ -479,6 +494,7 @@ REFUSAL_INPUTS = {
       "--nq", "4", "--np", "4"], "steps=1000000000000 on an n_q=4 x n_p=4 grid is too much work"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "10000", "--nq", "4", "--np", "4"],
      "steps=10000 with snapshot_every=1 writes more than 9999 snapshots"),
+    (["evolve", "square.json", "--dt", "0.1", "--steps", "1"], SQUARE_REFUSAL),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():

@@ -24,8 +24,9 @@ from hyperphase import (
     wigner_transform_pure,
 )
 from hyperphase import formats
+from hyperphase.cli import main
 
-from conftest import dump_amplitudes
+from conftest import dump_amplitudes, float_hypergraphs
 
 FIG4_DOC = """
 {
@@ -81,12 +82,144 @@ def test_parse_rejections(doc, pattern):
         formats.parse_hypergraph(doc)
 
 
+# Refusals of hypergraph documents, as the parser and the CLI word them: each
+# single fault of vertices, vertex_weights and edges, then several at once.  The
+# parser checks the document's shape and Hypergraph its values, each in document
+# order, so with several faults the first one in the document is named.
+MESSAGES = [
+    ('{not json',
+     'malformed JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    ('[1,2]',
+     'document root: expected an object, got list'),
+    ('{"edges": []}',
+     "document: missing required key 'vertices'"),
+    ('{"vertices": 0}',
+     'vertices: must be >= 1, got 0'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": 0}]}',
+     'edges[0].weight: expected a positive number, got 0'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": -3}]}',
+     'edges[0].weight: expected a positive number, got -3'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": true}]}',
+     'edges[0].weight: expected a number, got True'),
+    ('{"vertices": 2, "edges": [{"weight": 1}]}',
+     "edges[0]: missing required key 'members'"),
+    ('{"vertices": 2, "edges": [{"members": [1.5]}]}',
+     'edges[0].members[0]: expected an integer, got 1.5'),
+    ('{"vertices": 2, "vertex_weights": [1], "edges": []}',
+     'vertex_weights: expected 2 entries, got 1'),
+    ('{"vertices": 2, "vertex_weights": [1, 0], "edges": []}',
+     'vertex_weights[1]: expected a positive number, got 0'),
+    ('{"vertices": 1, "edges": [{"members": [1], "weight": 1e999}]}',
+     'edges[0].weight: expected a finite number, got inf'),
+    ('{"vertices": 1, "vertex_weights": [NaN]}',
+     'vertex_weights[0]: expected a finite number, got nan'),
+    ('{"vertices": 1, "vertex_weights": {"1": 2}}',
+     'vertex_weights: expected a list'),
+    ('{"vertices": 1, "edges": {"members": [1]}}',
+     'edges: expected a list'),
+    ('{"vertices": 1, "edges": [{"members": [1]}, [1]]}',
+     'edges[1]: expected an object'),
+    ('{"vertices": 1, "edges": [{"members": 1}]}',
+     'edges[0].members: expected a list'),
+    ('{"vertices": "3"}',
+     "vertices: expected an integer, got '3'"),
+    ('{"vertices": 2.0}',
+     'vertices: expected an integer, got 2.0'),
+    ('{"vertices": true}',
+     'vertices: expected an integer, got True'),
+    ('{"vertices": null}',
+     'vertices: expected an integer, got None'),
+    ('{"vertices": -1}',
+     'vertices: must be >= 1, got -1'),
+    ('{"vertices": 2, "vertex_weights": "12"}',
+     'vertex_weights: expected a list'),
+    ('{"vertices": 2, "vertex_weights": [1, "2"]}',
+     "vertex_weights[1]: expected a number, got '2'"),
+    ('{"vertices": 2, "vertex_weights": [1, true]}',
+     'vertex_weights[1]: expected a number, got True'),
+    ('{"vertices": 2, "vertex_weights": [1, null]}',
+     'vertex_weights[1]: expected a number, got None'),
+    ('{"vertices": 2, "vertex_weights": [1, -Infinity]}',
+     'vertex_weights[1]: expected a finite number, got -inf'),
+    ('{"vertices": 2, "vertex_weights": [-0.5, 1]}',
+     'vertex_weights[0]: expected a positive number, got -0.5'),
+    ('{"vertices": 2, "vertex_weights": [1, 2, 3]}',
+     'vertex_weights: expected 2 entries, got 3'),
+    ('{"vertices": 2, "vertex_weights": [[1], 1]}',
+     'vertex_weights[0]: expected a number, got [1]'),
+    ('{"vertices": 2, "edges": [{"members": [3]}]}',
+     'edges[0].members[0]: vertex 3 out of range 1..2'),
+    ('{"vertices": 2, "edges": [{"members": [0]}]}',
+     'edges[0].members[0]: vertex 0 out of range 1..2'),
+    ('{"vertices": 2, "edges": [{"members": [1, -2]}]}',
+     'edges[0].members[1]: vertex -2 out of range 1..2'),
+    ('{"vertices": 2, "edges": [{"members": [true]}]}',
+     'edges[0].members[0]: expected an integer, got True'),
+    ('{"vertices": 2, "edges": [{"members": ["1"]}]}',
+     "edges[0].members[0]: expected an integer, got '1'"),
+    ('{"vertices": 2, "edges": [{"members": [null]}]}',
+     'edges[0].members[0]: expected an integer, got None'),
+    ('{"vertices": 2, "edges": [{"members": [2.0]}]}',
+     'edges[0].members[0]: expected an integer, got 2.0'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": null}]}',
+     'edges[0].weight: expected a number, got None'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": "2"}]}',
+     "edges[0].weight: expected a number, got '2'"),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": Infinity}]}',
+     'edges[0].weight: expected a finite number, got inf'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": NaN}]}',
+     'edges[0].weight: expected a finite number, got nan'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": [1]}]}',
+     'edges[0].weight: expected a number, got [1]'),
+    ('{"vertices": 2, "edges": null}',
+     'edges: expected a list'),
+    ('{"vertices": 2, "edges": [{"members": [1]}, {"members": [1, 2], "weight": -0.0}]}',
+     'edges[1].weight: expected a positive number, got -0.0'),
+    # several faults: the first in document order is named
+    ('{"vertices": 0, "vertex_weights": 5}',
+     'vertices: must be >= 1, got 0'),
+    ('{"vertices": 0, "edges": 5}',
+     'vertices: must be >= 1, got 0'),
+    ('{"vertices": 2, "vertex_weights": [0, 1], "edges": 5}',
+     'vertex_weights[0]: expected a positive number, got 0'),
+    ('{"vertices": 2, "vertex_weights": [1], "edges": [{"members": [9]}]}',
+     'vertex_weights: expected 2 entries, got 1'),
+    ('{"vertices": 2, "edges": [{"members": [3], "weight": 0}]}',
+     'edges[0].members[0]: vertex 3 out of range 1..2'),
+    ('{"vertices": 2, "edges": [{"members": [1], "weight": 0}, {"members": 5}]}',
+     'edges[0].weight: expected a positive number, got 0'),
+    ('{"vertices": 2, "edges": [{"members": [5, "x"]}]}',
+     'edges[0].members[0]: vertex 5 out of range 1..2'),
+    ('{"vertices": 2, "edges": [{"members": ["x", 5]}]}',
+     "edges[0].members[0]: expected an integer, got 'x'"),
+    ('{"vertices": 2, "vertex_weights": [1, 1], "edges": [5, {"members": [1]}]}',
+     'edges[0]: expected an object'),
+]
+
+
+@pytest.mark.parametrize("doc, message", MESSAGES)
+def test_refusal_messages_match_the_table(doc, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        formats.parse_hypergraph(doc)
+    assert str(info.value) == message
+    path = tmp_path / "h.json"
+    path.write_text(doc)
+    assert main(["info", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_round_trip_identity(fig4):
     assert formats.parse_hypergraph(formats.serialize_hypergraph(fig4)) == fig4
     weighted = Hypergraph(
         3, [({1, 3}, 0.75), (set(), 2.5)], vertex_weights=[0.5, 1.25, 3.0]
     )
     assert formats.parse_hypergraph(formats.serialize_hypergraph(weighted)) == weighted
+
+
+@settings(deadline=None)
+@given(float_hypergraphs())
+def test_property_document_round_trip(h):
+    assert formats.parse_hypergraph(formats.serialize_hypergraph(h)) == h
 
 
 def test_state_dump_round_trip(fig4):
@@ -154,7 +287,8 @@ def test_read_wavefunction_rejects_irregular_axis(tmp_path):
      "edges[1]: expected an object"),
     ("h.json", '{"vertices": 1, "edges": [{"members": 1}]}', "edges[0].members: expected a list"),
     ("psi.csv", "q,re,im\n0.5,1,0\n", "PATH: wavefunction file needs at least 2 samples"),
-    ("psi.csv", "q,re,im\n0.5,1,0\n1.5,1\n", "PATH:2: expected 'q,re,im'"),
+    ("psi.csv", "q,re,im\n0.5,1,0\n1.5,1\n", "PATH:3: expected 'q,re,im'"),
+    ("psi.csv", "q,re,im\n\n0.5,1,0\n\n1.5,x,0\n", "PATH:5: non-numeric value"),
     ("psi.csv", "0.5,1,0\n1.5,one,0\n", "PATH:2: non-numeric value"),
 ])
 def test_bad_input_is_named(name, text, message, tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
@@ -18,7 +17,7 @@ from hyperphase import (
     vertex_degree_matrix,
 )
 
-from conftest import random_hypergraph
+from conftest import float_hypergraphs, random_hypergraph
 
 
 def naive_gram(h: Hypergraph, diag) -> np.ndarray:
@@ -152,24 +151,13 @@ def test_overflowing_weights_rejected():
         edge_weight_sum_matrix(heavy_vertices)
 
 
-# Float weights: the identities hold exactly because every matrix is formed
-# from the same incidence product, not only up to rounding.
-_weights = st.floats(min_value=1e-3, max_value=1e3)
-
-
-@st.composite
-def float_hypergraphs(draw) -> Hypergraph:
-    n = draw(st.integers(1, 8))
-    edges = draw(st.lists(st.tuples(st.sets(st.integers(1, n)), _weights), max_size=8))
-    vertex_weights = draw(st.lists(_weights, min_size=n, max_size=n))
-    return Hypergraph(n, edges, vertex_weights=vertex_weights)
-
-
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality, so -0.0 and +0.0 differ (np.array_equal takes them as equal)."""
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# Float weights (float_hypergraphs): the identities hold exactly because every
+# matrix is formed from the same incidence product, not only up to rounding.
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_laplacian_is_degree_minus_adjacency(h):
@@ -242,6 +230,46 @@ def test_duplicate_members_collapse():
     h = Hypergraph(3, [([1, 1, 2], 1.0)])
     assert h.hyperedges[0][0] == frozenset({1, 2})
     assert edge_degree_matrix(h)[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("n, edges, vertex_weights, message", [
+    (0, [], None, "vertices: must be >= 1, got 0"),
+    (True, [], None, "vertices: expected an integer, got True"),
+    (4.0, [], None, "vertices: expected an integer, got 4.0"),
+    (4, [([1.5, 2.9], 1.0)], None, "edges[0].members[0]: expected an integer, got 1.5"),
+    (4, [([1.5], 1.0)], None, "edges[0].members[0]: expected an integer, got 1.5"),
+    (4, [(["3"], 1.0)], None, "edges[0].members[0]: expected an integer, got '3'"),
+    (4, [([1], 1.0), ([2, True], 1.0)], None, "edges[1].members[1]: expected an integer, got True"),
+    (4, [([np.bool_(True)], 1.0)], None, "edges[0].members[0]: expected an integer, got np.True_"),
+    (4, [([1, np.int64(5)], 1.0)], None, "edges[0].members[1]: vertex 5 out of range 1..4"),
+    (4, [([1], "2")], None, "edges[0].weight: expected a number, got '2'"),
+    (4, [([1], True)], None, "edges[0].weight: expected a number, got True"),
+    (4, [([1, 2], float("inf"))], None, "edges[0].weight: expected a finite number, got inf"),
+    (4, [([1, 2], np.nan)], None, "edges[0].weight: expected a finite number, got nan"),
+    (4, [], ["1", 1.0, 1.0, 1.0], "vertex_weights[0]: expected a number, got '1'"),
+    (4, [], [float("inf"), 1.0, 1.0, 1.0], "vertex_weights[0]: expected a finite number, got inf"),
+    (4, [], [1.0, 1.0, False, 1.0], "vertex_weights[2]: expected a number, got False"),
+    (4, [], [1.0] * 3, "vertex_weights: expected 4 entries, got 3"),
+])
+def test_library_refuses_what_a_document_refuses(n, edges, vertex_weights, message):
+    with pytest.raises(ValueError) as info:
+        Hypergraph(n, edges, vertex_weights=vertex_weights)
+    assert str(info.value) == message
+
+
+def test_numpy_values_sets_and_generators_build_the_same_hypergraph():
+    plain = Hypergraph(4, [([1, 2], 2.0), ([3], 0.5), ([], 1.0)], vertex_weights=[1.0, 2.0, 3.0, 4.0])
+    for h in (
+        Hypergraph(np.int64(4), [(np.array([2, 1, 2]), np.float64(2.0)),
+                                 ([np.int32(3)], np.float32(0.5)), (set(), np.int8(1))],
+                   vertex_weights=np.arange(1, 5)),
+        Hypergraph(4, ((iter(m), w) for m, w in [({1, 2}, 2), ({3}, 0.5), ((), 1)]),
+                   vertex_weights=(float(v) for v in range(1, 5))),
+    ):
+        assert h == plain and hash(h) == hash(plain)
+        assert type(h.n_vertices) is int
+        assert all(type(v) is int for m in h.edge_members() for v in m)
+        assert all(type(w) is float for w in h.edge_weights() + h.vertex_weights)
 
 
 # --- partitions -------------------------------------------------------------

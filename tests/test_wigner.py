@@ -281,8 +281,9 @@ def test_transform_holds_under_four_fields_above_its_input():
         tracemalloc.stop()
     assert field.values.shape == (n, n)
     # theta is half a field; the kernel, the correlation, the product and the scaled field are
-    # one each, and three of them are alive at a time
-    assert peak < 4 * n * n * 8
+    # one each.  theta is let go once the kernel is built and the kernel once the product is,
+    # so three fields are alive at a time (3.6 while both were kept)
+    assert peak < 3.5 * n * n * 8
 
 
 # --- free streaming -----------------------------------------------------------
