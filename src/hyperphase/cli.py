@@ -213,6 +213,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         else:
             raise ValueError("physical mode needs --t (total time) or --dt")
         ext = args.extent
+        if not 0 < ext < math.inf:
+            raise ValueError(f"extent must be a finite number > 0, got {ext}")
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
         out, final, series = _write_series(args, lambda: wigner_transform_pure(psi, grid), dt)

@@ -55,10 +55,14 @@ def _require_int(value, path: str) -> int:
     return int(value)
 
 
-def _require_number(value, path: str) -> float:
+def _require_real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    return float(value)
+
+
+def _require_number(value, path: str) -> float:
+    v = _require_real(value, path)
     if not math.isfinite(v):
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
     if not v > 0:
@@ -126,36 +130,40 @@ class Hypergraph(_Value):
         return tuple(m for m, _ in self.hyperedges)
 
 
+def _memberships(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (vertex, edge) of every membership, ordered by edge and then by vertex."""
+    members = h.edge_members()
+    edge = np.repeat(np.arange(h.n_edges, dtype=np.int64), np.fromiter(map(len, members), dtype=np.intp))
+    key = edge * h.n_vertices + np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64) - 1
+    key.sort()  # edge * n + vertex: frozenset iteration order can differ between equal hypergraphs
+    return np.divmod(key, h.n_vertices)[::-1]
+
+
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """n x m 0/1 matrix: entry (i, j) is 1 iff vertex i+1 belongs to hyperedge j."""
     if h.n_vertices * h.n_edges > MAX_CELLS:
         raise ValueError(f"incidence matrix of n_vertices={h.n_vertices} x n_edges={h.n_edges} = "
                          f"{h.n_vertices * h.n_edges} cells exceeds the cap of {MAX_CELLS}")
-    members = h.edge_members()
-    rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.intp)
-    cols = np.repeat(np.arange(h.n_edges), np.fromiter(map(len, members), dtype=np.intp))
     mat = np.zeros((h.n_vertices, h.n_edges), dtype=np.float64)
-    mat[rows - 1, cols] = 1.0
+    mat[_memberships(h)] = 1.0
     return mat
 
 
-def _from_incidence(h: Hypergraph, form: Callable[..., np.ndarray]) -> np.ndarray:
-    """``form(H, w, vw)``: H = incidence_matrix(h), w and vw the edge and vertex weights.
+def _checked(form: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """``form(*args)`` as float64: a bincount with nothing to add returns integer zeros.
 
-    Every weighted matrix is a product of H with these vectors.  Weights near
-    the float64 limit can overflow the sums; that raises a ValueError instead
+    Weights near the float64 limit can overflow the sums; that raises a ValueError instead
     of leaking numpy warnings and inf or nan entries.
     """
-    w, vw = np.array(h.edge_weights(), dtype=np.float64), np.array(h.vertex_weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = form(incidence_matrix(h), w, vw)
+        out = np.asarray(form(*args), dtype=np.float64)
     if not np.all(np.isfinite(out)):
         raise ValueError("edge weights too large: weighted degree or Gram sums overflow float64")
     return out
 
 
-def _adjacency(inc: np.ndarray, w: np.ndarray) -> np.ndarray:
-    a = (inc * w) @ inc.T
+def _adjacency(h: Hypergraph, inc: np.ndarray) -> np.ndarray:
+    a = (inc * np.array(h.edge_weights())) @ inc.T
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -168,8 +176,15 @@ def _laplacian(gram: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _vertex_degrees(h: Hypergraph) -> np.ndarray:
-    """d(v) = sum of weights of hyperedges containing v (H w)."""
-    return _from_incidence(h, lambda inc, w, vw: inc @ w)
+    """d(v) = sum of weights of hyperedges containing v (H w), added from 0.0 in edge order."""
+    vertex, edge = _memberships(h)
+    return _checked(np.bincount, vertex, np.array(h.edge_weights())[edge], h.n_vertices)
+
+
+def _edge_weight_sums(h: Hypergraph) -> np.ndarray:
+    """f_w(e) = sum of member vertex weights (vw H), added from 0.0 in ascending vertex order."""
+    vertex, edge = _memberships(h)
+    return _checked(np.bincount, edge, np.array(h.vertex_weights)[vertex], h.n_edges)
 
 
 def _edge_degrees(h: Hypergraph) -> np.ndarray:
@@ -188,26 +203,27 @@ def edge_degree_matrix(h: Hypergraph) -> np.ndarray:
 
 
 def edge_weight_sum_matrix(h: Hypergraph) -> np.ndarray:
-    """Diagonal f_w: per-edge sum of member vertex weights (vertex_weights @ H).
+    """Diagonal f_w: per-edge sum of member vertex weights.
 
     With unit vertex weights this coincides with the edge degree matrix.
     """
-    return np.diag(_from_incidence(h, lambda inc, w, vw: vw @ inc))
+    return np.diag(_edge_weight_sums(h))
 
 
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     """Weighted adjacency A = H W H^T - D_v; diagonal forced to exact zero."""
-    return _from_incidence(h, lambda inc, w, vw: _adjacency(inc, w))
+    return _checked(_adjacency, h, incidence_matrix(h))
 
 
 def momentum_laplacian(h: Hypergraph) -> np.ndarray:
     """Unnormalized Laplacian L = D_v - A (equivalently 2 D_v - H W H^T)."""
-    return _from_incidence(h, lambda inc, w, vw: _laplacian(_adjacency(inc, w), inc @ w))
+    return _checked(lambda inc: _laplacian(_adjacency(h, inc), _vertex_degrees(h)), incidence_matrix(h))
 
 
 def position_laplacian(h: Hypergraph) -> np.ndarray:
     """Position-form Laplacian L = 2 D_v - H f_w H^T."""
-    return _from_incidence(h, lambda inc, w, vw: _laplacian((inc * (vw @ inc)) @ inc.T, 2 * (inc @ w)))
+    return _checked(lambda inc: _laplacian((inc * _edge_weight_sums(h)) @ inc.T, 2 * _vertex_degrees(h)),
+                    incidence_matrix(h))
 
 
 class PartitionEnsemble(_Value):
@@ -218,13 +234,13 @@ class PartitionEnsemble(_Value):
     def __init__(
         self, parent: Hypergraph, parts: Iterable[Iterable[int]], delta: float
     ) -> None:
-        delta = float(delta)
+        delta = _require_real(delta, "delta")
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         frozen: list[frozenset[int]] = []
         seen: set[int] = set()
         for k, p in enumerate(parts):
-            pset = frozenset(int(v) for v in p)
+            pset = frozenset(_require_int(v, f"parts[{k}]") for v in p)
             for v in pset:
                 if not 1 <= v <= parent.n_vertices:
                     raise ValueError(f"parts[{k}]: vertex {v} out of range 1..{parent.n_vertices}")

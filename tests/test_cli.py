@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperphase import QubitStateVector, formats, gaussian_wavefunction, make_grid
+from hyperphase import QubitStateVector, formats, gaussian_wavefunction, incidence_matrix, make_grid
 from hyperphase.cli import main
 
 from conftest import dump_amplitudes
@@ -74,18 +74,33 @@ def test_info_builds_no_square_matrix(tmp_path, capsys):
     assert "edge degrees: 2\n" in out
 
 
-# One single-member edge per vertex: an n x m incidence matrix of 4097**2 cells,
-# over MAX_CELLS = 2**24, which info and hypergraph-mode evolve refuse before building it.
+# One single-member edge per vertex: an n x m incidence matrix of 4097**2 cells, over
+# MAX_CELLS = 2**24.  Only incidence_matrix refuses it; degrees are sums over the member lists.
 SQUARE_DOC = json.dumps({"vertices": 4097, "edges": [{"members": [v]} for v in range(1, 4098)]})
 SQUARE_REFUSAL = ("incidence matrix of n_vertices=4097 x n_edges=4097 = 16785409 cells "
                   "exceeds the cap of 16777216")
 
 
-def test_info_refuses_an_incidence_matrix_over_the_cap(tmp_path, capsys):
+def test_info_and_evolve_build_no_incidence_matrix(tmp_path, capsys):
     doc = tmp_path / "square.json"
     doc.write_text(SQUARE_DOC)
-    assert main(["info", str(doc)]) == 1
-    assert capsys.readouterr() == ("", f"error: {SQUARE_REFUSAL}\n")
+    evolve = ["evolve", str(doc), "--dt", "0.1", "--steps", "1", "--out", str(tmp_path / "ev")]
+    for argv in (["info", str(doc)], evolve):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, argv[0]
+    out, err = capsys.readouterr()
+    assert f"vertex degrees: {', '.join(['1'] * 4097)}\n" in out and err == ""
+
+
+def test_incidence_matrix_keeps_its_cap():
+    with pytest.raises(ValueError) as err:
+        incidence_matrix(formats.parse_hypergraph(SQUARE_DOC))
+    assert str(err.value) == SQUARE_REFUSAL
 
 
 def test_info_overflowing_degrees_are_validation_error(tmp_path, capsys):
@@ -298,8 +313,22 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         # only the position Laplacian's 2 d(v) overflows: refused after the other six files
         ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}]}', ["matrices"],
          "error: edge weights"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "nan"],
+         "error: margin must be a finite number >= 0, got nan"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "inf"],
+         "error: margin must be a finite number >= 0, got inf"),
+        (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "-1"],
+         "error: margin must be a finite number >= 0, got -1.0"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "nan", *SMALL_PHYSICAL],
+         "error: extent must be a finite number > 0, got nan"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "-1", *SMALL_PHYSICAL],
+         "error: extent must be a finite number > 0, got -1.0"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "0", *SMALL_PHYSICAL],
+         "error: extent must be a finite number > 0, got 0.0"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "inf", *SMALL_PHYSICAL],
+         "error: extent must be a finite number > 0, got inf"),
     ],
-    ids=[f"command{i}" for i in range(15)],
+    ids=[f"command{i}" for i in range(22)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -469,7 +498,6 @@ REFUSAL_INPUTS = {
     "wide.json": '{"vertices": 200000}',
     "long.json": json.dumps({"vertices": 1, "edges": [{"members": [1]}] * 4097}),
     "one.csv": "q,re,im\n0.5,1,0\n",
-    "square.json": SQUARE_DOC,
 }
 
 
@@ -494,7 +522,6 @@ REFUSAL_INPUTS = {
       "--nq", "4", "--np", "4"], "steps=1000000000000 on an n_q=4 x n_p=4 grid is too much work"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "10000", "--nq", "4", "--np", "4"],
      "steps=10000 with snapshot_every=1 writes more than 9999 snapshots"),
-    (["evolve", "square.json", "--dt", "0.1", "--steps", "1"], SQUARE_REFUSAL),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
@@ -16,6 +17,7 @@ from hyperphase import (
     position_laplacian,
     vertex_degree_matrix,
 )
+from hyperphase.formats import parse_hypergraph, serialize_hypergraph
 
 from conftest import float_hypergraphs, random_hypergraph
 
@@ -168,9 +170,50 @@ def test_property_laplacian_is_degree_minus_adjacency(h):
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_vertex_degrees_are_incidence_times_weights(h):
+    # d = H w, each d(v) added from 0.0 in edge order: one order, whatever the BLAS build
+    expected = [0.0] * h.n_vertices
+    for members, w in h.hyperedges:
+        for v in members:
+            expected[v - 1] += w
     dv = vertex_degree_matrix(h)
-    assert np.array_equal(np.diag(dv), incidence_matrix(h) @ np.array(h.edge_weights()))
+    assert same_bits(np.diag(dv), np.array(expected))
     assert np.array_equal(dv, np.diag(np.diag(dv)))
+
+
+@settings(deadline=None)
+@given(float_hypergraphs())
+def test_property_edge_weight_sums_are_weights_times_incidence(h):
+    # f_w = vw H, each f_w(e) added from 0.0 in ascending vertex order
+    expected = []
+    for members, _ in h.hyperedges:
+        total = 0.0
+        for v in sorted(members):
+            total += h.vertex_weights[v - 1]
+        expected.append(total)
+    fw = edge_weight_sum_matrix(h)
+    assert same_bits(np.diag(fw), np.array(expected, dtype=np.float64))
+    assert np.array_equal(fw, np.diag(np.diag(fw)))
+
+
+BUILDERS = (incidence_matrix, vertex_degree_matrix, edge_degree_matrix, edge_weight_sum_matrix,
+            adjacency_matrix, momentum_laplacian, position_laplacian)
+
+
+@settings(deadline=None)
+@given(float_hypergraphs(), st.randoms(use_true_random=False))
+def test_property_member_order_does_not_reach_the_bits(h, rnd):
+    # Vertices spread to multiples of 8 share a hash slot, so a frozenset of them
+    # iterates in the order its members were inserted: a sum taken in that order
+    # differs between the shuffled copies.
+    spread = Hypergraph(8 * h.n_vertices, [([8 * v for v in m], w) for m, w in h.hyperedges],
+                        vertex_weights=[h.vertex_weights[i // 8] for i in range(8 * h.n_vertices)])
+    for g in (h, spread):
+        shuffled = Hypergraph(g.n_vertices, [(rnd.sample(sorted(m), len(m)), w)
+                                             for m, w in g.hyperedges], g.vertex_weights)
+        reread = parse_hypergraph(serialize_hypergraph(g))
+        for build in BUILDERS:
+            assert same_bits(build(shuffled), build(g)), build.__name__
+            assert same_bits(build(reread), build(g)), build.__name__
 
 
 @settings(deadline=None)
@@ -366,3 +409,26 @@ def test_partition_validation(fig4):
     for delta in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError, match="delta"):
             PartitionEnsemble(fig4, [{1}], delta)
+
+
+@pytest.mark.parametrize("parts, delta, message", [
+    ([[1.5, 2.9], ["3"]], 0.1, "parts[0]: expected an integer, got 1.5"),
+    ([[1], ["3"]], 0.1, "parts[1]: expected an integer, got '3'"),
+    ([[True]], 0.1, "parts[0]: expected an integer, got True"),
+    ([[1], [2, None]], 0.1, "parts[1]: expected an integer, got None"),
+    ([[1]], "0.5", "delta: expected a number, got '0.5'"),
+    ([[1]], True, "delta: expected a number, got True"),
+    ([[1]], None, "delta: expected a number, got None"),
+    ([[1]], float("nan"), "delta must lie in (0, 1), got nan"),
+    ([[1], [5]], 0.5, "parts[1]: vertex 5 out of range 1..4"),
+])
+def test_partition_members_and_delta_are_checked(fig4, parts, delta, message):
+    with pytest.raises(ValueError) as err:
+        PartitionEnsemble(fig4, parts, delta)
+    assert str(err.value) == message
+
+
+def test_partition_accepts_numpy_integers_sets_and_generators(fig4):
+    p = PartitionEnsemble(fig4, [np.array([1, 2]), {3}, (v for v in [4])], np.float64(0.5))
+    assert p.parts == (frozenset({1, 2}), frozenset({3}), frozenset({4})) and p.delta == 0.5
+    assert all(type(v) is int for part in p.parts for v in part)
