@@ -218,14 +218,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
         out, final, series = _write_series(args, lambda: wigner_transform_pure(psi, grid), dt)
-        q = grid.q_centers()[None, :]
         p = grid.p_centers()[:, None]
-        # a shear past the float64 range gives inf here, and exp(-inf) = 0 is its exact limit
+        # one array: the analytic shear by the formula's IEEE operations in order (x / -s is
+        # -(x / s) exactly), then its error; an inf shear gives exp(-inf) = 0, its exact limit
         with np.errstate(over="ignore"):
-            sheared = (q - p * final.t / grid.mass) ** 2 / args.sigma**2
-            analytic = np.exp(-sheared - (args.sigma * p / grid.hbar) ** 2) / (math.pi * grid.hbar)
-        del sheared
-        max_err = float(np.max(np.abs(final.values - analytic)))
+            err = grid.q_centers()[None, :] - p * final.t / grid.mass
+            np.divide(np.square(err, out=err), -args.sigma**2, out=err)
+            err -= (args.sigma * p / grid.hbar) ** 2
+            np.divide(np.exp(err, out=err), math.pi * grid.hbar, out=err)
+        max_err = float(np.max(np.abs(np.subtract(final.values, err, out=err), out=err)))
         run: dict = {"mode": "physical", "sigma": args.sigma, "max_error_vs_analytic": max_err}
     else:
         if args.hypergraph is None:
@@ -238,13 +239,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         pmap = build_phase_map(h, grid)
         out, _, series = _write_series(
             args, lambda: initial_field_from_hypergraph(h, grid, args.k_default), dt)
-        run = {
-            "mode": "hypergraph",
-            "k_default": args.k_default,
-            "margin": args.margin,
-            "degree_source": pmap.degree_source,
-            "momentum_rows": {str(k): v for k, v in pmap.momentum_rows.items()},
-        }
+        run = {"mode": "hypergraph", "k_default": args.k_default, "margin": args.margin,
+               "degree_source": pmap.degree_source,
+               "momentum_rows": {str(k): v for k, v in pmap.momentum_rows.items()}}
 
     run.update(series, n_q=grid.n_q, n_p=grid.n_p, dt=dt, steps=args.steps,
                snapshot_every=args.snapshot_every)

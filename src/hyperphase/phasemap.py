@@ -29,38 +29,52 @@ EDGE_DEGREE = "edge_degree"
 
 
 class PhaseMap(_Value):
-    """Slice assignment for a hypergraph on a grid.
+    """Slice assignment for a hypergraph on a grid; only ``source`` and ``grid`` are stored.
 
-    momentum_rows maps hyperedge index (0-based list position) to a row.
-    position_cols maps vertex label (1-based) to a column, unless the
-    empty-hyperedge fallback triggered, in which case it maps hyperedge
-    index to a column and degree_source is "edge_degree".
+    The rest is derived from them on read.  momentum_rows maps hyperedge
+    index (0-based list position) to a row.  position_cols maps vertex label
+    (1-based) to a column, unless the empty-hyperedge fallback triggered, in
+    which case it maps hyperedge index to a column and degree_source is
+    "edge_degree".
     """
 
-    __slots__ = ("source", "grid", "momentum_rows", "position_cols", "degree_source")
+    __slots__ = ("source", "grid")
 
-    def __init__(self, source: Hypergraph, grid: PhaseSpaceGrid, momentum_rows: dict[int, int],
-                 position_cols: dict[int, int], degree_source: str) -> None:
-        self._set(source, grid, momentum_rows, position_cols, degree_source)
+    def __init__(self, source: Hypergraph, grid: PhaseSpaceGrid) -> None:
+        self._set(source, grid)
 
     def __eq__(self, other):
         if type(other) is not PhaseMap:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
+    @property
+    def momentum_rows(self) -> dict[int, int]:
+        return map_momentum_rows(self.source, self.grid)
 
-def _nearest_center(value: float, lo: float, delta: float, count: int) -> int:
-    # round-half-down keeps ties on the lower index
-    x = (value - lo) / delta - 0.5
-    j = -math.floor(0.5 - x)
-    return min(max(j, 0), count - 1)
+    @property
+    def position_cols(self) -> dict[int, int]:
+        kind, g = self.degree_source, self.grid
+        cols = _nearest_centers(_DEGREES[kind](self.source), g.q_min, g.dq, g.n_q)
+        return dict(enumerate(cols.tolist(), start=int(kind == VERTEX_DEGREE)))  # labels are 1-based
+
+    @property
+    def degree_source(self) -> str:
+        return _degree_source(self.source)
 
 
-def _position_degrees(h: Hypergraph) -> tuple[np.ndarray, str]:
-    """Position-column degrees and their source: edge degrees if any hyperedge is empty."""
-    if any(len(members) == 0 for members in h.edge_members()):
-        return _edge_degrees(h), EDGE_DEGREE
-    return _vertex_degrees(h), VERTEX_DEGREE
+def _nearest_centers(values, lo: float, delta: float, count: int) -> np.ndarray:
+    """Index of the cell center nearest each value, clamped to 0..count-1; ties take the lower."""
+    x = (np.asarray(values, dtype=np.float64) - lo) / delta - 0.5
+    return np.clip(-np.floor(0.5 - x), 0, count - 1).astype(np.int64)
+
+
+def _degree_source(h: Hypergraph) -> str:
+    """Edge degrees place the position columns if any hyperedge is empty, else vertex degrees."""
+    return EDGE_DEGREE if any(len(m) == 0 for m in h.edge_members()) else VERTEX_DEGREE
+
+
+_DEGREES = {VERTEX_DEGREE: _vertex_degrees, EDGE_DEGREE: _edge_degrees}
 
 
 def grid_from_boundary(
@@ -81,7 +95,7 @@ def grid_from_boundary(
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
     p_hi = (1.0 + margin) * max(h.edge_weights())
-    q_hi = (1.0 + margin) * float(_position_degrees(h)[0].max())
+    q_hi = (1.0 + margin) * float(_DEGREES[_degree_source(h)](h).max())
     if q_hi <= 0.0:
         raise ValueError("hypergraph boundary has zero position extent (all hyperedges empty)")
     return PhaseSpaceGrid(n_q, n_p, 0.0, q_hi, 0.0, p_hi, m, hbar)
@@ -93,10 +107,7 @@ def map_momentum_rows(h: Hypergraph, grid: PhaseSpaceGrid) -> dict[int, int]:
     Nearest-center rounding is monotone in the weight; equal weights share a
     row and ties fall to the lower row index.
     """
-    return {
-        j: _nearest_center(w, grid.p_min, grid.dp, grid.n_p)
-        for j, w in enumerate(h.edge_weights())
-    }
+    return dict(enumerate(_nearest_centers(h.edge_weights(), grid.p_min, grid.dp, grid.n_p).tolist()))
 
 
 def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:
@@ -104,20 +115,9 @@ def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:
 
     Position columns fall back to edge degrees, keyed by hyperedge index
     instead of vertex label, exactly when some hyperedge has no members.
+    Nothing is computed here: the map derives each of them when it is read.
     """
-    degrees, source = _position_degrees(h)
-    first_key = 1 if source == VERTEX_DEGREE else 0  # vertex labels are 1-based
-    cols = {
-        first_key + i: _nearest_center(float(d), grid.q_min, grid.dq, grid.n_q)
-        for i, d in enumerate(degrees)
-    }
-    return PhaseMap(
-        source=h,
-        grid=grid,
-        momentum_rows=map_momentum_rows(h, grid),
-        position_cols=cols,
-        degree_source=source,
-    )
+    return PhaseMap(h, grid)
 
 
 def initial_field_from_hypergraph(

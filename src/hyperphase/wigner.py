@@ -270,18 +270,21 @@ def _spectral_shift(
     set to its real part after every step, which is what irfft does to it
     after one step: each step scales it by cos(k_N * shift).  Rows of +0.0 stay
     +0.0 untransformed; pocketfft transforms rows one by one, so skipping them
-    leaves the other rows' bytes as they were.
+    leaves the other rows' bytes as they were; a field with none is not copied.
     """
     n = values.shape[1]
     live = values.view(np.uint64).any(axis=1)  # any bit set: nonzero or -0.0
+    rows = slice(None) if live.all() else live
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
-    phase = np.exp(-1j * np.outer(shifts[live], k))
-    coeffs = np.fft.rfft(values[live])
+    phase = np.exp(-1j * np.outer(shifts[rows], k))
+    coeffs = np.fft.rfft(values[rows])
     for _ in range(steps):
         coeffs *= phase
         if n % 2 == 0:
             coeffs[:, -1] = coeffs[:, -1].real
     del phase  # so the inverse transform runs with one field fewer alive
+    if rows is not live:  # every row is live: the inverse transform is the output
+        return np.fft.irfft(coeffs, n=n)
     out = np.zeros_like(values)
     out[live] = np.fft.irfft(coeffs, n=n)
     return out
@@ -332,10 +335,10 @@ def evolve(
     state is always included.  Each stretch between snapshots is one
     ``free_stream_step`` call, so the field is transformed once per snapshot.
     """
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    if snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    if isinstance(snapshot_every, bool) or not isinstance(snapshot_every, int) or snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
     every = snapshot_every or steps
     snapshots: list[WignerField] = []
     cur = w

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperphase import (
     Hypergraph,
+    PhaseSpaceGrid,
     build_phase_map,
     free_stream_step,
     grid_from_boundary,
@@ -10,7 +15,7 @@ from hyperphase import (
     map_momentum_rows,
     total_mass,
 )
-from hyperphase.phasemap import EDGE_DEGREE, VERTEX_DEGREE
+from hyperphase.phasemap import EDGE_DEGREE, VERTEX_DEGREE, _nearest_centers
 
 from conftest import random_hypergraph
 
@@ -18,6 +23,48 @@ from conftest import random_hypergraph
 def nearest_row(value, centers) -> int:
     """Independent nearest-center oracle; argmin takes the first (lower) index on ties."""
     return int(np.argmin(np.abs(centers - value)))
+
+
+def nearest_center(value: float, lo: float, delta: float, count: int) -> int:
+    """The scalar rule that ``_nearest_centers`` vectorizes: round half down, then clamp."""
+    x = (value - lo) / delta - 0.5
+    j = -math.floor(0.5 - x)
+    return min(max(j, 0), count - 1)
+
+
+def axis_values(lo: float, delta: float, count: int):
+    """Values inside an axis, exactly on its cell boundaries lo + k delta, and outside it."""
+    hi = lo + count * delta
+    boundary = st.integers(-2, count + 2).map(lambda k: lo + k * delta)  # ties: the lower cell
+    return st.floats(lo, hi) | boundary | st.floats(hi, hi + 1e4) | st.floats(lo - 1e4, lo)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    data=st.data(),
+    lows=st.tuples(st.floats(0, 1e3), st.floats(0, 1e3)),
+    spans=st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)),
+    counts=st.tuples(st.integers(2, 4096), st.integers(2, 4096)),
+)
+def test_nearest_centers_match_the_scalar_rule(data, lows, spans, counts):
+    (q_lo, p_lo), (n_q, n_p) = lows, counts
+    g = PhaseSpaceGrid(n_q, n_p, q_lo, q_lo + spans[0], p_lo, p_lo + spans[1])
+    axes = {"cols": (g.q_min, g.dq, g.n_q), "rows": (g.p_min, g.dp, g.n_p)}
+    values = data.draw(st.lists(axis_values(*axes["cols"]) | axis_values(*axes["rows"]),
+                                min_size=1, max_size=40))
+    want = {}
+    for name, (lo, delta, count) in axes.items():
+        want[name] = [nearest_center(v, lo, delta, count) for v in values]  # clamped outside
+        got = _nearest_centers(values, lo, delta, count)
+        assert got.dtype == np.int64 and got.tolist() == want[name]
+    # the map places rows by weight and columns by degree: vertex i + 1 alone in edge i, both
+    # of the i-th positive value (a degree adds its one weight to 0.0, exactly)
+    kept = [i for i, v in enumerate(values) if v > 0]
+    h = Hypergraph(len(kept) or 1, [({k + 1}, values[i]) for k, i in enumerate(kept)])
+    pmap = build_phase_map(h, g)
+    assert pmap.momentum_rows == {k: want["rows"][i] for k, i in enumerate(kept)}
+    if kept:
+        assert pmap.position_cols == {k + 1: want["cols"][i] for k, i in enumerate(kept)}
 
 
 # --- boundary-derived grids ---------------------------------------------------

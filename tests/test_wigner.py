@@ -520,6 +520,24 @@ def test_stream_skips_zero_rows_and_keeps_live_row_bits(n_q, n_p, dt, steps, see
     assert not out[~live].view(np.uint64).any()
 
 
+def test_all_live_field_streams_without_a_row_copy():
+    n = 1024
+    grid = make_grid(n, n, (-8, 8), (-8, 8))
+    w = wigner_transform_pure(gaussian_wavefunction(grid), grid)
+    assert w.values.view(np.uint64).any(axis=1).all()
+    tracemalloc.start()  # the input was made before: the peak is what the step adds
+    try:
+        out = free_stream_step(w, 0.125, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rfft coefficients and the phase table, then the coefficients and the inverse
+    # transform, which is the output: two fields (three with a copy of the live rows)
+    assert peak < 2.5 * n * n * 8
+    ref = full_array_shift(w.values, grid.p_centers() * 0.125 / grid.mass, grid.dq, 8)
+    assert np.array_equal(out.values.view(np.uint64), ref.view(np.uint64))
+
+
 def test_edgeless_hypergraph_field_streams_to_positive_zeros():
     g = make_grid(191, 8, (0, 4), (0, 4))
     field = initial_field_from_hypergraph(Hypergraph(3), g)
@@ -577,6 +595,12 @@ def test_evolve_validates_steps():
         evolve(f, 0.1, 0)
     with pytest.raises(ValueError, match="snapshot_every"):
         evolve(f, 0.1, 1, snapshot_every=-1)
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(ValueError, match=r"^steps must be a positive integer"):
+            evolve(f, 0.1, bad)
+    for bad in (True, False, 2.0, "1", None):
+        with pytest.raises(ValueError, match=r"^snapshot_every must be an integer >= 0, got "):
+            evolve(f, 0.1, 3, snapshot_every=bad)
 
 
 def test_evolve_gaussian_matches_analytic_shear():
