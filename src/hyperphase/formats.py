@@ -90,22 +90,17 @@ def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _batch_tables() -> tuple[np.ndarray, ...]:
     """Constant tables of ``_fmt17_batch``, built on its first call.
 
-    10**s for s in _SCALES as a double-double: its hi part, split in two
-    halves, and its lo part, each correctly rounded from exact integers.
-    Then the layout tables that ``_fmt17_batch`` describes.
+    10**s for s in _SCALES as a double-double by one rule: with 10**s = p/q in integers,
+    hi = p/q = num/den and lo = (p*den - num*q)/(q*den), each correctly rounded by int
+    division; hi is split in two halves.  Then the layout tables of ``_fmt17_batch``.
     """
     his, los = [], []
     for s in _SCALES:
-        if s >= 0:
-            hi = float(10**s)
-            lo = float(10**s - int(hi))
-        else:
-            d = 10**-s
-            hi = 1 / d
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * d) / (den * d)
+        p, q = 10 ** max(s, 0), 10 ** max(-s, 0)
+        hi = p / q
+        num, den = hi.as_integer_ratio()
         his.append(hi)
-        los.append(lo)
+        los.append((p * den - num * q) / (q * den))
     hi_hi, hi_lo = _veltkamp(np.array(his))
     # q = 0..9999 as four ASCII digits, the first in the low byte; for each
     # quad of D1-D16, 1 + the count of those digits up to q's last nonzero one

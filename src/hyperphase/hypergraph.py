@@ -35,7 +35,9 @@ MAX_CELLS = 2**24
 
 
 class _Value:
-    """Base of the package's value types: each slot is set once, by ``_set``, then read only."""
+    """Base of the package's value types: each slot is set once, by ``_set``, then read only.
+    Public constructors check (and copy) outside input; a value the library derives skips
+    them, as ``object.__new__(T)._set(...)``, or ``._adopt(...)`` to take over a fresh array."""
 
     __slots__ = ()
 
@@ -288,14 +290,7 @@ def is_balanced(p: PartitionEnsemble) -> BalanceReport:
     mean = sum(weights) / p.n_parts
     bound = (1.0 + p.delta) * mean
     ok = tuple(w < bound for w in weights)
-    return BalanceReport(
-        part_weights=weights,
-        mean_weight=mean,
-        bound=bound,
-        delta=p.delta,
-        per_part_ok=ok,
-        balanced=all(ok),
-    )
+    return BalanceReport(weights, mean, bound, p.delta, ok, all(ok))
 
 
 def cut_cost(p: PartitionEnsemble) -> float:

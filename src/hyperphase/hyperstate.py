@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 20
-_AMPLITUDE_TOL = 1e-12  # is_real_equally_weighted's distance from +-2^(-n/2)
 
 
 class QubitStateVector(_Value):
@@ -116,11 +115,8 @@ def boolean_function(s: QubitStateVector) -> np.ndarray:
 
 
 def is_real_equally_weighted(s: QubitStateVector) -> bool:
-    """True iff every amplitude lies within _AMPLITUDE_TOL of +-2^(-n/2) on the real axis."""
-    c = 2.0 ** (-s.n_qubits / 2.0)
-    amps = np.array([c, -c], dtype=np.complex128)  # the table picks every amplitude from these
-    dist = np.minimum(np.abs(amps - c), np.abs(amps + c))
-    return bool(np.all(dist <= _AMPLITUDE_TOL) and np.all(np.abs(amps.imag) <= _AMPLITUDE_TOL))
+    """Always True: a state holds only its sign table f, so it is (-1)^f 2^(-n/2) by construction."""
+    return True
 
 
 def encode_partitioned(

@@ -65,7 +65,8 @@ class PhaseMap(_Value):
 
 def _nearest_centers(values, lo: float, delta: float, count: int) -> np.ndarray:
     """Index of the cell center nearest each value, clamped to 0..count-1; ties take the lower."""
-    x = (np.asarray(values, dtype=np.float64) - lo) / delta - 0.5
+    with np.errstate(over="ignore"):  # an offset past float64 is +-inf, clamped to an end below
+        x = (np.asarray(values, dtype=np.float64) - lo) / delta - 0.5
     return np.clip(-np.floor(0.5 - x), 0, count - 1).astype(np.int64)
 
 
@@ -139,4 +140,4 @@ def initial_field_from_hypergraph(
     values = np.zeros((grid.n_p, grid.n_q))
     for row in map_momentum_rows(h, grid).values():
         values[row] += wave
-    return WignerField(grid, values, t=0.0, field_mode=True)
+    return object.__new__(WignerField)._adopt(grid, values, 0.0, True)  # fresh: no copy

@@ -151,13 +151,16 @@ class Wavefunction(_Value):
             raise ValueError("samples must be a 1-D array of length >= 2")
         if not q_max > q_min:
             raise ValueError(f"inverted q bounds: [{q_min}, {q_max}]")
-        dq = (q_max - q_min) / arr.size
+        self._adopt(float(q_min), float(q_max), arr)
+
+    def _adopt(self, q_min: float, q_max: float, arr: np.ndarray):
+        """Check the norm of the complex128 ``arr`` and make it the read-only samples, uncopied."""
         with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
-            norm = float(np.sum(np.abs(arr) ** 2) * dq)
+            norm = float(np.sum(np.abs(arr) ** 2) * ((q_max - q_min) / arr.size))
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"wavefunction norm is {norm}, expected 1 within 1e-10")
         arr.flags.writeable = False
-        self._set(float(q_min), float(q_max), arr)
+        return self._set(q_min, q_max, arr)
 
     @property
     def n_q(self) -> int:
@@ -187,8 +190,8 @@ def gaussian_wavefunction(
     if not (math.isfinite(norm) and norm > 0):
         raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} on a grid of "
                          f"dq={grid.dq}, hbar={grid.hbar}")
-    raw /= math.sqrt(norm)
-    return Wavefunction(grid.q_min, grid.q_max, raw)
+    raw /= math.sqrt(norm)  # checked again: a norm of subnormal squares can be off by > 1e-10
+    return object.__new__(Wavefunction)._adopt(float(grid.q_min), float(grid.q_max), raw)
 
 
 def _correlation(psi: Wavefunction) -> np.ndarray:
@@ -305,7 +308,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if dt == 0.0:
-        return WignerField(w.grid, w.values, t=w.t, field_mode=w.field_mode)
+        return w  # fields are immutable: the unstreamed field is its own result
     g = w.grid
     shear = max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass
     # the largest rfft wavenumber is pi/dq, so the largest phase is shear * pi / dq
@@ -384,4 +387,4 @@ def plane_wave_slice(
     k = float(k)
     omega = k * float(grid.p_centers()[slice_index]) / grid.mass
     values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
-    return WignerField(grid, values, t=t, field_mode=True)
+    return object.__new__(WignerField)._adopt(grid, values, t, True)  # fresh: no copy

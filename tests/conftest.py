@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +11,16 @@ from hyperphase import Hypergraph
 def fig4() -> Hypergraph:
     """The worked 4-vertex example: E = {{1,2,3},{2,3,4},{1,4}}, weights (1,2,3)."""
     return Hypergraph(4, [({1, 2, 3}, 1.0), ({2, 3, 4}, 2.0), ({1, 4}, 3.0)])
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs: what it allocates, not what it was given."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_hypergraph(rng: np.random.Generator, n_max: int = 8, m_max: int = 8,

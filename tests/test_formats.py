@@ -2,7 +2,6 @@ import decimal
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from hyperphase import (
 from hyperphase import formats
 from hyperphase.cli import main
 
-from conftest import dump_amplitudes, float_hypergraphs
+from conftest import dump_amplitudes, float_hypergraphs, traced_peak
 
 FIG4_DOC = """
 {
@@ -506,6 +505,30 @@ def test_batch_powers_of_ten_and_form_switch():
     assert_batch_exact(neighbours([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999991e-05]))
 
 
+def two_branch_scales() -> tuple[np.ndarray, ...]:
+    """The kernel's scale table as first built, one branch per sign of s: hi of 10**s split
+    in two halves, and lo, the rest, each correctly rounded from exact integers."""
+    his, los = [], []
+    for s in formats._SCALES:
+        if s >= 0:
+            hi = float(10**s)
+            lo = float(10**s - int(hi))
+        else:
+            d = 10**-s
+            hi = 1 / d
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * d) / (den * d)
+        his.append(hi)
+        los.append(lo)
+    return (*formats._veltkamp(np.array(his)), np.array(los))
+
+
+def test_scale_tables_match_the_two_branch_oracle():
+    for got, want in zip(formats._batch_tables()[:3], two_branch_scales(), strict=True):
+        assert got.shape == (len(formats._SCALES),)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def layout17(x: float) -> tuple[int, int]:
     """The exponent e10 and the count of significant digits of x's "%.17g" text."""
     digits = decimal.Context(prec=17).plus(decimal.Decimal(x)).normalize()
@@ -699,15 +722,6 @@ def test_matrix_csv_refuses_nul_in_row_label_and_label_count_mismatch(tmp_path):
 
 
 # --- the writers hold one block of text, not the whole file -----------------------
-
-def traced_peak(write) -> int:
-    tracemalloc.start()
-    try:
-        write()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
 
 def test_snapshot_writer_streams_blocks(tmp_path):
     values = all_distinct((1024, 1024), 19)

@@ -17,7 +17,7 @@ from hyperphase import (
 )
 from hyperphase.phasemap import EDGE_DEGREE, VERTEX_DEGREE, _nearest_centers
 
-from conftest import random_hypergraph
+from conftest import random_hypergraph, traced_peak
 
 
 def nearest_row(value, centers) -> int:
@@ -28,15 +28,19 @@ def nearest_row(value, centers) -> int:
 def nearest_center(value: float, lo: float, delta: float, count: int) -> int:
     """The scalar rule that ``_nearest_centers`` vectorizes: round half down, then clamp."""
     x = (value - lo) / delta - 0.5
+    if math.isinf(x):  # an offset past float64: the clamp takes the end on its side
+        return count - 1 if x > 0 else 0
     j = -math.floor(0.5 - x)
     return min(max(j, 0), count - 1)
 
 
 def axis_values(lo: float, delta: float, count: int):
-    """Values inside an axis, exactly on its cell boundaries lo + k delta, and outside it."""
+    """Values inside an axis, exactly on its cell boundaries lo + k delta, and outside it, up
+    to +-1e308, where the offset over the cell width can overflow float64."""
     hi = lo + count * delta
     boundary = st.integers(-2, count + 2).map(lambda k: lo + k * delta)  # ties: the lower cell
-    return st.floats(lo, hi) | boundary | st.floats(hi, hi + 1e4) | st.floats(lo - 1e4, lo)
+    outside = st.floats(hi, hi + 1e4) | st.floats(lo - 1e4, lo) | st.floats(-1e308, 1e308)
+    return st.floats(lo, hi) | boundary | outside
 
 
 @settings(deadline=None, max_examples=300)
@@ -45,10 +49,12 @@ def axis_values(lo: float, delta: float, count: int):
     lows=st.tuples(st.floats(0, 1e3), st.floats(0, 1e3)),
     spans=st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)),
     counts=st.tuples(st.integers(2, 4096), st.integers(2, 4096)),
+    scale=st.floats(5e-294, 1.0),  # cell widths down to ~1e-300
 )
-def test_nearest_centers_match_the_scalar_rule(data, lows, spans, counts):
+def test_nearest_centers_match_the_scalar_rule(data, lows, spans, counts, scale):
     (q_lo, p_lo), (n_q, n_p) = lows, counts
-    g = PhaseSpaceGrid(n_q, n_p, q_lo, q_lo + spans[0], p_lo, p_lo + spans[1])
+    g = PhaseSpaceGrid(n_q, n_p, q_lo * scale, (q_lo + spans[0]) * scale,
+                       p_lo * scale, (p_lo + spans[1]) * scale)
     axes = {"cols": (g.q_min, g.dq, g.n_q), "rows": (g.p_min, g.dp, g.n_p)}
     values = data.draw(st.lists(axis_values(*axes["cols"]) | axis_values(*axes["rows"]),
                                 min_size=1, max_size=40))
@@ -65,6 +71,12 @@ def test_nearest_centers_match_the_scalar_rule(data, lows, spans, counts):
     assert pmap.momentum_rows == {k: want["rows"][i] for k, i in enumerate(kept)}
     if kept:
         assert pmap.position_cols == {k + 1: want["cols"][i] for k, i in enumerate(kept)}
+
+
+def test_offsets_past_float64_clamp_to_the_ends_without_a_warning():
+    # 1e308 over a cell width of 0.25 (rows) or 2.5e-291 (columns) overflows float64
+    pmap = build_phase_map(Hypergraph(2, [({1}, 1e308)]), PhaseSpaceGrid(4, 4, 0.0, 1e-290, 0.0, 1.0))
+    assert pmap.momentum_rows == {0: 3} and pmap.position_cols == {1: 3, 2: 0}
 
 
 # --- boundary-derived grids ---------------------------------------------------
@@ -217,6 +229,17 @@ def test_fig4_initial_field_constant_rows(fig4):
     assert total_mass(field) == pytest.approx(3 * 32 * g.dq * g.dp, rel=1e-12)
     assert field.field_mode
     assert field.t == 0.0
+
+
+def test_initial_field_adopts_its_fresh_rows():
+    h = Hypergraph(3, [({1, 2}, 1.0), ({2, 3}, 2.0), ({1}, 0.5)])
+    n = 1024
+    g = grid_from_boundary(h, n, n)
+    made = []
+    peak = traced_peak(lambda: made.append(initial_field_from_hypergraph(h, g, k_default=1.0)))
+    # the summed rows and their finiteness mask (2.13 fields when the constructor copied them)
+    assert peak <= 1.3 * n * n * 8, peak / (n * n * 8)
+    assert not made[0].values.flags.writeable and made[0].field_mode and made[0].t == 0.0
 
 
 def test_single_edge_single_row():

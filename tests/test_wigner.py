@@ -25,6 +25,8 @@ from hyperphase import (
 )
 from hyperphase import wigner
 
+from conftest import traced_peak
+
 
 def smooth_field(grid, rng, n_modes: int = 5) -> WignerField:
     """Band-limited random field: a few low FFT modes per row, exactly shiftable."""
@@ -144,6 +146,18 @@ def test_gaussian_sigma_validation():
     for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
         with pytest.raises(ValueError, match=f"sigma={tiny} gives a Gaussian of norm"):
             gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
+
+
+def test_gaussian_samples_are_adopted_and_their_norm_checked():
+    grid = make_grid(64, 64, (-8, 8), (-8, 8))
+    psi = gaussian_wavefunction(grid, sigma=0.7, q0=0.5, p0=1.0)
+    again = Wavefunction(grid.q_min, grid.q_max, psi.samples)  # the copying, checking path
+    assert not psi.samples.flags.writeable
+    assert np.array_equal(psi.samples.view(np.uint64), again.samples.view(np.uint64))
+    assert (psi.q_min, psi.q_max) == (again.q_min, again.q_max)
+    # a norm summed from subnormal squares is off: the normalized samples miss 1 by 7e-5
+    with pytest.raises(ValueError, match=r"wavefunction norm is 0\.9999.*expected 1 within"):
+        gaussian_wavefunction(make_grid(32, 32, (-8, 8), (-8, 8)), sigma=0.0092)
 
 
 def test_plane_wave_state_momentum_concentration():
@@ -294,6 +308,14 @@ def test_zero_dt_is_exact_identity():
     out = free_stream_step(f, 0.0)
     assert np.array_equal(out.values, f.values)
     assert out.t == f.t
+
+
+def test_zero_dt_returns_the_field_itself():
+    n = 1024
+    w = plane_wave_slice(make_grid(n, n, (-8, 8), (-8, 8)), 3, 1.0)
+    out = []
+    peak = traced_peak(lambda: out.append(free_stream_step(w, 0.0, steps=5)))
+    assert out[0] is w and peak <= 0.1 * n * n * 8  # 1.13 fields for a checked copy
 
 
 def test_streamed_field_is_read_only_and_the_constructor_copies():
@@ -705,6 +727,16 @@ def test_plane_wave_dispersion_under_streaming():
     stepped = free_stream_step(plane_wave_slice(g, 5, k, t=0.0), 0.37)
     analytic = plane_wave_slice(g, 5, k, t=0.37)
     assert np.max(np.abs(stepped.values - analytic.values)) <= 1e-10
+
+
+def test_plane_wave_slice_adopts_its_fresh_values():
+    n = 1024
+    g = make_grid(n, n, (-8, 8), (-8, 8))
+    made = []
+    peak = traced_peak(lambda: made.append(plane_wave_slice(g, 3, 1.0, t=0.5)))
+    # the values and their finiteness mask (2.13 fields when the constructor copied them)
+    assert peak <= 1.3 * n * n * 8, peak / (n * n * 8)
+    assert not made[0].values.flags.writeable and made[0].field_mode and made[0].t == 0.5
 
 
 def test_plane_wave_slice_validation():
