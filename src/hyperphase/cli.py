@@ -43,7 +43,9 @@ from .hyperstate import (
 from .phasemap import build_phase_map, grid_from_boundary, initial_field_from_hypergraph
 from .wigner import (
     MAX_CELLS,
+    _gaussian_wigner,
     _mass,
+    _stretches,
     evolve,
     gaussian_wavefunction,
     make_grid,
@@ -176,9 +178,9 @@ def _write_series(args: argparse.Namespace, start, dt: float):
     """
     w = start()
     m0, l1_mass = total_mass(w), _mass(np.abs(w.values), w.grid)
-    steps, every, out, masses = args.steps, args.snapshot_every or args.steps, None, []
-    for i, done in enumerate(range(0, steps, every), start=1):
-        w = evolve(w, dt, min(every, steps - done))[0]
+    out, masses = None, []
+    for i, stretch in enumerate(_stretches(args.steps, args.snapshot_every), start=1):
+        w = evolve(w, dt, stretch)[0]
         out = out or _output_dir(args)
         formats.write_snapshot(out, i, w)
         masses.append(total_mass(w))
@@ -218,14 +220,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
         out, final, series = _write_series(args, lambda: wigner_transform_pure(psi, grid), dt)
-        p = grid.p_centers()[:, None]
-        # one array: the analytic shear by the formula's IEEE operations in order (x / -s is
-        # -(x / s) exactly), then its error; an inf shear gives exp(-inf) = 0, its exact limit
-        with np.errstate(over="ignore"):
-            err = grid.q_centers()[None, :] - p * final.t / grid.mass
-            np.divide(np.square(err, out=err), -args.sigma**2, out=err)
-            err -= (args.sigma * p / grid.hbar) ** 2
-            np.divide(np.exp(err, out=err), math.pi * grid.hbar, out=err)
+        err = _gaussian_wigner(grid, args.sigma, final.t)  # the analytic field, then its error
         max_err = float(np.max(np.abs(np.subtract(final.values, err, out=err), out=err)))
         run: dict = {"mode": "physical", "sigma": args.sigma, "max_error_vs_analytic": max_err}
     else:

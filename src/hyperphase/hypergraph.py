@@ -231,7 +231,7 @@ def position_laplacian(h: Hypergraph) -> np.ndarray:
 class PartitionEnsemble(_Value):
     """Disjoint vertex groups P_1..P_K of a parent hypergraph, with balance factor delta."""
 
-    __slots__ = ("parent", "parts", "delta")
+    __slots__ = ("parent", "parts", "delta", "_owner")  # _owner: vertex -> 0-based part index
 
     def __init__(
         self, parent: Hypergraph, parts: Iterable[Iterable[int]], delta: float
@@ -240,26 +240,25 @@ class PartitionEnsemble(_Value):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         frozen: list[frozenset[int]] = []
-        seen: set[int] = set()
+        owner: dict[int, int] = {}
         for k, p in enumerate(parts):
             pset = frozenset(_require_int(v, f"parts[{k}]") for v in p)
             for v in pset:
                 if not 1 <= v <= parent.n_vertices:
                     raise ValueError(f"parts[{k}]: vertex {v} out of range 1..{parent.n_vertices}")
-            overlap = seen & pset
+            overlap = owner.keys() & pset
             if overlap:
                 raise ValueError(f"parts[{k}]: vertices {sorted(overlap)} already assigned")
-            seen |= pset
+            owner.update(dict.fromkeys(pset, k))
             frozen.append(pset)
-        self._set(parent, tuple(frozen), delta)
+        self._set(parent, tuple(frozen), delta, owner)
 
     @property
     def n_parts(self) -> int:
         return len(self.parts)
 
     def covers_all_vertices(self) -> bool:
-        assigned = set().union(*self.parts) if self.parts else set()
-        return assigned == set(range(1, self.parent.n_vertices + 1))
+        return len(self._owner) == self.parent.n_vertices  # every key is a vertex 1..n
 
 
 def part_weight(p: PartitionEnsemble, k: int) -> float:
@@ -274,10 +273,6 @@ class BalanceReport(_Value):
 
     __slots__ = ("part_weights", "mean_weight", "bound", "delta", "per_part_ok", "balanced")
 
-    def __init__(self, part_weights: tuple[float, ...], mean_weight: float, bound: float,
-                 delta: float, per_part_ok: tuple[bool, ...], balanced: bool) -> None:
-        self._set(part_weights, mean_weight, bound, delta, per_part_ok, balanced)
-
     def __bool__(self) -> bool:
         return self.balanced
 
@@ -290,7 +285,7 @@ def is_balanced(p: PartitionEnsemble) -> BalanceReport:
     mean = sum(weights) / p.n_parts
     bound = (1.0 + p.delta) * mean
     ok = tuple(w < bound for w in weights)
-    return BalanceReport(weights, mean, bound, p.delta, ok, all(ok))
+    return object.__new__(BalanceReport)._set(weights, mean, bound, p.delta, ok, all(ok))
 
 
 def cut_cost(p: PartitionEnsemble) -> float:
@@ -298,19 +293,12 @@ def cut_cost(p: PartitionEnsemble) -> float:
 
     Every vertex touched by a hyperedge must be assigned to some part.
     """
-    owner: dict[int, int] = {}
-    for k, part in enumerate(p.parts):
-        for v in part:
-            owner[v] = k
     total = 0.0
     for j, (members, _) in enumerate(p.parent.hyperedges):
-        spanned = set()
-        for v in members:
-            if v not in owner:
-                raise ValueError(
-                    f"hyperedge {j}: vertex {v} is not assigned to any part"
-                )
-            spanned.add(owner[v])
+        spanned = {p._owner.get(v) for v in members}
+        if None in spanned:
+            v = next(v for v in members if v not in p._owner)
+            raise ValueError(f"hyperedge {j}: vertex {v} is not assigned to any part")
         if len(spanned) >= 2:
             total += len(members) - 1
     return total

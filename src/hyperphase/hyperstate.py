@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, PartitionEnsemble, _Value
+from .hypergraph import Hypergraph, PartitionEnsemble, _require_int, _Value
 
 __all__ = [
     "MAX_QUBITS",
@@ -41,6 +41,7 @@ class QubitStateVector(_Value):
     __slots__ = ("n_qubits", "signs")
 
     def __init__(self, n_qubits: int, signs: np.ndarray) -> None:
+        n_qubits = _require_int(n_qubits, "n_qubits")
         if not 1 <= n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
         table = np.asarray(signs)
@@ -63,6 +64,7 @@ class QubitStateVector(_Value):
 
 def plus_state(n: int) -> QubitStateVector:
     """|+>^n: the zero table, all 2^n amplitudes 2^(-n/2)."""
+    n = _require_int(n, "n")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
     table = np.zeros(2**n, dtype=np.uint8)
@@ -73,7 +75,7 @@ def plus_state(n: int) -> QubitStateVector:
 def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     """Multi-controlled Z on ``targets``: flip f where all are 1 (no targets: everywhere)."""
     n = s.n_qubits
-    qubits = set(int(t) for t in targets)
+    qubits = {_require_int(t, "targets") for t in targets}
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} out of range 1..{n}")

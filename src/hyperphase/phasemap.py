@@ -40,9 +40,6 @@ class PhaseMap(_Value):
 
     __slots__ = ("source", "grid")
 
-    def __init__(self, source: Hypergraph, grid: PhaseSpaceGrid) -> None:
-        self._set(source, grid)
-
     def __eq__(self, other):
         if type(other) is not PhaseMap:
             return NotImplemented
@@ -118,7 +115,7 @@ def build_phase_map(h: Hypergraph, grid: PhaseSpaceGrid) -> PhaseMap:
     instead of vertex label, exactly when some hyperedge has no members.
     Nothing is computed here: the map derives each of them when it is read.
     """
-    return PhaseMap(h, grid)
+    return object.__new__(PhaseMap)._set(h, grid)
 
 
 def initial_field_from_hypergraph(

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import MAX_CELLS, _Value
+from .hypergraph import MAX_CELLS, _require_int, _require_real, _Value
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -55,7 +55,9 @@ class PhaseSpaceGrid(_Value):
 
     def __init__(self, n_q: int, n_p: int, q_min: float, q_max: float, p_min: float,
                  p_max: float, mass: float = 1.0, hbar: float = 1.0) -> None:
-        self._set(n_q, n_p, q_min, q_max, p_min, p_max, mass, hbar)
+        reals = (q_min, q_max, p_min, p_max, mass, hbar)  # each checked under its slot's name
+        self._set(_require_int(n_q, "n_q"), _require_int(n_p, "n_p"),
+                  *map(_require_real, reals, self.__slots__[2:]))
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
         if self.n_q * self.n_p > MAX_CELLS:
@@ -104,9 +106,8 @@ def make_grid(
     hbar: float = 1.0,
 ) -> PhaseSpaceGrid:
     """Build a PhaseSpaceGrid from bounds pairs; see PhaseSpaceGrid for invariants."""
-    q_min, q_max = (float(x) for x in q_bounds)
-    p_min, p_max = (float(x) for x in p_bounds)
-    return PhaseSpaceGrid(n_q, n_p, q_min, q_max, p_min, p_max, float(m), float(hbar))
+    (q_min, q_max), (p_min, p_max) = q_bounds, p_bounds
+    return PhaseSpaceGrid(n_q, n_p, q_min, q_max, p_min, p_max, m, hbar)
 
 
 class WignerField(_Value):
@@ -191,7 +192,22 @@ def gaussian_wavefunction(
         raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} on a grid of "
                          f"dq={grid.dq}, hbar={grid.hbar}")
     raw /= math.sqrt(norm)  # checked again: a norm of subnormal squares can be off by > 1e-10
-    return object.__new__(Wavefunction)._adopt(float(grid.q_min), float(grid.q_max), raw)
+    try:
+        return object.__new__(Wavefunction)._adopt(float(grid.q_min), float(grid.q_max), raw)
+    except ValueError as exc:
+        raise ValueError(f"sigma={sigma} on a grid of dq={grid.dq}: {exc}") from None
+
+
+def _gaussian_wigner(grid: PhaseSpaceGrid, sigma: float, t: float) -> np.ndarray:
+    """exp(-(q - p t/m)^2 / sigma^2 - (sigma p / hbar)^2) / (pi hbar): ``gaussian_wavefunction(grid,
+    sigma)`` free-streamed to t, in closed form.  Its IEEE operations run in order in one new array
+    (x / -s is -(x / s) exactly); an inf shear gives exp(-inf) = 0, its exact limit."""
+    p = grid.p_centers()[:, None]
+    with np.errstate(over="ignore"):
+        w = grid.q_centers()[None, :] - p * t / grid.mass
+        np.divide(np.square(w, out=w), -sigma**2, out=w)
+        w -= (sigma * p / grid.hbar) ** 2
+        return np.divide(np.exp(w, out=w), math.pi * grid.hbar, out=w)
 
 
 def _correlation(psi: Wavefunction) -> np.ndarray:
@@ -342,13 +358,13 @@ def evolve(
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     if isinstance(snapshot_every, bool) or not isinstance(snapshot_every, int) or snapshot_every < 0:
         raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
+    return [w := free_stream_step(w, dt, stretch) for stretch in _stretches(steps, snapshot_every)]
+
+
+def _stretches(steps: int, snapshot_every: int) -> Iterator[int]:
+    """Steps between snapshots: ``snapshot_every`` at a time and then the rest, or all if 0."""
     every = snapshot_every or steps
-    snapshots: list[WignerField] = []
-    cur = w
-    for done in range(0, steps, every):
-        cur = free_stream_step(cur, dt, min(every, steps - done))
-        snapshots.append(cur)
-    return snapshots
+    return (min(every, steps - done) for done in range(0, steps, every))
 
 
 def marginals(w: WignerField) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +397,7 @@ def plane_wave_slice(
     so one free-streaming step of dt advances the phase by exactly
     k p_row dt / m.
     """
-    if not 0 <= slice_index < grid.n_p:
+    if not 0 <= _require_int(slice_index, "slice_index") < grid.n_p:
         raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
     values = np.zeros((grid.n_p, grid.n_q))
     k = float(k)

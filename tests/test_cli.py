@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -401,6 +402,21 @@ def test_evolve_physical_gaussian(tmp_path):
     assert len(list(out.glob("snapshot_*.csv"))) == 50
 
 
+def test_evolve_physical_error_is_taken_against_the_closed_form(tmp_path):
+    out = tmp_path / "phys"
+    assert main(["evolve", "--physical", "gaussian", "--sigma", "0.8", "--t", "0.9", "--steps", "7",
+                 "--snapshot-every", "3", "--nq", "48", "--np", "31", "--mass", "1.5",
+                 "--out", str(out)]) == 0
+    run = json.loads((out / "run.json").read_text())
+    final = np.loadtxt(out / "snapshot_0003.csv", delimiter=",")[::-1]  # %.17g round-trips
+    t = json.loads((out / "snapshot_0003.meta.json").read_text())["t"]
+    grid = make_grid(48, 31, (-8, 8), (-8, 8), 1.5)
+    p = grid.p_centers()[:, None]
+    exact = np.exp(np.square(grid.q_centers()[None, :] - p * t / grid.mass) / -0.8**2
+                   - (0.8 * p) ** 2) / math.pi
+    assert run["max_error_vs_analytic"] == float(np.max(np.abs(final - exact)))
+
+
 def test_evolve_peak_memory_does_not_grow_with_snapshots(tmp_path):
     # each snapshot is written, and its mass taken, before the next is computed
     argv = ["evolve", "--physical", "gaussian", "--t", "1", "--nq", "128", "--np", "64"]
@@ -504,6 +520,10 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
      "steps must be at most 1.79769e+308, got 401 digits"),
     (["evolve", "FIG4", "--dt", "0.1", "--steps", str(10**400), "--snapshot-every", "0"],
      "steps must be at most 1.79769e+308, got 401 digits"),
+    # the norm is summed from subnormal squares: the refusal names the packet and the cell
+    (["evolve", "--physical", "gaussian", "--t", "1", "--sigma", "0.0092", "--nq", "32", "--np", "32"],
+     "sigma=0.0092 on a grid of dq=0.5: wavefunction norm is 0.9999286149151664, "
+     "expected 1 within 1e-10"),
 ])
 def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
     argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
@@ -742,3 +762,211 @@ def test_cli_survives_extreme_flags_and_documents(run):
     elif code == 0:
         assert err == ""
     assert peak < 4 * 2**20, (argv, peak)
+
+
+# --- committed output digests ------------------------------------------------------------
+
+def _digest_doc(seed: int, n: int, m: int, sizes: tuple[int, int]) -> str:
+    """A seeded document: m edges of sizes[0]..sizes[1]-1 members, integer edge and vertex weights."""
+    rng = np.random.default_rng(seed)
+    edges = [{"members": sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size, replace=False)),
+              "weight": int(rng.integers(1, 10))}
+             for size in rng.integers(*sizes, size=m)]
+    return json.dumps({"vertices": n, "edges": edges,
+                       "vertex_weights": [int(w) for w in rng.integers(1, 6, size=n)]})
+
+
+# The README's document, and per seed one shaped like the encode and evolve workloads' (16
+# vertices, 48 edges of 1-6 members) and one like the matrices workload's, at half its size.
+DIGEST_DOCS = {"fig4": FIG4_DOC}
+DIGEST_RUNS = {
+    "info fig4": ["info", "fig4.json"],
+    "matrices fig4": ["matrices", "fig4.json"],
+    "encode fig4 partition": ["encode", "fig4.json", "--partition", "1,4|2,3", "--delta", "0.2"],
+    "encode fig4 global gate": ["encode", "fig4.json", "--with-global-gate"],
+    "evolve fig4": ["evolve", "fig4.json", "--nq", "64", "--np", "64", "--dt", "0.05",
+                    "--steps", "10", "--snapshot-every", "1"],
+}
+for _seed in (1, 2, 3):
+    DIGEST_DOCS[f"s{_seed}"] = _digest_doc(_seed, 16, 48, (1, 7))
+    DIGEST_DOCS[f"m{_seed}"] = _digest_doc(_seed, 125, 250, (2, 9))
+    DIGEST_RUNS.update({
+        f"info s{_seed}": ["info", f"s{_seed}.json"],
+        f"matrices m{_seed}": ["matrices", f"m{_seed}.json"],
+        f"encode s{_seed}": ["encode", f"s{_seed}.json"],
+        f"encode s{_seed} global gate": ["encode", f"s{_seed}.json", "--with-global-gate"],
+        f"encode s{_seed} partition": ["encode", f"s{_seed}.json", "--partition",
+                                       "1,2,3,4,5,6,7,8,9|10,11,12,13,14,15,16", "--delta", "0.2"],
+        # 30 + 30 + 30 + 10 steps: the last stretch is the shorter rest
+        f"evolve s{_seed}": ["evolve", f"s{_seed}.json", "--nq", "256", "--np", "256", "--dt", "0.01",
+                             "--steps", "100", "--snapshot-every", "30"],
+        f"evolve s{_seed} once": ["evolve", f"s{_seed}.json", "--nq", "48", "--np", "31",
+                                  "--dt", "0.125", "--steps", "7", "--snapshot-every", "0"],
+    })
+
+
+def digest_run(name: str, root: Path) -> dict[str, str]:
+    """Run ``DIGEST_RUNS[name]`` in ``root``: the first 16 hex digits of the sha256 of its
+    stdout and of every file it writes, keyed by file name."""
+    command, doc, *flags = DIGEST_RUNS[name]
+    (root / doc).write_text(DIGEST_DOCS[doc.removesuffix(".json")], encoding="utf-8")
+    out = root / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, str(root / doc), *flags, *(["--out", str(out)] if command != "info" else [])])
+    assert code == 0, name
+    files = read_tree(out) if out.exists() else {}
+    return {key: hashlib.sha256(data).hexdigest()[:16]
+            for key, data in [("stdout", stdout.getvalue().replace(str(root), "<root>").encode()),
+                              *files.items()]}
+
+
+DIGESTS = {  # digest_run of each DIGEST_RUNS entry
+    "encode fig4 global gate": {
+        "stdout": "b439f09000d6eb34", "report.json": "34f28b1e542a823d",
+        "state.txt": "21d7563c6e02fb0c",
+    },
+    "encode fig4 partition": {
+        "stdout": "32af56173e81e1b8", "combined.txt": "7c308dbe7efebbd6",
+        "part_1.txt": "e9583d4b42102aee", "part_2.txt": "84da095c03bb2523",
+        "report.json": "70462465da8bb8b1", "state.txt": "a3e642c002d0bb00",
+    },
+    "encode s1": {
+        "stdout": "3aeb002ad68da51f", "report.json": "24af210da6f79d03",
+        "state.txt": "c006fad913424a85",
+    },
+    "encode s1 global gate": {
+        "stdout": "3aeb002ad68da51f", "report.json": "2d0e421dbd93c2e3",
+        "state.txt": "b29284f214110c6f",
+    },
+    "encode s1 partition": {
+        "stdout": "4d69bb1c30ecc47d", "combined.txt": "c32856e57fdfd54b",
+        "part_1.txt": "141bbda16cf4372c", "part_2.txt": "7704e7e5bd57373a",
+        "report.json": "805767d523a74af9", "state.txt": "c006fad913424a85",
+    },
+    "encode s2": {
+        "stdout": "3aeb002ad68da51f", "report.json": "fddc1ea30a8061e3",
+        "state.txt": "da107eca116cb01c",
+    },
+    "encode s2 global gate": {
+        "stdout": "3aeb002ad68da51f", "report.json": "70eadcb45819ad98",
+        "state.txt": "588fd3c6041ac263",
+    },
+    "encode s2 partition": {
+        "stdout": "bf095c5272add51e", "combined.txt": "ac1a81ec6d9a0411",
+        "part_1.txt": "7588f7ab1690ca2d", "part_2.txt": "ff14d90435a130f5",
+        "report.json": "19d864a60f7db0b4", "state.txt": "da107eca116cb01c",
+    },
+    "encode s3": {
+        "stdout": "3aeb002ad68da51f", "report.json": "f0dd3159654f346d",
+        "state.txt": "1fe5a8d8f131b7e1",
+    },
+    "encode s3 global gate": {
+        "stdout": "3aeb002ad68da51f", "report.json": "7527d33dd162b586",
+        "state.txt": "049f79d1bcdadd61",
+    },
+    "encode s3 partition": {
+        "stdout": "d84ff579e82abe37", "combined.txt": "9a9b16954f8b80ed",
+        "part_1.txt": "875983034668673f", "part_2.txt": "9c806a5bea4eae2b",
+        "report.json": "4428843fc07b7f98", "state.txt": "1fe5a8d8f131b7e1",
+    },
+    "evolve fig4": {
+        "stdout": "4cc8b15aa3d37137", "run.json": "0fd2c32fcd6d7fc3",
+        "snapshot_0001.csv": "1e8c17641212b82e", "snapshot_0001.meta.json": "b7ff1297fc95f645",
+        "snapshot_0002.csv": "1e8c17641212b82e", "snapshot_0002.meta.json": "c8b9cd0d02d34ded",
+        "snapshot_0003.csv": "1e8c17641212b82e", "snapshot_0003.meta.json": "a70a8fe88c0e1fe9",
+        "snapshot_0004.csv": "1e8c17641212b82e", "snapshot_0004.meta.json": "6f19128c8cd4502d",
+        "snapshot_0005.csv": "1e8c17641212b82e", "snapshot_0005.meta.json": "79d2c14043495fda",
+        "snapshot_0006.csv": "1e8c17641212b82e", "snapshot_0006.meta.json": "01103f1605c79cb3",
+        "snapshot_0007.csv": "1e8c17641212b82e", "snapshot_0007.meta.json": "d4e274a660c4c62c",
+        "snapshot_0008.csv": "1e8c17641212b82e", "snapshot_0008.meta.json": "a7da493b9dc28197",
+        "snapshot_0009.csv": "1e8c17641212b82e", "snapshot_0009.meta.json": "3a367f1b154980fe",
+        "snapshot_0010.csv": "1e8c17641212b82e", "snapshot_0010.meta.json": "6d71a9a9348e7a6d",
+    },
+    "evolve s1": {
+        "stdout": "3192dca4f1b430b6", "run.json": "a5499d7aa75b1974",
+        "snapshot_0001.csv": "a1d19de7d29bad04", "snapshot_0001.meta.json": "1e05ef9d4bba2ca5",
+        "snapshot_0002.csv": "a1d19de7d29bad04", "snapshot_0002.meta.json": "515aa4f7abd3a837",
+        "snapshot_0003.csv": "a1d19de7d29bad04", "snapshot_0003.meta.json": "75c982cfea709b8b",
+        "snapshot_0004.csv": "a1d19de7d29bad04", "snapshot_0004.meta.json": "b10b956760d4c105",
+    },
+    "evolve s1 once": {
+        "stdout": "e00a751e29365d2e", "run.json": "c7ead505de77694b",
+        "snapshot_0001.csv": "8cf7e2ac92875159", "snapshot_0001.meta.json": "8f3327597912bf89",
+    },
+    "evolve s2": {
+        "stdout": "3192dca4f1b430b6", "run.json": "4c7537511d865206",
+        "snapshot_0001.csv": "aa007977b79bd74c", "snapshot_0001.meta.json": "a4b0522f5e5c3e45",
+        "snapshot_0002.csv": "aa007977b79bd74c", "snapshot_0002.meta.json": "ebb940cec487bfe7",
+        "snapshot_0003.csv": "aa007977b79bd74c", "snapshot_0003.meta.json": "3a2e7b3e2a36db6c",
+        "snapshot_0004.csv": "aa007977b79bd74c", "snapshot_0004.meta.json": "38364bfdcc2715ee",
+    },
+    "evolve s2 once": {
+        "stdout": "e00a751e29365d2e", "run.json": "ac482d28ae82acc8",
+        "snapshot_0001.csv": "30ef010c79fae6dc", "snapshot_0001.meta.json": "3665667333ffcc43",
+    },
+    "evolve s3": {
+        "stdout": "3192dca4f1b430b6", "run.json": "80cff3d15e4620c7",
+        "snapshot_0001.csv": "cf6e0127c24e5f5c", "snapshot_0001.meta.json": "362ee85e01d0141d",
+        "snapshot_0002.csv": "cf6e0127c24e5f5c", "snapshot_0002.meta.json": "e0a8a213e3e0da34",
+        "snapshot_0003.csv": "cf6e0127c24e5f5c", "snapshot_0003.meta.json": "33a3cbd34e3ace1f",
+        "snapshot_0004.csv": "cf6e0127c24e5f5c", "snapshot_0004.meta.json": "8a5536cc45b9a758",
+    },
+    "evolve s3 once": {
+        "stdout": "e00a751e29365d2e", "run.json": "9b850ce33162ad10",
+        "snapshot_0001.csv": "7a80820df669f1e5", "snapshot_0001.meta.json": "94a49bd56b8a5888",
+    },
+    "info fig4": {
+        "stdout": "40772362ee11bd91",
+    },
+    "info s1": {
+        "stdout": "fde7e8afb00582d3",
+    },
+    "info s2": {
+        "stdout": "b8ccfeddafb2a46c",
+    },
+    "info s3": {
+        "stdout": "7f60cee6f2674c8c",
+    },
+    "matrices fig4": {
+        "stdout": "b61a955f148ae711", "adjacency.csv": "a2fe7770774784f4",
+        "edge_degree.csv": "6b3ea46acc759680", "edge_weight_sum.csv": "6b3ea46acc759680",
+        "incidence.csv": "2a609978af0fe26a", "laplacian.csv": "623f344e6e273433",
+        "position_laplacian.csv": "8ddd4b999dfe0155", "vertex_degree.csv": "8745a1be56405d1f",
+    },
+    "matrices m1": {
+        "stdout": "b61a955f148ae711", "adjacency.csv": "68ce88a27731d15d",
+        "edge_degree.csv": "9c98fe4cad4f75cd", "edge_weight_sum.csv": "ad1ee2cf4c091a24",
+        "incidence.csv": "b3c67746e840671e", "laplacian.csv": "54fe99cd5a21b155",
+        "position_laplacian.csv": "b8a52dc8d515fc63", "vertex_degree.csv": "6e8ec479f7e09d88",
+    },
+    "matrices m2": {
+        "stdout": "b61a955f148ae711", "adjacency.csv": "9e92b42b4b2b4763",
+        "edge_degree.csv": "982baf3ce4e17a64", "edge_weight_sum.csv": "b903f2265e060426",
+        "incidence.csv": "6182856fda739bbf", "laplacian.csv": "b27d78b6a0eb8ff1",
+        "position_laplacian.csv": "c041738a966c59c7", "vertex_degree.csv": "fe732db0aa542d93",
+    },
+    "matrices m3": {
+        "stdout": "b61a955f148ae711", "adjacency.csv": "986ed58b7a90554f",
+        "edge_degree.csv": "ea2619fb3418e645", "edge_weight_sum.csv": "46f9efc76e4b4c32",
+        "incidence.csv": "e337aa8f6e8a71cb", "laplacian.csv": "bea4da033b5b6899",
+        "position_laplacian.csv": "d1e30ff78bab25e1", "vertex_degree.csv": "878452de26f952d7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_RUNS))
+def test_cpu_independent_outputs_match_the_digest_table(name, tmp_path):
+    """Every byte of ``info``, integer-weight ``matrices``, ``encode`` and hypergraph-mode
+    ``evolve`` at ``--k-default 0`` against a committed table; a change that moves any of
+    them on purpose updates the table and lists each moved output.
+
+    Only outputs whose bytes do not depend on the CPU are pinned.  Known to depend on it,
+    and left out here: ``evolve --physical`` and ``wigner-transform`` (numpy's SIMD level
+    changes the bits of real ``np.exp``, complex multiply and complex ``np.abs``, and the
+    Wigner transform's momentum sum is a BLAS dgemm), and the three Gram CSVs
+    (``adjacency.csv``, ``laplacian.csv``, ``position_laplacian.csv``) of a document with
+    fractional weights, whose dgemm sums round by the BLAS kernel.  Integer weights keep
+    every Gram sum exact, whatever the kernel.
+    """
+    assert digest_run(name, tmp_path) == DIGESTS[name]

@@ -401,6 +401,27 @@ def test_cut_cost_zero_iff_no_edge_spans():
         assert total == pytest.approx(sum(h.vertex_weights))
 
 
+def test_coverage_and_cut_cost_match_a_reference_owner_map():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        h = random_hypergraph(rng, n_max=7, m_max=6)
+        n_parts = int(rng.integers(1, h.n_vertices + 1))
+        # -1 leaves a vertex out of every part
+        assignment = {v: int(rng.integers(-1, n_parts)) for v in range(1, h.n_vertices + 1)}
+        p = PartitionEnsemble(h, [[v for v, k in assignment.items() if k == kk]
+                                  for kk in range(n_parts)], 0.5)
+        assert p.covers_all_vertices() == (-1 not in assignment.values())
+        missing = [(j, v) for j, (members, _) in enumerate(h.hyperedges)
+                   for v in members if assignment[v] == -1]
+        if missing:
+            j = missing[0][0]
+            with pytest.raises(ValueError, match=rf"^hyperedge {j}: vertex \d+ is not assigned"):
+                cut_cost(p)
+            continue
+        assert cut_cost(p) == sum(float(len(m) - 1) for m, _ in h.hyperedges
+                                  if len({assignment[v] for v in m}) >= 2)
+
+
 def test_partition_validation(fig4):
     with pytest.raises(ValueError, match="already assigned"):
         PartitionEnsemble(fig4, [{1, 2}, {2, 3}], 0.5)

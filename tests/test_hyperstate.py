@@ -67,6 +67,27 @@ def test_state_vector_validation():
     assert np.array_equal(state.amplitudes, np.array([-0.5, 0.5, 0.5, -0.5], dtype=complex))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: apply_ckz(plus_state(2), [1.5]), "targets: expected an integer, got 1.5"),
+    (lambda: apply_ckz(plus_state(2), [True]), "targets: expected an integer, got True"),
+    (lambda: apply_ckz(plus_state(2), [1, "2"]), "targets: expected an integer, got '2'"),
+    (lambda: QubitStateVector(True, np.zeros(2, np.uint8)), "n_qubits: expected an integer, got True"),
+    (lambda: QubitStateVector(2.0, np.zeros(4, np.uint8)), "n_qubits: expected an integer, got 2.0"),
+    (lambda: plus_state(2.0), "n: expected an integer, got 2.0"),
+    (lambda: plus_state(True), "n: expected an integer, got True"),
+])
+def test_gate_targets_and_qubit_counts_must_be_integers(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_numpy_integer_targets_and_counts_are_taken_as_ints():
+    state = apply_ckz(plus_state(np.int64(2)), [np.int64(1)])
+    assert type(state.n_qubits) is int and state.signs.tolist() == [0, 0, 1, 1]
+    assert type(QubitStateVector(np.uint8(1), [0, 1]).n_qubits) is int
+
+
 # --- single gates -----------------------------------------------------------
 
 def test_ckz_single_qubit_gives_minus_state():

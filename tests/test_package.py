@@ -5,8 +5,10 @@ import pytest
 
 import hyperphase
 from hyperphase import (
+    BalanceReport,
     Hypergraph,
     PartitionEnsemble,
+    PhaseMap,
     PhaseSpaceGrid,
     WignerField,
     build_phase_map,
@@ -56,6 +58,15 @@ def test_value_types_refuse_assignment_and_have_no_dict():
             with pytest.raises(AttributeError, match=f"{name} is immutable"):
                 setattr(obj, attr, 1)
         assert not hasattr(obj, "__dict__"), name
+
+
+def test_derived_values_have_no_public_constructor():
+    # a phase map and a balance report are only derived: build_phase_map and is_balanced
+    # make them, with no constructor to check or copy their inputs
+    for value_type in (PhaseMap, BalanceReport):
+        assert "__init__" not in vars(value_type), value_type.__name__
+        with pytest.raises(TypeError):
+            value_type(1, 2)
 
 
 def test_equal_documents_parse_to_equal_hypergraphs():

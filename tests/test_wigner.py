@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hyperphase import (
     MAX_CELLS,
     Hypergraph,
+    PhaseSpaceGrid,
     Wavefunction,
     WignerField,
     evolve,
@@ -23,7 +25,7 @@ from hyperphase import (
     wigner_transform,
     wigner_transform_pure,
 )
-from hyperphase import wigner
+from hyperphase import formats, wigner
 
 from conftest import traced_peak
 
@@ -78,6 +80,13 @@ def test_make_grid_validation():
     make_grid(MAX_CELLS // 2, 2, (0, 1), (0, 1))
 
 
+def test_numpy_grid_numbers_are_taken_as_python_numbers(tmp_path):
+    g = PhaseSpaceGrid(np.int64(8), np.uint16(4), np.float32(-1), 1.0, np.int64(0), 2, np.float64(2))
+    assert [type(getattr(g, k)) for k in g.__slots__] == [int, int] + [float] * 6
+    _, meta = formats.write_snapshot(tmp_path, 0, plane_wave_slice(g, np.int64(3), 1.0))
+    assert json.loads(meta.read_text())["n_q"] == 8
+
+
 def test_field_validation_and_immutability():
     g = make_grid(4, 4, (0, 4), (0, 4))
     with pytest.raises(ValueError, match="shape"):
@@ -105,6 +114,16 @@ def test_wavefunction_requires_unit_norm():
     (lambda: Wavefunction(0, 1, np.full((2, 2), 0.5)), "samples must be a 1-D array of length >= 2"),
     (lambda: Wavefunction(0, 1, [1.0]), "samples must be a 1-D array of length >= 2"),
     (lambda: Wavefunction(1, 0, [1.0, 1.0]), "inverted q bounds: [1, 0]"),
+    (lambda: PhaseSpaceGrid(2.5, 4, 0.0, 1.0, 0.0, 1.0), "n_q: expected an integer, got 2.5"),
+    (lambda: PhaseSpaceGrid(4, True, 0.0, 1.0, 0.0, 1.0), "n_p: expected an integer, got True"),
+    (lambda: PhaseSpaceGrid(4, 4, 0.0, 1.0, 0.0, True), "p_max: expected a number, got True"),
+    (lambda: make_grid(4, 4, ("0", 1), (0, 1)), "q_min: expected a number, got '0'"),
+    (lambda: make_grid(4, 4, (0, 1), (0, 1), m="1"), "mass: expected a number, got '1'"),
+    (lambda: make_grid(4, 4, (0, 1), (0, 1), hbar=None), "hbar: expected a number, got None"),
+    (lambda: plane_wave_slice(make_grid(4, 4, (0, 1), (0, 1)), 1.5, 1.0),
+     "slice_index: expected an integer, got 1.5"),
+    (lambda: plane_wave_slice(make_grid(4, 4, (0, 1), (0, 1)), True, 1.0),
+     "slice_index: expected an integer, got True"),
 ])
 def test_bad_grid_and_state_are_named(build, message):
     with pytest.raises(ValueError) as info:
@@ -158,6 +177,39 @@ def test_gaussian_samples_are_adopted_and_their_norm_checked():
     # a norm summed from subnormal squares is off: the normalized samples miss 1 by 7e-5
     with pytest.raises(ValueError, match=r"wavefunction norm is 0\.9999.*expected 1 within"):
         gaussian_wavefunction(make_grid(32, 32, (-8, 8), (-8, 8)), sigma=0.0092)
+
+
+def analytic_gaussian_inline(grid, sigma, t):
+    """The closed form as the CLI wrote it inline, one IEEE operation at a time: the bit oracle."""
+    p = grid.p_centers()[:, None]
+    with np.errstate(over="ignore"):
+        err = grid.q_centers()[None, :] - p * t / grid.mass
+        np.divide(np.square(err, out=err), -sigma**2, out=err)
+        err -= (sigma * p / grid.hbar) ** 2
+        np.divide(np.exp(err, out=err), math.pi * grid.hbar, out=err)
+    return err
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("t", [0.0, 0.7, -3.0])
+@pytest.mark.parametrize("mass, hbar", [(1.0, 1.0), (0.3, 2.0), (5.0, 0.1)])
+def test_gaussian_closed_form_keeps_the_inline_bits(sigma, t, mass, hbar):
+    grid = make_grid(48, 31, (-8, 8), (-6, 7), mass, hbar)
+    got = wigner._gaussian_wigner(grid, sigma, t)
+    assert got.flags.writeable and got.shape == (31, 48)
+    assert np.array_equal(got.view(np.uint64), analytic_gaussian_inline(grid, sigma, t).view(np.uint64))
+    q, p = grid.q_centers()[None, :], grid.p_centers()[:, None]
+    exact = np.exp(-((q - p * t / mass) ** 2) / sigma**2 - (sigma * p / hbar) ** 2) / (math.pi * hbar)
+    assert np.max(np.abs(got - exact)) <= 1e-15 / hbar
+
+
+@pytest.mark.parametrize("t, hbar", [(1e308, 1.0), (1.0, 1e-160)])
+def test_gaussian_closed_form_overflow_gives_its_zero_limit(t, hbar):
+    # p t / m, or (sigma p / hbar)**2, overflows to inf: exp(-inf) is +0.0, with no warning
+    grid = make_grid(16, 16, (-8, 8), (-8, 8), 0.5, hbar)
+    got = wigner._gaussian_wigner(grid, 1.0, t)
+    assert np.array_equal(got.view(np.uint64), analytic_gaussian_inline(grid, 1.0, t).view(np.uint64))
+    assert not got.view(np.uint64).any()
 
 
 def test_plane_wave_state_momentum_concentration():
@@ -603,7 +655,7 @@ def test_evolve_snapshot_cadence():
     f = smooth_field(g, np.random.default_rng(11))
     snaps = evolve(f, 0.1, 10, snapshot_every=3)
     assert len(snaps) == 4  # steps 3, 6, 9 and the final state
-    assert snaps[-1].t == pytest.approx(1.0)
+    assert [s.t for s in snaps] == pytest.approx([0.3, 0.6, 0.9, 1.0])
     only_final = evolve(f, 0.1, 10, snapshot_every=0)
     assert len(only_final) == 1
     every_step = evolve(f, 0.1, 10, snapshot_every=1)
