@@ -16,17 +16,16 @@ leaves each number exactly its "%.17g" text.  ``fmt17`` shares that spec for
 scalars.  For many values ``_fmt17_batch`` computes the same texts as uint64
 words with numpy array operations; the values it cannot decide (subnormals,
 extremes, inf, nan and rounding ties) go through the "%.17g" template, so no
-byte depends on the path.  ``dump_state`` builds a state dump once, from the
-sign table.
+byte depends on the path.  ``dump_state`` writes a state dump from the sign
+table to a binary stream the same way, each block as soon as it is made.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,8 +47,8 @@ __all__ = [
 
 _FMT17 = "%.17g"
 # Cells per block of _lines17 (dump_state writes blocks of half as many lines).
-# A block's sorted bits, text table and lines are alive at once, so this bounds
-# the writers' extra memory: 2**16 raised a 16-qubit dump's peak RSS ~8%, 2**12 <2%.
+# A block's sorted bits, text table and lines are alive at once, and no writer
+# holds more than one block, so this bounds the writers' extra memory.
 _BLOCK_CELLS = 1 << 12
 # Most cells per block of _lines17 while its rows are narrow.  The kernel keeps
 # 2**12: it formatted the 8 evolve-snapshots fields in 43 ms so, 62 ms in 2**14.
@@ -344,26 +343,26 @@ def write_matrix_csv(path: Path, matrix: np.ndarray, row_labels: Sequence[str],
     _write_csv(path, header, mat.shape, mat.__getitem__, labels)
 
 
-def dump_state(s: QubitStateVector) -> bytes:
-    """One ASCII line per basis state: bitstring (qubit 1 leftmost), real part, imaginary part."""
+def dump_state(s: QubitStateVector, out: BinaryIO) -> None:
+    """Write one ASCII line per basis state to the binary stream ``out``: bitstring (qubit 1
+    leftmost), real part, imaginary part.  Each block of lines is written as soon as it is made."""
     n = s.n_qubits
     c = 2.0 ** (-n / 2.0)
     # the sign table picks each line's tail: (c, 0) where f = 0, (-c, -0) where f = 1
     tails = np.array([b" %.17g %.17g\n" % (c, 0.0), b" %.17g %.17g\n" % (-c, -0.0)])
     tails = tails.view(np.uint8).reshape(2, tails.itemsize)  # NUL-padded
     width, step = -(-n // 8), _BLOCK_CELLS // 2
-    dump = io.BytesIO()  # each block is appended as it is made, so the text is held once
     for start in range(0, 2**n, step):
         # labels: the index's big-endian bits, less the leading bits beyond n
         index = np.arange(start, min(start + step, 2**n), dtype=">u4").view(np.uint8)
         bits = np.unpackbits(index.reshape(-1, 4)[:, 4 - width :], axis=1)[:, 8 * width - n :]
         lines = [bits + np.uint8(ord("0")), np.take(tails, s.signs[start : start + step], axis=0)]
-        dump.write(np.concatenate(lines, axis=1).tobytes().translate(None, b"\0"))
-    return dump.getvalue()
+        out.write(np.concatenate(lines, axis=1).tobytes().translate(None, b"\0"))
 
 
 def write_state(path: Path, s: QubitStateVector) -> None:
-    path.write_bytes(dump_state(s))
+    with open(path, "wb") as f:
+        dump_state(s, f)
 
 
 def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Path, Path]:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _Value, _edge_degrees, _vertex_degrees
+from .hypergraph import Hypergraph, _Value, _edge_degrees, _require_real, _vertex_degrees
 from .wigner import PhaseSpaceGrid, WignerField
 
 __all__ = [
@@ -88,6 +88,7 @@ def grid_from_boundary(
     Momentum runs to the largest hyperedge weight; position runs to the
     largest of the degrees that place position columns.
     """
+    margin = _require_real(margin, "margin")
     if not 0 <= margin < math.inf:
         raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     if h.n_edges == 0:
@@ -129,7 +130,7 @@ def initial_field_from_hypergraph(
     shared by several hyperedges accumulate.  The result is a slice-carrier
     field (field_mode=True), not a normalized Wigner function.
     """
-    k = float(k_default)
+    k = _require_real(k_default, "k_default")
     if not math.isfinite(k * max(abs(grid.q_min), abs(grid.q_max))):
         raise ValueError(f"k_default={k_default} makes the phase k*q overflow float64 "
                          f"on q in [{grid.q_min}, {grid.q_max}]")

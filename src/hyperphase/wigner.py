@@ -106,8 +106,17 @@ def make_grid(
     hbar: float = 1.0,
 ) -> PhaseSpaceGrid:
     """Build a PhaseSpaceGrid from bounds pairs; see PhaseSpaceGrid for invariants."""
-    (q_min, q_max), (p_min, p_max) = q_bounds, p_bounds
+    (q_min, q_max), (p_min, p_max) = _pair(q_bounds, "q_bounds"), _pair(p_bounds, "p_bounds")
     return PhaseSpaceGrid(n_q, n_p, q_min, q_max, p_min, p_max, m, hbar)
+
+
+def _pair(bounds, path: str) -> tuple:
+    """The two items of ``bounds``; anything else is refused under ``path``."""
+    try:
+        low, high = bounds
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: expected a (min, max) pair, got {bounds!r}") from None
+    return low, high
 
 
 class WignerField(_Value):
@@ -147,12 +156,13 @@ class Wavefunction(_Value):
     __slots__ = ("q_min", "q_max", "samples")
 
     def __init__(self, q_min: float, q_max: float, samples: np.ndarray) -> None:
+        low, high = _require_real(q_min, "q_min"), _require_real(q_max, "q_max")
         arr = np.array(samples, dtype=np.complex128, copy=True)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("samples must be a 1-D array of length >= 2")
-        if not q_max > q_min:
+        if not high > low:
             raise ValueError(f"inverted q bounds: [{q_min}, {q_max}]")
-        self._adopt(float(q_min), float(q_max), arr)
+        self._adopt(low, high, arr)
 
     def _adopt(self, q_min: float, q_max: float, arr: np.ndarray):
         """Check the norm of the complex128 ``arr`` and make it the read-only samples, uncopied."""
@@ -181,6 +191,7 @@ def gaussian_wavefunction(
     finite, nonzero norm on the grid (a packet far narrower than dq can
     underflow to zero).
     """
+    sigma, q0, p0 = _require_real(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
         raise ValueError(f"sigma must be > 0 with a finite sigma**2, got {sigma}")
     q = grid.q_centers()
@@ -319,6 +330,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     shear p*dt/m, spectral phase or end time overflows float64, or whose
     spectral phase is past 2**53 rad, is refused before anything is computed.
     """
+    dt = _require_real(dt, "dt")
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
@@ -399,8 +411,8 @@ def plane_wave_slice(
     """
     if not 0 <= _require_int(slice_index, "slice_index") < grid.n_p:
         raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
+    k, t = _require_real(k, "k"), _require_real(t, "t")
     values = np.zeros((grid.n_p, grid.n_q))
-    k = float(k)
     omega = k * float(grid.p_centers()[slice_index]) / grid.mass
     values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
     return object.__new__(WignerField)._adopt(grid, values, t, True)  # fresh: no copy

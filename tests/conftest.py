@@ -1,10 +1,11 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hyperphase import Hypergraph
+from hyperphase import Hypergraph, formats
 
 
 @pytest.fixture
@@ -47,6 +48,13 @@ def float_hypergraphs(draw) -> Hypergraph:
     edges = draw(st.lists(st.tuples(st.sets(st.integers(1, n)), _weights), max_size=8))
     vertex_weights = draw(st.lists(_weights, min_size=n, max_size=n))
     return Hypergraph(n, edges, vertex_weights=vertex_weights)
+
+
+def state_dump(state) -> bytes:
+    """The text ``formats.dump_state`` writes for ``state``, collected in memory."""
+    out = io.BytesIO()
+    formats.dump_state(state, out)
+    return out.getvalue()
 
 
 def dump_amplitudes(dump: bytes) -> np.ndarray:

@@ -4,9 +4,14 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +257,23 @@ def test_encode_builds_no_amplitudes(fig4_file, tmp_path, monkeypatch):
     assert main(argv + [str(tmp_path / "b")]) == 0
     written = read_tree(tmp_path / "b")
     assert written == read_tree(tmp_path / "a") and len(written) == 5
+
+
+def test_encode_streams_every_state_file(tmp_path):
+    doc = tmp_path / "h.json"
+    edges = [{"members": [v, v % 20 + 1, (v + 6) % 20 + 1]} for v in range(1, 21)]
+    doc.write_text(json.dumps({"vertices": 20, "edges": edges}))
+    halves = ",".join(map(str, range(1, 11))) + "|" + ",".join(map(str, range(11, 21)))
+    out = tmp_path / "e"
+    tracemalloc.start()
+    try:
+        assert main(["encode", str(doc), "--partition", halves, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # state.txt and combined.txt hold 36.8 MiB of text each; built whole, one peaked at 43.9 MiB
+    assert (out / "state.txt").stat().st_size > 36 * 2**20
+    assert peak < 4 * 2**20, peak
 
 
 def test_encode_oversize_refused(tmp_path, capsys):
@@ -967,6 +989,62 @@ def test_cpu_independent_outputs_match_the_digest_table(name, tmp_path):
     Wigner transform's momentum sum is a BLAS dgemm), and the three Gram CSVs
     (``adjacency.csv``, ``laplacian.csv``, ``position_laplacian.csv``) of a document with
     fractional weights, whose dgemm sums round by the BLAS kernel.  Integer weights keep
-    every Gram sum exact, whatever the kernel.
+    every Gram sum exact, whatever the kernel.  CI runs this table on arm64 too.
     """
     assert digest_run(name, tmp_path) == DIGESTS[name]
+
+
+# The table's runs checked again in child processes under other CPU settings.
+CPU_RUNS = ("info fig4", "matrices fig4", "matrices m1", "encode s1 partition",
+            "evolve fig4", "evolve s1", "evolve s1 once")
+CPU_CHILD = """
+import json, tempfile
+from pathlib import Path
+from test_cli import CPU_RUNS, digest_run
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for i, name in enumerate(CPU_RUNS):
+        (root := Path(tmp, str(i))).mkdir()
+        digests[name] = digest_run(name, root)
+print(json.dumps(digests))
+"""
+
+
+def cpu_settings() -> list[dict[str, str]]:
+    """numpy's dispatch groups found available here, disabled cumulatively from the top; then
+    two OpenBLAS kernel types where numpy's OpenBLAS is an x86-64 ``DYNAMIC_ARCH`` build."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    groups = [g for g in __cpu_dispatch__ if __cpu_features__.get(g)]
+    if not groups:
+        return []
+    envs = [{"NPY_DISABLE_CPU_FEATURES": " ".join(groups[k:])} for k in reversed(range(len(groups)))]
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" in blas.get("openblas configuration", "") and platform.machine() in ("x86_64", "AMD64"):
+        envs += [{"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Prescott")]
+    return envs
+
+
+def test_pinned_outputs_do_not_move_with_the_cpu(tmp_path):
+    """``CPU_RUNS`` under each of ``cpu_settings``, one child process per setting at one
+    BLAS thread, against the digest table: the standing check that these bytes do not rest
+    on numpy's SIMD level or on OpenBLAS's kernel type."""
+    envs = cpu_settings()
+    if not envs:
+        pytest.skip("numpy dispatches no SIMD group above its baseline here")
+    path = [str(Path(formats.__file__).parents[1]), str(Path(__file__).parent),
+            *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    base = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+
+    def child(env: dict[str, str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", CPU_CHILD], env={**base, **env}, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        done = list(pool.map(child, envs))
+    expected = {name: DIGESTS[name] for name in CPU_RUNS}
+    for env, run in zip(envs, done):
+        assert run.returncode == 0, (env, run.stderr)
+        assert json.loads(run.stdout) == expected, env

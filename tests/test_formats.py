@@ -25,7 +25,7 @@ from hyperphase import (
 from hyperphase import formats
 from hyperphase.cli import main
 
-from conftest import dump_amplitudes, float_hypergraphs, traced_peak
+from conftest import dump_amplitudes, float_hypergraphs, state_dump, traced_peak
 
 FIG4_DOC = """
 {
@@ -198,6 +198,7 @@ MESSAGES = [
 
 @pytest.mark.parametrize("doc, message", MESSAGES)
 def test_refusal_messages_match_the_table(doc, message, tmp_path, capsys):
+    """CLI refusal messages stay byte for byte, on every platform CI runs."""
     with pytest.raises(ValueError) as info:
         formats.parse_hypergraph(doc)
     assert str(info.value) == message
@@ -223,7 +224,7 @@ def test_property_document_round_trip(h):
 
 def test_state_dump_round_trip(fig4):
     state = encode_hypergraph(fig4)
-    dump = formats.dump_state(state)
+    dump = state_dump(state)
     lines = dump.decode("ascii").strip().split("\n")
     assert len(lines) == 16
     assert lines[0].split() == ["0000", "0.25", "0"]
@@ -428,7 +429,7 @@ def hypergraph_state(n: int, edges, global_gate: bool) -> QubitStateVector:
 
 def assert_dump_matches_reference(state: QubitStateVector) -> None:
     n = state.n_qubits
-    dump = formats.dump_state(state)
+    dump = state_dump(state)
     ref = "".join(
         f"{i:0{n}b} {ref17(a.real)} {ref17(a.imag)}\n" for i, a in enumerate(state.amplitudes)
     )
@@ -449,7 +450,7 @@ def test_dump_state_spans_blocks_with_global_gate():
     assert 2**n > formats._BLOCK_CELLS // 2
     state = hypergraph_state(n, [set(), {1, 2, 3}, {4, 13}, {7}], True)
     assert_dump_matches_reference(state)
-    last = formats.dump_state(state).decode("ascii").rsplit("\n", 2)[-2]
+    last = state_dump(state).decode("ascii").rsplit("\n", 2)[-2]
     assert last == f"{'1' * n} {ref17(-(2**-6.5))} -0"  # f(1...1) = 0, then the gate
 
 
@@ -482,6 +483,10 @@ def test_batch_matches_format_spec(values):
 
 
 def test_batch_matches_format_spec_on_any_bits():
+    """The batch kernel's exactness rests on unfused IEEE double arithmetic and a log10
+    estimate it corrects afterwards, so CI also runs this on arm64 and its libm.  Each text
+    is built as four uint64 words declared little-endian ("<u8"), so its bytes would not
+    change on a big-endian host either (no CI runner is one)."""
     bits = np.random.default_rng(1).integers(0, 2**64, size=20000, dtype=np.uint64)
     assert_batch_exact(bits.view(np.float64))
 
@@ -524,6 +529,8 @@ def two_branch_scales() -> tuple[np.ndarray, ...]:
 
 
 def test_scale_tables_match_the_two_branch_oracle():
+    """The table of scales 10**s rests on Python's correctly rounded int division, the same
+    on every platform; this pins it bit for bit, on arm64 too."""
     for got, want in zip(formats._batch_tables()[:3], two_branch_scales(), strict=True):
         assert got.shape == (len(formats._SCALES),)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -698,6 +705,9 @@ def matrix_csv_reference(mat: np.ndarray, rows, cols) -> str:
 @example((chunk_boundaries(64, 400, formats._BATCH_MIN_DISTINCT, 8), ["é"] * 440))
 @example((np.zeros((40000, 0)), [f"v{i}" for i in range(40000)]))
 def test_csv_writers_match_per_row_reference(matrix):
+    """The line writer finds a block's distinct values with np.sort of its cells other than
+    +0.0 (and reads fewer, larger blocks where the texts are short).  numpy dispatches that
+    sort to a different SIMD sort on arm64 than on x86, so CI checks the bytes on both."""
     mat, rows = matrix
     cols = [f"c{j}" for j in range(mat.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
@@ -744,8 +754,9 @@ def test_matrix_and_wavefunction_writers_peak_under_a_quarter_of_the_file(tmp_pa
         assert size >= 4 * 2**20 and peak < size / 4, (name, size, peak)
 
 
-def test_state_dump_is_held_once():
+def test_state_file_streams_its_blocks(tmp_path):
     state = hypergraph_state(18, [{1, 2}, {3, 4, 5}, {18}], False)
-    dump = []
-    peak = traced_peak(lambda: dump.append(formats.dump_state(state)))
-    assert peak <= 1.25 * len(dump[0]), (len(dump[0]), peak)  # a join of blocks: ~2x
+    path = tmp_path / "state.txt"
+    peak = traced_peak(lambda: formats.write_state(path, state))
+    assert peak < 2**20, peak  # 8.5 MiB of text; a dump held whole peaked at 9.30 MiB
+    assert path.read_bytes() == state_dump(state)

@@ -163,14 +163,18 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_laplacian_is_degree_minus_adjacency(h):
-    # bit for bit: the in-place assembly must write +0.0 where D_v - A does, not -0.0
+    """Matrix CSV bytes rest on the in-place Laplacian assembly: 0 - G in the Gram product's
+    own array, then the degrees added on its diagonal, must give the bits of diag(d) - G,
+    +0.0 where D_v - A has it, not -0.0."""
     assert same_bits(momentum_laplacian(h), vertex_degree_matrix(h) - adjacency_matrix(h))
 
 
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_vertex_degrees_are_incidence_times_weights(h):
-    # d = H w, each d(v) added from 0.0 in edge order: one order, whatever the BLAS build
+    """d = H w, each d(v) an np.bincount sum from 0.0 in edge order: plain IEEE adds in one
+    order, no BLAS, so the bits (and the grids of hypergraph-mode evolve, built from them)
+    are the same whatever the BLAS build."""
     expected = [0.0] * h.n_vertices
     for members, w in h.hyperedges:
         for v in members:
@@ -183,7 +187,7 @@ def test_property_vertex_degrees_are_incidence_times_weights(h):
 @settings(deadline=None)
 @given(float_hypergraphs())
 def test_property_edge_weight_sums_are_weights_times_incidence(h):
-    # f_w = vw H, each f_w(e) added from 0.0 in ascending vertex order
+    """f_w = vw H, each f_w(e) an np.bincount sum from 0.0 in ascending vertex order."""
     expected = []
     for members, _ in h.hyperedges:
         total = 0.0

@@ -52,6 +52,8 @@ def axis_values(lo: float, delta: float, count: int):
     scale=st.floats(5e-294, 1.0),  # cell widths down to ~1e-300
 )
 def test_nearest_centers_match_the_scalar_rule(data, lows, spans, counts, scale):
+    """The nearest-center rule is plain numpy IEEE arithmetic ((v - lo) / d - 0.5, then
+    -floor(0.5 - x), clamped), checked against the scalar rule it replaced, on arm64 too."""
     (q_lo, p_lo), (n_q, n_p) = lows, counts
     g = PhaseSpaceGrid(n_q, n_p, q_lo * scale, (q_lo + spans[0]) * scale,
                        p_lo * scale, (p_lo + spans[1]) * scale)

@@ -17,6 +17,7 @@ from hyperphase import (
     evolve,
     free_stream_step,
     gaussian_wavefunction,
+    grid_from_boundary,
     initial_field_from_hypergraph,
     make_grid,
     marginals,
@@ -126,6 +127,34 @@ def test_wavefunction_requires_unit_norm():
      "slice_index: expected an integer, got True"),
 ])
 def test_bad_grid_and_state_are_named(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+_GRID = make_grid(4, 4, (0, 1), (0, 1))
+_ROW = plane_wave_slice(_GRID, 1, 1.0)
+_FIG4 = Hypergraph(4, [({1, 2, 3}, 1.0), ({2, 3, 4}, 2.0), ({1, 4}, 3.0)])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: plane_wave_slice(_GRID, 1, "1"), "k: expected a number, got '1'"),
+    (lambda: plane_wave_slice(_GRID, 1, 1.0, "1"), "t: expected a number, got '1'"),
+    (lambda: initial_field_from_hypergraph(_FIG4, _GRID, "1"), "k_default: expected a number, got '1'"),
+    (lambda: gaussian_wavefunction(_GRID, sigma="1"), "sigma: expected a number, got '1'"),
+    (lambda: gaussian_wavefunction(_GRID, sigma=True), "sigma: expected a number, got True"),
+    (lambda: gaussian_wavefunction(_GRID, q0="1"), "q0: expected a number, got '1'"),
+    (lambda: gaussian_wavefunction(_GRID, p0=None), "p0: expected a number, got None"),
+    (lambda: Wavefunction("0", 1, [1.0, 1.0]), "q_min: expected a number, got '0'"),
+    (lambda: Wavefunction(0, [1], [1.0, 1.0]), "q_max: expected a number, got [1]"),
+    (lambda: free_stream_step(_ROW, True), "dt: expected a number, got True"),
+    (lambda: free_stream_step(_ROW, "0.1"), "dt: expected a number, got '0.1'"),
+    (lambda: grid_from_boundary(_FIG4, 8, 8, "0.1"), "margin: expected a number, got '0.1'"),
+    (lambda: make_grid(4, 4, 5, (0, 1)), "q_bounds: expected a (min, max) pair, got 5"),
+    (lambda: make_grid(4, 4, (0, 1), (0, 1, 2)), "p_bounds: expected a (min, max) pair, got (0, 1, 2)"),
+])
+def test_library_numbers_are_checked_by_name(build, message):
+    """Each number a library function takes goes through the one number check, under its name."""
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
@@ -325,8 +354,10 @@ def pair_kernel_transform(psi: Wavefunction, grid) -> WignerField:
 @settings(deadline=None)
 @given(**transform_grids)
 def test_transform_has_the_pair_kernel_bits(parity, half, n_p, q_half, p_center, p_half, hbar, seed):
-    # the kernel's m > 0 rows are doubled in place and the result scaled in C order: a doubling
-    # is exact and the scale is one IEEE multiply per cell, so no bit may differ
+    """Wigner bytes do not depend on how the transform builds its kernel and field: its m > 0
+    rows are doubled in place, which is exact, and the C-ordered scaled field is one IEEE
+    multiply per cell, as a scaled copy is.  So no bit may differ from a pair * stack kernel
+    and a scaled copy, on arm64 as on x86."""
     grid = make_grid(2 * half + parity, n_p, (-q_half, q_half),
                      (p_center - p_half, p_center + p_half), hbar=hbar)
     psi = random_wavefunction(grid, np.random.default_rng(seed))
@@ -582,6 +613,8 @@ def full_array_shift(values, shifts, spacing, steps):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stream_skips_zero_rows_and_keeps_live_row_bits(n_q, n_p, dt, steps, seed):
+    """The spectral step skips rows of +0.0 and keeps every other row's bytes only because
+    pocketfft transforms each row on its own, whatever the batch; CI checks it on arm64 too."""
     rng = np.random.default_rng(seed)
     g = make_grid(n_q, n_p, (-3, 5), (-2, 2))
     values = rng.normal(size=(n_p, n_q))
@@ -595,6 +628,9 @@ def test_stream_skips_zero_rows_and_keeps_live_row_bits(n_q, n_p, dt, steps, see
 
 
 def test_all_live_field_streams_without_a_row_copy():
+    """An all-live field (every Gaussian) is transformed as it is, with no row copy and no
+    zeroed output; its bytes match the row-copy path's because pocketfft transforms each row
+    on its own."""
     n = 1024
     grid = make_grid(n, n, (-8, 8), (-8, 8))
     w = wigner_transform_pure(gaussian_wavefunction(grid), grid)
