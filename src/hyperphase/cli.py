@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,8 @@ from .hypergraph import (
     Hypergraph,
     PartitionEnsemble,
     _edge_degrees,
+    _require_number,
+    _require_real,
     _vertex_degrees,
     adjacency_matrix,
     cut_cost,
@@ -167,8 +168,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_series(args: argparse.Namespace, start, dt: float):
-    """``evolve`` the field ``start()`` builds, writing each snapshot and its mass before the next.
+def _write_series(args: argparse.Namespace, stretches, start, dt: float):
+    """``evolve`` ``start()`` over ``stretches``, writing each snapshot and its mass before the next.
 
     Returns the output directory, the last field and run.json's mass entries.  The first
     field's masses are taken before the first stretch, and no caller holds that field, so it
@@ -179,7 +180,7 @@ def _write_series(args: argparse.Namespace, start, dt: float):
     w = start()
     m0, l1_mass = total_mass(w), _mass(np.abs(w.values), w.grid)
     out, masses = None, []
-    for i, stretch in enumerate(_stretches(args.steps, args.snapshot_every), start=1):
+    for i, stretch in enumerate(stretches, start=1):
         w = evolve(w, dt, stretch)[0]
         out = out or _output_dir(args)
         formats.write_snapshot(out, i, w)
@@ -191,12 +192,7 @@ def _write_series(args: argparse.Namespace, start, dt: float):
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
-    if args.steps > sys.float_info.max:  # t / steps and t + steps * dt take it as a float64
-        raise ValueError(f"steps must be at most {sys.float_info.max:g}, got {len(str(args.steps))} digits")
-    if args.snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be >= 0, got {args.snapshot_every}")
+    stretches = _stretches(args.steps, args.snapshot_every)  # checks both counts before the caps
     # n_q * n_p is clipped to MAX_CELLS: a larger grid is refused with its own message
     if args.steps * max(min(args.nq * args.np, MAX_CELLS), 2**12) > _MAX_STEP_WORK:
         raise ValueError(f"steps={args.steps} on an n_q={args.nq} x n_p={args.np} grid is too much "
@@ -209,17 +205,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if args.physical != "gaussian":
             raise ValueError(f"unknown physical state {args.physical!r} (expected 'gaussian')")
         if args.t is not None:
-            dt = args.t / args.steps
+            dt = _require_real(args.t, "t") / args.steps
         elif args.dt is not None:
             dt = args.dt
         else:
             raise ValueError("physical mode needs --t (total time) or --dt")
-        ext = args.extent
-        if not 0 < ext < math.inf:
-            raise ValueError(f"extent must be a finite number > 0, got {ext}")
+        ext = _require_number(args.extent, "extent")
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
         psi = gaussian_wavefunction(grid, sigma=args.sigma)
-        out, final, series = _write_series(args, lambda: wigner_transform_pure(psi, grid), dt)
+        out, final, series = _write_series(args, stretches, lambda: wigner_transform_pure(psi, grid), dt)
         err = _gaussian_wigner(grid, args.sigma, final.t)  # the analytic field, then its error
         max_err = float(np.max(np.abs(np.subtract(final.values, err, out=err), out=err)))
         run: dict = {"mode": "physical", "sigma": args.sigma, "max_error_vs_analytic": max_err}
@@ -233,7 +227,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         grid = grid_from_boundary(h, args.nq, args.np, args.margin, args.mass, args.hbar)
         pmap = build_phase_map(h, grid)
         out, _, series = _write_series(
-            args, lambda: initial_field_from_hypergraph(h, grid, args.k_default), dt)
+            args, stretches, lambda: initial_field_from_hypergraph(h, grid, args.k_default), dt)
         run = {"mode": "hypergraph", "k_default": args.k_default, "margin": args.margin,
                "degree_source": pmap.degree_source,
                "momentum_rows": {str(k): v for k, v in pmap.momentum_rows.items()}}

@@ -58,15 +58,20 @@ def _require_int(value, path: str) -> int:
 
 
 def _require_real(value, path: str) -> float:
+    """``value`` as a finite float64: the one check of every real the package takes."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # a Python int past float64: its digit count, not its digits
+        raise ValueError(f"{path}: expected a finite number, got {len(str(abs(value)))} digits") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
+    return v
 
 
 def _require_number(value, path: str) -> float:
     v = _require_real(value, path)
-    if not math.isfinite(v):
-        raise ValueError(f"{path}: expected a finite number, got {value!r}")
     if not v > 0:
         raise ValueError(f"{path}: expected a positive number, got {value!r}")
     return v

@@ -89,8 +89,8 @@ def grid_from_boundary(
     largest of the degrees that place position columns.
     """
     margin = _require_real(margin, "margin")
-    if not 0 <= margin < math.inf:
-        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
+    if margin < 0:
+        raise ValueError(f"margin: must be >= 0, got {margin}")
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
     p_hi = (1.0 + margin) * max(h.edge_weights())

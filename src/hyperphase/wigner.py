@@ -24,12 +24,11 @@ indexed from p_min upward; hbar and mass default to 1 and live on the grid.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import MAX_CELLS, _require_int, _require_real, _Value
+from .hypergraph import MAX_CELLS, _require_int, _require_number, _require_real, _Value
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -55,26 +54,19 @@ class PhaseSpaceGrid(_Value):
 
     def __init__(self, n_q: int, n_p: int, q_min: float, q_max: float, p_min: float,
                  p_max: float, mass: float = 1.0, hbar: float = 1.0) -> None:
-        reals = (q_min, q_max, p_min, p_max, mass, hbar)  # each checked under its slot's name
-        self._set(_require_int(n_q, "n_q"), _require_int(n_p, "n_p"),
-                  *map(_require_real, reals, self.__slots__[2:]))
+        self._set(_require_int(n_q, "n_q"), _require_int(n_p, "n_p"),  # each under its slot's name
+                  *map(_require_real, (q_min, q_max, p_min, p_max), self.__slots__[2:6]),
+                  _require_number(mass, "mass"), _require_number(hbar, "hbar"))
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
         if self.n_q * self.n_p > MAX_CELLS:
             raise ValueError(f"grid of n_q={self.n_q} x n_p={self.n_p} = {self.n_q * self.n_p} "
                              f"cells exceeds the cap of {MAX_CELLS}")
         bounds = f"q in [{self.q_min}, {self.q_max}], p in [{self.p_min}, {self.p_max}]"
-        if not all(math.isfinite(b) for b in (self.q_min, self.q_max, self.p_min, self.p_max)):
-            raise ValueError(f"phase-space bounds must be finite, got {bounds}")
         if not self.q_max > self.q_min:
             raise ValueError(f"inverted q bounds: [{self.q_min}, {self.q_max}]")
         if not self.p_max > self.p_min:
             raise ValueError(f"inverted p bounds: [{self.p_min}, {self.p_max}]")
-        for name, value in (("mass", self.mass), ("hbar", self.hbar)):
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if not math.isfinite(self.dq * self.dp):
             raise ValueError(f"phase-space cell area dq*dp overflows float64 for {bounds}")
         for name, d in (("dq", self.dq), ("dp", self.dp)):
@@ -137,7 +129,10 @@ class WignerField(_Value):
         t: float = 0.0,
         field_mode: bool = False,
     ) -> None:
-        self._adopt(grid, np.array(values, dtype=np.float64, copy=True, order="C"), t, field_mode)
+        if not isinstance(field_mode, (bool, np.bool_)):
+            raise ValueError(f"field_mode: expected a bool, got {field_mode!r}")
+        self._adopt(grid, np.array(values, dtype=np.float64, copy=True, order="C"),
+                    _require_real(t, "t"), bool(field_mode))
 
     def _adopt(self, grid: PhaseSpaceGrid, arr: np.ndarray, t: float, field_mode: bool):
         """Check the float64 ``arr`` and make it the read-only values, without a copy."""
@@ -147,7 +142,7 @@ class WignerField(_Value):
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         arr.flags.writeable = False
-        return self._set(grid, arr, float(t), bool(field_mode))
+        return self._set(grid, arr, t, field_mode)
 
 
 class Wavefunction(_Value):
@@ -330,11 +325,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     shear p*dt/m, spectral phase or end time overflows float64, or whose
     spectral phase is past 2**53 rad, is refused before anything is computed.
     """
-    dt = _require_real(dt, "dt")
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    dt, steps = _require_real(dt, "dt"), _require_steps(steps)
     if dt == 0.0:
         return w  # fields are immutable: the unstreamed field is its own result
     g = w.grid
@@ -344,7 +335,7 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     if not math.isfinite(phase):
         raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
                          f"whose spectral phase overflows float64")
-    if steps > sys.float_info.max or not math.isfinite(w.t + steps * dt):
+    if not math.isfinite(w.t + steps * dt):
         raise ValueError(f"dt={dt} over {steps} steps from t={w.t} overflows float64")
     if phase > 2.0**53:  # past 2**53 rad a phase has no correct digit left
         raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
@@ -366,16 +357,25 @@ def evolve(
     state is always included.  Each stretch between snapshots is one
     ``free_stream_step`` call, so the field is transformed once per snapshot.
     """
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    if isinstance(snapshot_every, bool) or not isinstance(snapshot_every, int) or snapshot_every < 0:
-        raise ValueError(f"snapshot_every must be an integer >= 0, got {snapshot_every!r}")
     return [w := free_stream_step(w, dt, stretch) for stretch in _stretches(steps, snapshot_every)]
 
 
+def _require_steps(steps) -> int:
+    """``steps`` as an int of at least 1 that is a finite float64, as ``t + steps * dt`` takes it."""
+    steps = _require_int(steps, "steps")
+    if steps < 1:
+        raise ValueError(f"steps: must be >= 1, got {steps}")
+    _require_real(steps, "steps")
+    return steps
+
+
 def _stretches(steps: int, snapshot_every: int) -> Iterator[int]:
-    """Steps between snapshots: ``snapshot_every`` at a time and then the rest, or all if 0."""
-    every = snapshot_every or steps
+    """Steps between snapshots: ``snapshot_every`` at a time and then the rest, or all if 0.
+    Both counts are checked when this is called, before the first stretch is taken."""
+    steps, every = _require_steps(steps), _require_int(snapshot_every, "snapshot_every")
+    if every < 0:
+        raise ValueError(f"snapshot_every: must be >= 0, got {every}")
+    every = every or steps
     return (min(every, steps - done) for done in range(0, steps, every))
 
 
@@ -407,12 +407,16 @@ def plane_wave_slice(
 
     Row ``slice_index`` carries cos(k q - omega t) with omega = k p_row / m,
     so one free-streaming step of dt advances the phase by exactly
-    k p_row dt / m.
+    k p_row dt / m.  A phase that overflows float64 is refused before the cosine.
     """
     if not 0 <= _require_int(slice_index, "slice_index") < grid.n_p:
         raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
     k, t = _require_real(k, "k"), _require_real(t, "t")
-    values = np.zeros((grid.n_p, grid.n_q))
     omega = k * float(grid.p_centers()[slice_index]) / grid.mass
-    values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or inf * 0 is nan
+        phase = k * grid.q_centers() - omega * t
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"k={k}, t={t} make the phase k*q - omega*t overflow float64 on row {slice_index}")
+    values = np.zeros((grid.n_p, grid.n_q))
+    values[slice_index, :] = np.cos(phase)
     return object.__new__(WignerField)._adopt(grid, values, t, True)  # fresh: no copy

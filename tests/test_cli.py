@@ -288,11 +288,19 @@ def test_encode_bad_partition_spec(fig4_file, tmp_path, capsys):
     assert "partition part 1" in capsys.readouterr().err
 
 
-def test_invalid_document_is_validation_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices": 4, "edges": [{"members": [5]}]}', "edges[0].members[0]: vertex 5 out of range 1..4"),
+    # JSON integers past float64: json parses them exactly, and float() of one raises OverflowError
+    ('{"vertices": 1, "edges": [{"members": [1], "weight": 1%s}]}' % ("0" * 400),
+     "edges[0].weight: expected a finite number, got 401 digits"),
+    ('{"vertices": 2, "vertex_weights": [1, 1%s]}' % ("0" * 400),
+     "vertex_weights[1]: expected a finite number, got 401 digits"),
+], ids=["member", "edge-weight", "vertex-weight"])
+def test_invalid_document_is_validation_error(text, message, tmp_path, capsys):
     doc = tmp_path / "bad.json"
-    doc.write_text('{"vertices": 4, "edges": [{"members": [5]}]}')
+    doc.write_text(text)
     assert main(["info", str(doc)]) == 1
-    assert "edges[0].members[0]" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 HUGE_SUMS_DOC = ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
@@ -309,13 +317,13 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2"],
          "error: phase-space cell area"),
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "1"],
-         "error: phase-space bounds must be finite"),
+         "error: q_max: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
-         "error: sigma must be > 0 with a finite sigma**2, got inf"),
+         "error: sigma: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
          "error: sigma=1e-300 gives a Gaussian of norm"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "inf"],
-         "error: k_default=inf makes the phase k*q overflow"),
+         "error: k_default: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "1e308"],
          "error: k_default=1e+308 makes the phase k*q overflow"),
         (FIG4_DOC, ["evolve", "--dt", "1e308", "--steps", "3"],
@@ -328,7 +336,7 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
          "error: dt=0.5 implies a shear p*dt/m of up to 3.9999999999999996e+300 per step, "
          "whose spectral phase of"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--mass", "inf"],
-         "error: mass must be finite, got inf"),
+         "error: mass: expected a finite number, got inf"),
         ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e-320}]}',
          ["evolve", "--dt", "0.1", "--steps", "2", "--nq", "4", "--np", "4"],
          "error: phase-space spacing dq=3.122e-321 is 0 or makes pi/dq overflow float64 "
@@ -337,19 +345,19 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}]}', ["matrices"],
          "error: edge weights"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "nan"],
-         "error: margin must be a finite number >= 0, got nan"),
+         "error: margin: expected a finite number, got nan"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "inf"],
-         "error: margin must be a finite number >= 0, got inf"),
+         "error: margin: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "-1"],
-         "error: margin must be a finite number >= 0, got -1.0"),
+         "error: margin: must be >= 0, got -1.0"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "nan", *SMALL_PHYSICAL],
-         "error: extent must be a finite number > 0, got nan"),
+         "error: extent: expected a finite number, got nan"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "-1", *SMALL_PHYSICAL],
-         "error: extent must be a finite number > 0, got -1.0"),
+         "error: extent: expected a positive number, got -1.0"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "0", *SMALL_PHYSICAL],
-         "error: extent must be a finite number > 0, got 0.0"),
+         "error: extent: expected a positive number, got 0.0"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "inf", *SMALL_PHYSICAL],
-         "error: extent must be a finite number > 0, got inf"),
+         "error: extent: expected a finite number, got inf"),
     ],
     ids=[f"command{i}" for i in range(22)],
 )
@@ -532,16 +540,17 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
     (["encode", "FIG4", "--partition", "1,x|2,3,4"], "partition part 1: 'x' is not an integer"),
     (["encode", "FIG4", "--partition", "1,4|2,9"], "partition part 2: vertex 9 out of range 1..4"),
     (["evolve", "FIG4", "--dt", "0.1", "--snapshot-every", "-1"],
-     "snapshot_every must be >= 0, got -1"),
+     "snapshot_every: must be >= 0, got -1"),
     (["evolve", "--physical", "box", "--t", "1"],
      "unknown physical state 'box' (expected 'gaussian')"),
     (["evolve", "--dt", "0.1"], "evolve needs a hypergraph document (or --physical gaussian)"),
     (["evolve", "FIG4", "--steps", "2"], "hypergraph mode needs --dt"),
+    (["evolve", "--physical", "gaussian", "--t", "nan"], "t: expected a finite number, got nan"),
     # a step count past float64 would overflow t / steps and t + steps * dt
     (["evolve", "--physical", "gaussian", "--t", "1", "--steps", str(10**400)],
-     "steps must be at most 1.79769e+308, got 401 digits"),
+     "steps: expected a finite number, got 401 digits"),
     (["evolve", "FIG4", "--dt", "0.1", "--steps", str(10**400), "--snapshot-every", "0"],
-     "steps must be at most 1.79769e+308, got 401 digits"),
+     "steps: expected a finite number, got 401 digits"),
     # the norm is summed from subnormal squares: the refusal names the packet and the cell
     (["evolve", "--physical", "gaussian", "--t", "1", "--sigma", "0.0092", "--nq", "32", "--np", "32"],
      "sigma=0.0092 on a grid of dq=0.5: wavefunction norm is 0.9999286149151664, "
@@ -567,9 +576,9 @@ REFUSAL_INPUTS = {
     (["encode", "fig4.json", "--partition", "1,4|2,3", "--delta", "1.5"],
      "delta must lie in (0, 1), got 1.5"),
     (["encode", "big.json"], "hypergraph has 21 vertices; dense encoding is capped at 20"),
-    (["evolve", "fig4.json", "--steps", "0", "--dt", "0.1"], "steps must be >= 1, got 0"),
+    (["evolve", "fig4.json", "--steps", "0", "--dt", "0.1"], "steps: must be >= 1, got 0"),
     (["evolve", "fig4.json", "--dt", "0.1", "--snapshot-every", "-1"],
-     "snapshot_every must be >= 0, got -1"),
+     "snapshot_every: must be >= 0, got -1"),
     (["evolve", "fig4.json", "--dt", "1e308", "--steps", "3"],
      "dt=1e+308 implies a shear p*dt/m of up to inf"),
     (["wigner-transform", "--state", "one.csv"], "wavefunction file needs at least 2 samples"),
@@ -646,7 +655,7 @@ def test_wigner_transform_infinite_hbar(tmp_path, capsys):
     formats.write_wavefunction(psi_path, gaussian_wavefunction(make_grid(64, 64, (-8, 8), (-8, 8))))
     argv = ["wigner-transform", "--state", str(psi_path), "--hbar", "inf", "--out", str(tmp_path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: hbar must be finite, got inf\n"
+    assert capsys.readouterr().err == "error: hbar: expected a finite number, got inf\n"
 
 
 def test_wigner_transform_overflowing_norm(tmp_path, capsys):

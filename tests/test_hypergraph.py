@@ -293,8 +293,10 @@ def test_duplicate_members_collapse():
     (4, [([1], True)], None, "edges[0].weight: expected a number, got True"),
     (4, [([1, 2], float("inf"))], None, "edges[0].weight: expected a finite number, got inf"),
     (4, [([1, 2], np.nan)], None, "edges[0].weight: expected a finite number, got nan"),
+    (4, [([1], 10**400)], None, "edges[0].weight: expected a finite number, got 401 digits"),
     (4, [], ["1", 1.0, 1.0, 1.0], "vertex_weights[0]: expected a number, got '1'"),
     (4, [], [float("inf"), 1.0, 1.0, 1.0], "vertex_weights[0]: expected a finite number, got inf"),
+    (4, [], [1.0, -10**400, 1.0, 1.0], "vertex_weights[1]: expected a finite number, got 401 digits"),
     (4, [], [1.0, 1.0, False, 1.0], "vertex_weights[2]: expected a number, got False"),
     (4, [], [1.0] * 3, "vertex_weights: expected 4 entries, got 3"),
 ])
@@ -444,7 +446,7 @@ def test_partition_validation(fig4):
     ([[1]], "0.5", "delta: expected a number, got '0.5'"),
     ([[1]], True, "delta: expected a number, got True"),
     ([[1]], None, "delta: expected a number, got None"),
-    ([[1]], float("nan"), "delta must lie in (0, 1), got nan"),
+    ([[1]], float("nan"), "delta: expected a finite number, got nan"),
     ([[1], [5]], 0.5, "parts[1]: vertex 5 out of range 1..4"),
 ])
 def test_partition_members_and_delta_are_checked(fig4, parts, delta, message):
