@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -71,7 +70,7 @@ def _output_dir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _parse_partition_spec(spec: str, n: int) -> list[list[int]]:
+def _parse_partition_spec(spec: str) -> list[list[int]]:
     parts = []
     for k, group in enumerate(spec.split("|")):
         members = []
@@ -83,8 +82,6 @@ def _parse_partition_spec(spec: str, n: int) -> list[list[int]]:
                 v = int(token)
             except ValueError:
                 raise ValueError(f"partition part {k + 1}: {token!r} is not an integer") from None
-            if not 1 <= v <= n:
-                raise ValueError(f"partition part {k + 1}: vertex {v} out of range 1..{n}")
             members.append(v)
         parts.append(members)
     return parts
@@ -146,7 +143,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     }
     files = {"state.txt": state}
     if args.partition:  # every refusal comes before the first file is written
-        ensemble = PartitionEnsemble(h, _parse_partition_spec(args.partition, h.n_vertices), args.delta)
+        ensemble = PartitionEnsemble(h, _parse_partition_spec(args.partition), args.delta)
         balance = is_balanced(ensemble)
         states, combined = encode_partitioned(h, ensemble)
         files.update((f"part_{k + 1}.txt", s) for k, s in enumerate(states))
@@ -157,9 +154,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     out = _output_dir(args)
     for name, s in files.items():
         formats.write_state(out / name, s)
-    (out / "report.json").write_text(  # json writes the report's tuples as lists
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    formats._write_json(out / "report.json", report)  # the report's tuples become lists
     print(f"encoded {h.n_vertices}-qubit state ({2 ** h.n_vertices} amplitudes) -> {out / 'state.txt'}")
     print(f"real equally weighted: {report['real_equally_weighted']}")
     if args.partition:
@@ -234,7 +229,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     run.update(series, n_q=grid.n_q, n_p=grid.n_p, dt=dt, steps=args.steps,
                snapshot_every=args.snapshot_every)
-    (out / "run.json").write_text(json.dumps(run, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    formats._write_json(out / "run.json", run)
     print(f"wrote {run['snapshots']} snapshots to {out}")
     print(f"mass drift: {run['mass_drift_rel']:.3e} (relative), {run['mass_drift_abs']:.3e} (absolute)")
     if "max_error_vs_analytic" in run:

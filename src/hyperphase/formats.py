@@ -376,8 +376,13 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
     _write_csv(csv_path, b"", values.shape, values.__getitem__)
     meta = {name: getattr(field.grid, name) for name in field.grid.__slots__}  # keys sorted below
     meta.update(t=field.t, field_mode=field.field_mode)
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(meta_path, meta)
     return csv_path, meta_path
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    """The package's JSON output file: indent 2, sorted keys, a trailing newline, UTF-8."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def write_wavefunction(path: Path, psi: Wavefunction) -> None:

@@ -64,10 +64,18 @@ def _require_real(value, path: str) -> float:
     try:
         v = float(value)
     except OverflowError:  # a Python int past float64: its digit count, not its digits
-        raise ValueError(f"{path}: expected a finite number, got {len(str(abs(value)))} digits") from None
+        raise ValueError(f"{path}: expected a finite number, got {_digits(abs(value))} digits") from None
     if not math.isfinite(v):
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
     return v
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of the int n >= 1, counted without str(), which refuses past 4300."""
+    d = int((n.bit_length() - 1) * 0.30102999566)  # at most log10(n): the constant is below log10(2)
+    while n >= 10 ** (d + 1):
+        d += 1
+    return d + 1
 
 
 def _require_number(value, path: str) -> float:

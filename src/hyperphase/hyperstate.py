@@ -130,7 +130,8 @@ def encode_partitioned(
     vertices relabelled 1..|part| in increasing order; crossing hyperedges are
     dropped (cut_cost accounts for them) and empty ones go to part 1 only.
     The combined state is ``encode_hypergraph`` of every uncut hyperedge on
-    qubits 1..n, so it equals the full encoding whenever nothing is cut.
+    qubits 1..n, so it equals the full encoding whenever nothing is cut; it is
+    encoded first, so a hypergraph past MAX_QUBITS is refused before any part.
     """
     if p.parent is not h:
         raise ValueError("partition ensemble does not belong to this hypergraph")
@@ -138,15 +139,12 @@ def encode_partitioned(
         raise ValueError("partition must cover every vertex")
     if any(len(part) == 0 for part in p.parts):
         raise ValueError("empty parts cannot be encoded")
-    if h.n_vertices > MAX_QUBITS:
-        raise ValueError(f"hypergraph has {h.n_vertices} vertices; "
-                         f"dense encoding is capped at {MAX_QUBITS}")
-
+    kept = [(m, w) for m, w in h.hyperedges if any(m <= part for part in p.parts)]
+    combined = encode_hypergraph(Hypergraph(h.n_vertices, kept))
     states: list[QubitStateVector] = []
     for k, part in enumerate(p.parts):
         local = {v: i + 1 for i, v in enumerate(sorted(part))}
         induced = [([local[v] for v in m], w) for m, w in h.hyperedges
                    if m <= part and (m or k == 0)]
         states.append(encode_hypergraph(Hypergraph(len(part), induced)))
-    kept = [(m, w) for m, w in h.hyperedges if any(m <= part for part in p.parts)]
-    return states, encode_hypergraph(Hypergraph(h.n_vertices, kept))
+    return states, combined

@@ -93,8 +93,13 @@ def grid_from_boundary(
         raise ValueError(f"margin: must be >= 0, got {margin}")
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
-    p_hi = (1.0 + margin) * max(h.edge_weights())
-    q_hi = (1.0 + margin) * float(_DEGREES[_degree_source(h)](h).max())
+    source = _degree_source(h)
+    tops = {"edge weight": max(h.edge_weights()), source.replace("_", " "): float(_DEGREES[source](h).max())}
+    for name, top in tops.items():  # refused here: PhaseSpaceGrid would name an inf q_max or p_max
+        if not math.isfinite((1.0 + margin) * top):
+            raise ValueError(f"margin={margin} makes (1 + margin) * {top}, the largest {name}, "
+                             "overflow float64")
+    p_hi, q_hi = ((1.0 + margin) * top for top in tops.values())
     if q_hi <= 0.0:
         raise ValueError("hypergraph boundary has zero position extent (all hyperedges empty)")
     return PhaseSpaceGrid(n_q, n_p, 0.0, q_hi, 0.0, p_hi, m, hbar)

@@ -182,21 +182,26 @@ def gaussian_wavefunction(
 ) -> Wavefunction:
     """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized.
 
-    sigma must be > 0 with a finite sigma**2, and the samples must have a
-    finite, nonzero norm on the grid (a packet far narrower than dq can
-    underflow to zero).
+    sigma must be > 0 with a finite sigma**2, the phase p0 q / hbar must be
+    finite on the grid, and the samples must have a finite, nonzero norm on
+    the grid (a packet far narrower than dq, or far off it, can underflow to zero).
     """
     sigma, q0, p0 = _require_real(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
     if not (sigma > 0 and math.isfinite(sigma * sigma)):
         raise ValueError(f"sigma must be > 0 with a finite sigma**2, got {sigma}")
     q = grid.q_centers()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+        phase = 1j * p0 * q / grid.hbar
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(f"p0={p0}, hbar={grid.hbar} make the phase p0*q/hbar overflow float64 "
+                         f"on q in [{grid.q_min}, {grid.q_max}]")
     # a sigma**2 that underflows divides by zero; the norm check below rejects the result
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
+        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(phase)
         norm = float(np.sum(np.abs(raw) ** 2)) * grid.dq
     if not (math.isfinite(norm) and norm > 0):
-        raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} on a grid of "
-                         f"dq={grid.dq}, hbar={grid.hbar}")
+        raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} at q0={q0} on a grid of "
+                         f"q in [{grid.q_min}, {grid.q_max}], dq={grid.dq}")
     raw /= math.sqrt(norm)  # checked again: a norm of subnormal squares can be off by > 1e-10
     try:
         return object.__new__(Wavefunction)._adopt(float(grid.q_min), float(grid.q_max), raw)

@@ -317,7 +317,7 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2"],
          "error: phase-space cell area"),
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "1"],
-         "error: q_max: expected a finite number, got inf"),
+         "error: margin=1.0 makes (1 + margin) * 1e+308, the largest edge weight, overflow float64"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
          "error: sigma: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
@@ -538,7 +538,11 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["encode", "FIG4", "--partition", "1,x|2,3,4"], "partition part 1: 'x' is not an integer"),
-    (["encode", "FIG4", "--partition", "1,4|2,9"], "partition part 2: vertex 9 out of range 1..4"),
+    # the spec's text is checked as it is split; its vertices, after delta, by PartitionEnsemble
+    (["encode", "FIG4", "--partition", "1,4|2,9"], "parts[1]: vertex 9 out of range 1..4"),
+    (["encode", "FIG4", "--partition", "9|x"], "partition part 2: 'x' is not an integer"),
+    (["encode", "FIG4", "--partition", "1,4|2,9", "--delta", "1.5"],
+     "delta must lie in (0, 1), got 1.5"),
     (["evolve", "FIG4", "--dt", "0.1", "--snapshot-every", "-1"],
      "snapshot_every: must be >= 0, got -1"),
     (["evolve", "--physical", "box", "--t", "1"],
@@ -572,7 +576,7 @@ REFUSAL_INPUTS = {
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["encode", "fig4.json", "--partition", "1,4|2,9"], "partition part 2: vertex 9 out of range"),
+    (["encode", "fig4.json", "--partition", "1,4|2,9"], "parts[1]: vertex 9 out of range"),
     (["encode", "fig4.json", "--partition", "1,4|2,3", "--delta", "1.5"],
      "delta must lie in (0, 1), got 1.5"),
     (["encode", "big.json"], "hypergraph has 21 vertices; dense encoding is capped at 20"),

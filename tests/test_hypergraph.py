@@ -18,6 +18,7 @@ from hyperphase import (
     vertex_degree_matrix,
 )
 from hyperphase.formats import parse_hypergraph, serialize_hypergraph
+from hyperphase.hypergraph import _digits
 
 from conftest import float_hypergraphs, random_hypergraph
 
@@ -294,9 +295,12 @@ def test_duplicate_members_collapse():
     (4, [([1, 2], float("inf"))], None, "edges[0].weight: expected a finite number, got inf"),
     (4, [([1, 2], np.nan)], None, "edges[0].weight: expected a finite number, got nan"),
     (4, [([1], 10**400)], None, "edges[0].weight: expected a finite number, got 401 digits"),
+    (4, [([1], 10**5000)], None, "edges[0].weight: expected a finite number, got 5001 digits"),
     (4, [], ["1", 1.0, 1.0, 1.0], "vertex_weights[0]: expected a number, got '1'"),
     (4, [], [float("inf"), 1.0, 1.0, 1.0], "vertex_weights[0]: expected a finite number, got inf"),
     (4, [], [1.0, -10**400, 1.0, 1.0], "vertex_weights[1]: expected a finite number, got 401 digits"),
+    (4, [], [1.0, 1.0, 1 - 10**5000, 1.0],
+     "vertex_weights[2]: expected a finite number, got 5000 digits"),
     (4, [], [1.0, 1.0, False, 1.0], "vertex_weights[2]: expected a number, got False"),
     (4, [], [1.0] * 3, "vertex_weights: expected 4 entries, got 3"),
 ])
@@ -304,6 +308,15 @@ def test_library_refuses_what_a_document_refuses(n, edges, vertex_weights, messa
     with pytest.raises(ValueError) as info:
         Hypergraph(n, edges, vertex_weights=vertex_weights)
     assert str(info.value) == message
+
+
+def test_digit_counts_need_no_str():
+    """``_digits`` agrees with len(str(n)) at and around every power of 10 and of 2 that str()
+    converts, and counts past the 4300 digits where str() of an int is refused."""
+    for k in range(1, 1300):
+        for n in (10**k - 1, 10**k, 10**k + 1, 2**k - 1, 2**k, 2**k + 1):
+            assert _digits(n) == len(str(n)), n
+    assert [_digits(n) for n in (10**5000 - 1, 10**5000, 2**20000)] == [5000, 5001, 6021]
 
 
 def test_numpy_values_sets_and_generators_build_the_same_hypergraph():

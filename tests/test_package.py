@@ -129,7 +129,8 @@ FINITE_REFUSALS = {
         ("k_default", lambda x: initial_field_from_hypergraph(_FIG4, _GRID, x)),
     ("PartitionEnsemble", "delta"): ("delta", lambda x: PartitionEnsemble(_FIG4, [[1, 4], [2, 3]], x)),
 }
-NOT_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "10**400": 10**400}
+NOT_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "10**400": 10**400,
+              "10**5000": 10**5000}  # past the 4300 digits that str() of an int allows
 
 
 @pytest.mark.parametrize("value", NOT_FINITE.values(), ids=NOT_FINITE.keys())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_empty_edge_switches_boundary_to_edge_degrees():
     g = grid_from_boundary(h, 8, 8, margin=0.0)
     assert g.q_max == 2.0  # max d(e), not max d(v) = 1
     assert g.p_max == 3.0
+
+
+@pytest.mark.parametrize("h, margin, message", [
+    (Hypergraph(2, [({1}, 1e308)]), 1.0,
+     "margin=1.0 makes (1 + margin) * 1e+308, the largest edge weight, overflow float64"),
+    (Hypergraph(2, [({1}, 6e307), ({1}, 6e307)]), 0.5,
+     "margin=0.5 makes (1 + margin) * 1.2e+308, the largest vertex degree, overflow float64"),
+    # an empty hyperedge places position columns by edge degree
+    (Hypergraph(2, [(set(), 1e-300), ({1, 2}, 1e-300)]), 1e308,
+     "margin=1e+308 makes (1 + margin) * 2.0, the largest edge degree, overflow float64"),
+])
+def test_overflowing_boundary_names_margin(h, margin, message):
+    """The grid's extents (1 + margin) * boundary are checked before PhaseSpaceGrid sees them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            grid_from_boundary(h, 8, 8, margin)
+    assert str(info.value) == message
 
 
 def test_negative_margin_rejected(fig4):

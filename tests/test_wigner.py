@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def test_gaussian_sigma_validation():
     for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
         with pytest.raises(ValueError, match=f"sigma={tiny} gives a Gaussian of norm"):
             gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"q0": 1e200}, "sigma=1.0 gives a Gaussian of norm 0.0 at q0=1e+200 on a grid of "
+     "q in [-4.0, 4.0], dq=1.0"),
+    ({"p0": 1e308}, "p0=1e+308, hbar=1.0 make the phase p0*q/hbar overflow float64 "
+     "on q in [-4.0, 4.0]"),
+    ({"p0": -1e308}, "p0=-1e+308, hbar=1.0 make the phase p0*q/hbar overflow float64 "
+     "on q in [-4.0, 4.0]"),
+])
+def test_gaussian_refusal_names_the_input_at_fault(kwargs, message):
+    """A packet centred off the grid names q0; a phase past float64 names p0, before any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            gaussian_wavefunction(make_grid(8, 8, (-4, 4), (-4, 4)), **kwargs)
+    assert str(info.value) == message
 
 
 def test_gaussian_samples_are_adopted_and_their_norm_checked():
@@ -538,6 +556,8 @@ def test_overflowing_shear_rejected():
         free_stream_step(late, 1e307, 2)
     with pytest.raises(ValueError, match=r"^steps: expected a finite number, got 401 digits$"):
         free_stream_step(f, 0.1, 10**400)  # a step count past float64, refused as a ValueError
+    with pytest.raises(ValueError, match=r"^steps: expected a finite number, got 5001 digits$"):
+        free_stream_step(f, 0.1, 10**5000)  # past the digits str() of an int may have
 
 
 def test_meaningless_shear_rejected():
