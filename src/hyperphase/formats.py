@@ -14,10 +14,11 @@ half the cells repeat; else it formats every cell in place.  A line's cells
 are then its bytes once its last comma is a newline, and dropping the NULs
 leaves each number exactly its "%.17g" text.  ``fmt17`` shares that spec for
 scalars.  For many values ``_fmt17_batch`` computes the same texts as uint64
-words with numpy array operations; the values it cannot decide (subnormals,
-extremes, inf, nan and rounding ties) go through the "%.17g" template, so no
-byte depends on the path.  ``dump_state`` writes a state dump from the sign
-table to a binary stream the same way, each block as soon as it is made.
+words with numpy array operations, at most _BLOCK_CELLS a call in 32-byte rows
+(a grown block's table may reach 512 KiB); the values it cannot decide
+(subnormals, extremes, inf, nan and rounding ties) go through the "%.17g"
+template, so no byte depends on the path.  ``dump_state`` writes a state dump
+from the sign table to a binary stream the same way, each block when made.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import _STR_DIGITS, Hypergraph
 from .hyperstate import QubitStateVector
 from .wigner import Wavefunction, WignerField
 
@@ -46,9 +47,9 @@ __all__ = [
 ]
 
 _FMT17 = "%.17g"
-# Cells per block of _lines17 (dump_state writes blocks of half as many lines).
-# A block's sorted bits, text table and lines are alive at once, and no writer
-# holds more than one block, so this bounds the writers' extra memory.
+# Cells per block of _lines17 (dump_state writes blocks of half as many lines) and
+# most values per _fmt17_batch call.  A block's sorted bits, text table and lines
+# are alive at once, and no writer holds more than one block.
 _BLOCK_CELLS = 1 << 12
 # Most cells per block of _lines17 while its rows are narrow.  The kernel keeps
 # 2**12: it formatted the 8 evolve-snapshots fields in 43 ms so, 62 ms in 2**14.
@@ -210,12 +211,13 @@ def _fmt17_batch(x: np.ndarray) -> np.ndarray:
 def _distinct17(bits: np.ndarray) -> np.ndarray:
     """uint8 table whose row i is fmt17 of the float64 bits[i], NUL-padded, then a comma.
 
-    By ``_fmt17_batch`` (32-byte rows) when there are at least _BATCH_MIN_DISTINCT
-    values, else in one template call (rows one byte wider than the longest text).
+    By ``_fmt17_batch`` (32-byte rows, at most _BLOCK_CELLS a call) when there are at least
+    _BATCH_MIN_DISTINCT values, else in one template call (rows a byte past the longest text).
     """
     x = bits.view(np.float64)
     if x.size >= _BATCH_MIN_DISTINCT:
-        table = _fmt17_batch(x)
+        table = np.concatenate([_fmt17_batch(x[i : i + _BLOCK_CELLS])
+                                for i in range(0, x.size, _BLOCK_CELLS)])
     else:
         texts = np.array((b"\n".join([b"%.17g"] * x.size) % tuple(x.tolist())).split(b"\n"))
         table = np.zeros((len(texts), texts.itemsize + 1), dtype=np.uint8)
@@ -235,12 +237,11 @@ def _lines17(shape: tuple[int, int], rows: Callable[[slice], np.ndarray],
     A sort of a block's bit patterns, less its +0.0 cells (code 0, so -0.0 stays
     apart), finds the distinct values: formatted once when at least half the
     cells repeat, else every cell is.  A block holds _BLOCK_CELLS cells, and
-    after a table of rows at most 8 bytes wide (few short texts, by the template)
-    16 // width times as many, up to _CHUNK_CELLS.  A larger block whose values
-    would reach the kernel is read again, as are the rest, at _BLOCK_CELLS.
+    after a table of rows no wider than 8 bytes (few short texts, by the template)
+    16 // width times as many, up to _CHUNK_CELLS.
     """
     n_rows, n_cols = shape
-    start, cells, most = 0, _BLOCK_CELLS, _CHUNK_CELLS
+    start, cells = 0, _BLOCK_CELLS
     while start < n_rows:
         stop = min(start + max(1, cells // max(n_cols, 1)), n_rows)
         block = np.ascontiguousarray(rows(slice(start, stop)), dtype=np.float64)
@@ -250,16 +251,13 @@ def _lines17(shape: tuple[int, int], rows: Callable[[slice], np.ndarray],
         zero = np.zeros(min(1, flat.size - nonzero.size), np.uint64)  # +0.0 if a cell is
         bits = np.concatenate([zero, ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
         del ordered  # freed before the table's temporaries are made
-        if bits.size >= _BATCH_MIN_DISTINCT and cells > _BLOCK_CELLS:
-            cells = most = _BLOCK_CELLS
-            continue
         if 2 * bits.size > flat.size:
             table = _distinct17(flat)
         else:
             codes = np.zeros(flat.size, dtype=np.intp)
             codes[nonzero] = np.searchsorted(bits, flat[nonzero])
             table = np.take(_distinct17(bits), codes, axis=0)
-        cells = min(most, _BLOCK_CELLS * max(1, 16 // table.shape[1]))
+        cells = min(_CHUNK_CELLS, _BLOCK_CELLS * max(1, 16 // table.shape[1]))
         lines = table.reshape(len(block), n_cols * table.shape[1])
         lines[:, -1:] = ord("\n")
         if labels is not None:
@@ -293,6 +291,14 @@ def _edges(raw) -> Iterator[tuple[Iterator, object]]:
         yield _list(e["members"], f"edges[{j}].members"), e.get("weight", 1)
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; past _STR_DIGITS digits, where int() refuses, the power of ten with
+    as many, so the check of its value refuses it by that count."""
+    if len(text) <= _STR_DIGITS:
+        return int(text)
+    return (-1 if text[0] == "-" else 1) * 10 ** (len(text.lstrip("-")) - 1)  # JSON has no leading 0s
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the JSON hypergraph document into the domain type.
 
@@ -302,7 +308,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     values, so errors come in document order and carry the document path.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -31,7 +31,10 @@ __all__ = [
 
 # Cells an incidence matrix (n * m), grid (n_q * n_p) or Wigner correlation (n_q *
 # ceil(n_q/2)) may span, checked before allocating: 2**24 float64 cells are 128 MiB.
+# A hypergraph's per-vertex arrays are capped like any other: n <= MAX_CELLS.
 MAX_CELLS = 2**24
+# str() and int() refuse an int longer than this (from Python 3.10.7 and 3.11).
+_STR_DIGITS = 4300
 
 
 class _Value:
@@ -78,6 +81,12 @@ def _digits(n: int) -> int:
     return d + 1
 
 
+def _shown(n: int) -> str:
+    """The int n in a message: its digits, or past _STR_DIGITS their count."""
+    d = _digits(abs(n))
+    return str(n) if d <= _STR_DIGITS else f"{d} digits"
+
+
 def _require_number(value, path: str) -> float:
     v = _require_real(value, path)
     if not v > 0:
@@ -92,7 +101,7 @@ class Hypergraph(_Value):
     are 1-based vertex indices stored as frozensets (duplicates collapse).
     Empty member sets are legal and contribute zero to every degree matrix.
     Each value is checked here, once and in order, and refused with its JSON document
-    path: vertices an integer >= 1, members in 1..n, weights finite positive numbers.
+    path: vertices an integer in 1..MAX_CELLS, members in 1..n, weights finite positive numbers.
     """
 
     __slots__ = ("n_vertices", "vertex_weights", "hyperedges")
@@ -105,7 +114,9 @@ class Hypergraph(_Value):
     ) -> None:
         n = _require_int(n_vertices, "vertices")
         if n < 1:
-            raise ValueError(f"vertices: must be >= 1, got {n}")
+            raise ValueError(f"vertices: must be >= 1, got {_shown(n)}")
+        if n > MAX_CELLS:  # before any per-vertex array is made
+            raise ValueError(f"vertices: must be at most {MAX_CELLS}, got {_shown(n)}")
         if vertex_weights is None:
             weights = (1.0,) * n
         else:
@@ -120,7 +131,7 @@ class Hypergraph(_Value):
                 if type(v) is not int:  # the path is built only for other types (True is one)
                     v = _require_int(v, f"edges[{j}].members[{i}]")
                 if not 1 <= v <= n:
-                    raise ValueError(f"edges[{j}].members[{i}]: vertex {v} out of range 1..{n}")
+                    raise ValueError(f"edges[{j}].members[{i}]: vertex {_shown(v)} out of range 1..{n}")
                 checked.append(v)
             edges.append((frozenset(checked), _require_number(weight, f"edges[{j}].weight")))
         self._set(n, weights, tuple(edges))
@@ -258,7 +269,7 @@ class PartitionEnsemble(_Value):
             pset = frozenset(_require_int(v, f"parts[{k}]") for v in p)
             for v in pset:
                 if not 1 <= v <= parent.n_vertices:
-                    raise ValueError(f"parts[{k}]: vertex {v} out of range 1..{parent.n_vertices}")
+                    raise ValueError(f"parts[{k}]: vertex {_shown(v)} out of range 1..{parent.n_vertices}")
             overlap = owner.keys() & pset
             if overlap:
                 raise ValueError(f"parts[{k}]: vertices {sorted(overlap)} already assigned")
@@ -301,17 +312,19 @@ def is_balanced(p: PartitionEnsemble) -> BalanceReport:
     return object.__new__(BalanceReport)._set(weights, mean, bound, p.delta, ok, all(ok))
 
 
-def cut_cost(p: PartitionEnsemble) -> float:
-    """Partition cost: every hyperedge spanning >= 2 parts contributes d(e) - 1.
-
-    Every vertex touched by a hyperedge must be assigned to some part.
-    """
-    total = 0.0
-    for j, (members, _) in enumerate(p.parent.hyperedges):
-        spanned = {p._owner.get(v) for v in members}
+def _edge_parts(p: PartitionEnsemble) -> list[int]:
+    """Each hyperedge's 0-based part: -1 if it spans two or more (it is cut), 0 if it is
+    empty.  Every vertex touched by a hyperedge must be assigned to some part."""
+    found = []
+    for j, members in enumerate(p.parent.edge_members()):
+        spanned = {p._owner.get(v) for v in members} or {0}
         if None in spanned:
             v = next(v for v in members if v not in p._owner)
             raise ValueError(f"hyperedge {j}: vertex {v} is not assigned to any part")
-        if len(spanned) >= 2:
-            total += len(members) - 1
-    return total
+        found.append(spanned.pop() if len(spanned) == 1 else -1)
+    return found
+
+
+def cut_cost(p: PartitionEnsemble) -> float:
+    """Partition cost: every hyperedge spanning >= 2 parts contributes d(e) - 1."""
+    return float(sum(len(m) - 1 for m, k in zip(p.parent.edge_members(), _edge_parts(p)) if k < 0))

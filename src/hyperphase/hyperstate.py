@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hypergraph import Hypergraph, PartitionEnsemble, _require_int, _Value
+from .hypergraph import Hypergraph, PartitionEnsemble, _edge_parts, _require_int, _Value
 
 __all__ = [
     "MAX_QUBITS",
@@ -126,9 +126,9 @@ def encode_partitioned(
 ) -> tuple[list[QubitStateVector], QubitStateVector]:
     """Per-part hypergraph states plus their tensor product.
 
-    Part k is ``encode_hypergraph`` of the subhypergraph induced on it, its
-    vertices relabelled 1..|part| in increasing order; crossing hyperedges are
-    dropped (cut_cost accounts for them) and empty ones go to part 1 only.
+    Part k is ``encode_hypergraph`` of the hyperedges that ``_edge_parts``, the
+    cut rule of ``cut_cost``, puts in it (an empty one in part 1, a cut one in
+    none), its vertices relabelled 1..|part| in increasing order.
     The combined state is ``encode_hypergraph`` of every uncut hyperedge on
     qubits 1..n, so it equals the full encoding whenever nothing is cut; it is
     encoded first, so a hypergraph past MAX_QUBITS is refused before any part.
@@ -139,12 +139,11 @@ def encode_partitioned(
         raise ValueError("partition must cover every vertex")
     if any(len(part) == 0 for part in p.parts):
         raise ValueError("empty parts cannot be encoded")
-    kept = [(m, w) for m, w in h.hyperedges if any(m <= part for part in p.parts)]
-    combined = encode_hypergraph(Hypergraph(h.n_vertices, kept))
+    owner = _edge_parts(p)
+    combined = encode_hypergraph(Hypergraph(h.n_vertices, [e for e, k in zip(h.hyperedges, owner) if k >= 0]))
     states: list[QubitStateVector] = []
     for k, part in enumerate(p.parts):
         local = {v: i + 1 for i, v in enumerate(sorted(part))}
-        induced = [([local[v] for v in m], w) for m, w in h.hyperedges
-                   if m <= part and (m or k == 0)]
+        induced = [([local[v] for v in m], w) for (m, w), q in zip(h.hyperedges, owner) if q == k]
         states.append(encode_hypergraph(Hypergraph(len(part), induced)))
     return states, combined

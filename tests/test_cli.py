@@ -295,7 +295,17 @@ def test_encode_bad_partition_spec(fig4_file, tmp_path, capsys):
      "edges[0].weight: expected a finite number, got 401 digits"),
     ('{"vertices": 2, "vertex_weights": [1, 1%s]}' % ("0" * 400),
      "vertex_weights[1]: expected a finite number, got 401 digits"),
-], ids=["member", "edge-weight", "vertex-weight"])
+    # past the 4300 digits that int() converts, json's parse_int counts them instead
+    ('{"vertices": 1, "edges": [{"members": [1], "weight": 1%s}]}' % ("0" * 5000),
+     "edges[0].weight: expected a finite number, got 5001 digits"),
+    ('{"vertices": 2, "vertex_weights": [1, -1%s]}' % ("0" * 5000),
+     "vertex_weights[1]: expected a finite number, got 5001 digits"),
+    ('{"vertices": 1%s}' % ("0" * 5000), "vertices: must be at most 16777216, got 5001 digits"),
+    ('{"vertices": 2, "edges": [{"members": [1, 1%s]}]}' % ("0" * 5000),
+     "edges[0].members[1]: vertex 5001 digits out of range 1..2"),
+    ('{"vertices": 10000000000}', "vertices: must be at most 16777216, got 10000000000"),
+], ids=["member", "edge-weight", "vertex-weight", "edge-weight-5001", "vertex-weight-5001",
+        "vertices-5001", "member-5001", "vertices-1e10"])
 def test_invalid_document_is_validation_error(text, message, tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text(text)
@@ -572,6 +582,9 @@ REFUSAL_INPUTS = {
     "wide.json": '{"vertices": 200000}',
     "long.json": json.dumps({"vertices": 1, "edges": [{"members": [1]}] * 4097}),
     "one.csv": "q,re,im\n0.5,1,0\n",
+    "huge.json": '{"vertices": 10000000000}',
+    "huger.json": '{"vertices": 1000000000000000000000}',
+    "digits.json": '{"vertices": 1, "edges": [{"members": [1], "weight": 1%s}]}' % ("0" * 5000),
 }
 
 
@@ -596,6 +609,11 @@ REFUSAL_INPUTS = {
       "--nq", "4", "--np", "4"], "steps=1000000000000 on an n_q=4 x n_p=4 grid is too much work"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "10000", "--nq", "4", "--np", "4"],
      "steps=10000 with snapshot_every=1 writes more than 9999 snapshots"),
+    # counts no array can hold, and an int json cannot convert, are refused before any work
+    (["encode", "huge.json"], "vertices: must be at most 16777216, got 10000000000"),
+    (["matrices", "huger.json"], "vertices: must be at most 16777216, got 1000000000000000000000"),
+    (["evolve", "huge.json", "--dt", "0.1"], "vertices: must be at most 16777216"),
+    (["encode", "digits.json"], "edges[0].weight: expected a finite number, got 5001 digits"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():

@@ -630,6 +630,27 @@ def test_lines17_formats_repeating_blocks_once_and_others_in_place(tmp_path, mon
     assert_same_lines((tmp_path / "m.csv").read_bytes(), matrix_csv_reference(mat, rows, cols))
 
 
+def test_grown_blocks_reach_the_kernel_a_block_at_a_time(tmp_path, monkeypatch):
+    """+0.0 rows grow the blocks to chunks; then a chunk of distinct values (formatted in
+    place) and one of 6000 distinct values (formatted once, gathered) reach the kernel,
+    in calls of at most _BLOCK_CELLS values each."""
+    cols, block, chunk = 64, formats._BLOCK_CELLS, formats._CHUNK_CELLS
+    zeros, distinct = np.zeros((block // cols, cols)), all_distinct((chunk // cols, cols), 31)
+    values = all_distinct(6000, 32)
+    repeated = np.random.default_rng(33).permutation(np.resize(values, chunk)).reshape(-1, cols)
+    mat = np.concatenate([zeros, distinct, zeros, repeated, zeros, distinct[:5]])
+    sizes, tables = [], []
+    batch, distinct17 = formats._fmt17_batch, formats._distinct17
+    monkeypatch.setattr(formats, "_fmt17_batch", lambda x: sizes.append(x.size) or batch(x))
+    monkeypatch.setattr(formats, "_distinct17", lambda bits: tables.append(bits.size)
+                        or distinct17(bits))
+    rows, cols = [f"r{i}" for i in range(len(mat))], [f"c{j}" for j in range(cols)]
+    formats.write_matrix_csv(tmp_path / "m.csv", mat, rows, cols)
+    assert [size for size in tables if size > block] == [chunk, 6000]
+    assert max(sizes) == block and sum(sizes) == chunk + 6000
+    assert_same_lines((tmp_path / "m.csv").read_bytes(), matrix_csv_reference(mat, rows, cols))
+
+
 # --- the CSV writers against a per-row ",".join(ref17) reference ----------------
 
 TIES = rounding_ties()[::10]

@@ -303,6 +303,15 @@ def test_duplicate_members_collapse():
      "vertex_weights[2]: expected a finite number, got 5000 digits"),
     (4, [], [1.0, 1.0, False, 1.0], "vertex_weights[2]: expected a number, got False"),
     (4, [], [1.0] * 3, "vertex_weights: expected 4 entries, got 3"),
+    # refused before any per-vertex array is made; past 4300 digits, by their count
+    (2**24 + 1, [], None, "vertices: must be at most 16777216, got 16777217"),
+    (10**10, [], None, "vertices: must be at most 16777216, got 10000000000"),
+    (10**21, [], None, "vertices: must be at most 16777216, got 1000000000000000000000"),
+    pytest.param(10**5000, [], None, "vertices: must be at most 16777216, got 5001 digits",
+                 id="vertices-5001-digits"),  # pytest's own id would call str()
+    pytest.param(-(10**5000), [], None, "vertices: must be >= 1, got 5001 digits",
+                 id="vertices-minus-5001-digits"),
+    (4, [([1, 10**5000], 1.0)], None, "edges[0].members[1]: vertex 5001 digits out of range 1..4"),
 ])
 def test_library_refuses_what_a_document_refuses(n, edges, vertex_weights, message):
     with pytest.raises(ValueError) as info:
@@ -461,6 +470,7 @@ def test_partition_validation(fig4):
     ([[1]], None, "delta: expected a number, got None"),
     ([[1]], float("nan"), "delta: expected a finite number, got nan"),
     ([[1], [5]], 0.5, "parts[1]: vertex 5 out of range 1..4"),
+    ([[1], [2, 10**5000]], 0.5, "parts[1]: vertex 5001 digits out of range 1..4"),
 ])
 def test_partition_members_and_delta_are_checked(fig4, parts, delta, message):
     with pytest.raises(ValueError) as err:

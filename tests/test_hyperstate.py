@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,13 @@ from hyperphase import (
     QubitStateVector,
     apply_ckz,
     boolean_function,
+    cut_cost,
     encode_hypergraph,
     encode_partitioned,
     is_real_equally_weighted,
     plus_state,
 )
+from hyperphase.formats import parse_hypergraph
 
 from conftest import random_hypergraph, state_dump
 
@@ -419,6 +422,40 @@ def test_cut_partition_matches_brute_force(case):
             bits = "".join(str((v >> (n - q)) & 1) for q in sorted(part))
             sign *= np.sign(state.amplitudes[int(bits, 2)].real)
         assert np.sign(combined.amplitudes[v].real) == sign
+
+
+@st.composite
+def covered_documents(draw):
+    """A JSON document on up to 7 vertices (empty and repeated edges allowed) and a
+    partition that covers it, in up to n parts, so single-vertex parts are common."""
+    n = draw(st.integers(1, 7))
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    parts = [[v for v in range(1, n + 1) if owner[v - 1] == k] for k in dict.fromkeys(owner)]
+    edges = draw(st.lists(st.tuples(st.lists(st.integers(1, n), max_size=n), st.integers(1, 9)),
+                          max_size=8))
+    doc = {"vertices": n, "edges": [{"members": m, "weight": w} for m, w in edges]}
+    return json.dumps(doc), parts
+
+
+@settings(deadline=None)
+@given(covered_documents())
+def test_partition_states_follow_the_cut_rule(case):
+    """The combined state encodes exactly the edges cut_cost does not count, and each part
+    the edges a reference vertex-to-part map puts in it (an empty edge in part 1)."""
+    text, parts = case
+    h = parse_hypergraph(text)
+    n, p = h.n_vertices, PartitionEnsemble(h, parts, 0.5)
+    states, combined = encode_partitioned(h, p)
+    uncounted = [e for e in h.hyperedges if cut_cost(PartitionEnsemble(Hypergraph(n, [e]), parts, 0.5)) == 0]
+    assert np.array_equal(combined.signs, encode_hypergraph(Hypergraph(n, uncounted)).signs)
+    owner = {v: k for k, part in enumerate(parts) for v in part}
+    spans = [{owner[v] for v in m} or {0} for m in h.edge_members()]
+    assert cut_cost(p) == sum(len(m) - 1 for m, s in zip(h.edge_members(), spans) if len(s) > 1)
+    assert len(states) == len(parts)
+    for k, (part, state) in enumerate(zip(parts, states)):
+        local = {v: i + 1 for i, v in enumerate(sorted(part))}
+        mine = [([local[v] for v in m], w) for (m, w), s in zip(h.hyperedges, spans) if s == {k}]
+        assert np.array_equal(state.signs, encode_hypergraph(Hypergraph(len(part), mine)).signs)
 
 
 @st.composite

@@ -1,6 +1,10 @@
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,19 @@ def test_package_exports_are_the_submodule_exports():
     for module in modules + [importlib.import_module(f"hyperphase.{n}") for n in ("cli", "formats")]:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_cli_import_loads_every_layer_the_bench_tracer_wraps():
+    """bench/tracer.py looks up each of its LAYERS in sys.modules after importing
+    hyperphase.cli, so a layer imported lazily would break every traced bench run."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    child = ("import sys, hyperphase.cli; loaded = set(sys.modules); "
+             f"sys.path.insert(0, {str(bench)!r}); from tracer import LAYERS; "
+             "print(sorted(name for name in LAYERS if f'hyperphase.{name}' not in loaded), len(LAYERS))")
+    env = {**os.environ, "PYTHONPATH": str(Path(hyperphase.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=True,
+                         env=env, timeout=120)
+    assert out.stdout == "[] 6\n"
 
 
 # --- value types ----------------------------------------------------------------
