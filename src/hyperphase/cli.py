@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .hypergraph import (
     Hypergraph,
     PartitionEnsemble,
     _edge_degrees,
+    _require_cells,
+    _require_int,
     _require_number,
     _require_real,
     _vertex_degrees,
@@ -71,6 +74,8 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 
 def _parse_partition_spec(spec: str) -> list[list[int]]:
+    """Vertex groups from '1,4|2,3': each member an optional sign and ASCII digits, read as a
+    JSON integer is, so a run past 4300 digits reaches PartitionEnsemble by its digit count."""
     parts = []
     for k, group in enumerate(spec.split("|")):
         members = []
@@ -78,11 +83,10 @@ def _parse_partition_spec(spec: str) -> list[list[int]]:
             token = token.strip()
             if not token:
                 raise ValueError(f"partition part {k + 1}: empty member in {group!r}")
-            try:
-                v = int(token)
-            except ValueError:
-                raise ValueError(f"partition part {k + 1}: {token!r} is not an integer") from None
-            members.append(v)
+            if not re.fullmatch(r"[+-]?[0-9]+", token):
+                shown = token if len(token) <= 20 else token[:20] + "..."
+                raise ValueError(f"partition part {k + 1}: {shown!r} is not an integer")
+            members.append(formats._json_int(token))
         parts.append(members)
     return parts
 
@@ -107,9 +111,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_matrices(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.hypergraph)
     n, m = h.n_vertices, h.n_edges
-    if max(n, m) ** 2 > MAX_CELLS:
-        raise ValueError(f"matrices of n_vertices={n}, n_edges={m} hold up to {max(n, m) ** 2} "
-                         f"cells, over the cap of {MAX_CELLS}")
+    _require_cells("largest matrix", max(n, m), max(n, m))  # before the first file is written
     out = _output_dir(args)
     vl, el = [f"v{i + 1}" for i in range(n)], [f"e{j + 1}" for j in range(m)]
     files = (  # each matrix is built as it is written, so one is alive at a time
@@ -189,9 +191,8 @@ def _write_series(args: argparse.Namespace, stretches, start, dt: float):
 def cmd_evolve(args: argparse.Namespace) -> int:
     stretches = _stretches(args.steps, args.snapshot_every)  # checks both counts before the caps
     # n_q * n_p is clipped to MAX_CELLS: a larger grid is refused with its own message
-    if args.steps * max(min(args.nq * args.np, MAX_CELLS), 2**12) > _MAX_STEP_WORK:
-        raise ValueError(f"steps={args.steps} on an n_q={args.nq} x n_p={args.np} grid is too much "
-                         f"work: steps * max(n_q * n_p, 4096) must be at most {_MAX_STEP_WORK}")
+    _require_int(args.steps * max(min(args.nq * args.np, MAX_CELLS), 2**12), f"steps * max(n_q * n_p, 4096) "
+                 f"for steps={args.steps} on an n_q={args.nq} x n_p={args.np} grid", high=_MAX_STEP_WORK)
     if args.snapshot_every and args.steps > _MAX_SNAPSHOTS * args.snapshot_every:
         raise ValueError(f"steps={args.steps} with snapshot_every={args.snapshot_every} writes "
                          f"more than {_MAX_SNAPSHOTS} snapshots")

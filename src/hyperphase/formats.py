@@ -292,11 +292,14 @@ def _edges(raw) -> Iterator[tuple[Iterator, object]]:
 
 
 def _json_int(text: str) -> int:
-    """A JSON integer; past _STR_DIGITS digits, where int() refuses, the power of ten with
-    as many, so the check of its value refuses it by that count."""
+    """An optional sign and ASCII digits (a JSON integer, or a CLI partition member) as an int;
+    past _STR_DIGITS significant digits, where int() refuses, the signed power of ten with as
+    many, so the check of its value refuses it by that count."""
     if len(text) <= _STR_DIGITS:
         return int(text)
-    return (-1 if text[0] == "-" else 1) * 10 ** (len(text.lstrip("-")) - 1)  # JSON has no leading 0s
+    digits = text.lstrip("+-").lstrip("0")  # int() counts leading zeros against its limit too
+    value = int(digits or "0") if len(digits) <= _STR_DIGITS else 10 ** (len(digits) - 1)
+    return -value if text[0] == "-" else value
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

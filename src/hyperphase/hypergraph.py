@@ -29,9 +29,9 @@ __all__ = [
     "cut_cost",
 ]
 
-# Cells an incidence matrix (n * m), grid (n_q * n_p) or Wigner correlation (n_q *
-# ceil(n_q/2)) may span, checked before allocating: 2**24 float64 cells are 128 MiB.
-# A hypergraph's per-vertex arrays are capped like any other: n <= MAX_CELLS.
+# Cells a dense array (a matrix, grid or Wigner correlation) may span, checked by _require_cells
+# before it is allocated: 2**24 float64 cells are 128 MiB.  A hypergraph's per-vertex arrays are
+# capped like any other: it has 1..MAX_CELLS vertices.
 MAX_CELLS = 2**24
 # str() and int() refuse an int longer than this (from Python 3.10.7 and 3.11).
 _STR_DIGITS = 4300
@@ -54,10 +54,23 @@ class _Value:
         return self
 
 
-def _require_int(value, path: str) -> int:
+def _require_int(value, path: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int in low..high, an end that is None being open: the one check of every
+    integer and its range.  A value past _STR_DIGITS digits, where str() refuses, is named by
+    their count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
+    v = int(value)
+    if (low is None or v >= low) and (high is None or v <= high):
+        return v
+    bound = f">= {low}" if high is None else f"<= {high}" if low is None else f"in {low}..{high}"
+    d = _digits(abs(v))
+    raise ValueError(f"{path}: expected an integer {bound}, got {v if d <= _STR_DIGITS else f'{d} digits'}")
+
+
+def _require_cells(what: str, rows: int, cols: int) -> None:
+    """Refuse a rows x cols array of more than MAX_CELLS cells, before it is allocated."""
+    _require_int(rows * cols, f"cells of the {what} ({rows} x {cols})", high=MAX_CELLS)
 
 
 def _require_real(value, path: str) -> float:
@@ -74,17 +87,11 @@ def _require_real(value, path: str) -> float:
 
 
 def _digits(n: int) -> int:
-    """The decimal digits of the int n >= 1, counted without str(), which refuses past 4300."""
+    """The decimal digits of the int n >= 0, counted without str(), which refuses past 4300."""
     d = int((n.bit_length() - 1) * 0.30102999566)  # at most log10(n): the constant is below log10(2)
     while n >= 10 ** (d + 1):
         d += 1
     return d + 1
-
-
-def _shown(n: int) -> str:
-    """The int n in a message: its digits, or past _STR_DIGITS their count."""
-    d = _digits(abs(n))
-    return str(n) if d <= _STR_DIGITS else f"{d} digits"
 
 
 def _require_number(value, path: str) -> float:
@@ -112,11 +119,7 @@ class Hypergraph(_Value):
         hyperedges: Iterable[tuple[Iterable[int], float]] = (),
         vertex_weights: Iterable[float] | None = None,
     ) -> None:
-        n = _require_int(n_vertices, "vertices")
-        if n < 1:
-            raise ValueError(f"vertices: must be >= 1, got {_shown(n)}")
-        if n > MAX_CELLS:  # before any per-vertex array is made
-            raise ValueError(f"vertices: must be at most {MAX_CELLS}, got {_shown(n)}")
+        n = _require_int(n_vertices, "vertices", 1, MAX_CELLS)  # before any per-vertex array is made
         if vertex_weights is None:
             weights = (1.0,) * n
         else:
@@ -128,10 +131,8 @@ class Hypergraph(_Value):
         for j, (members, weight) in enumerate(hyperedges):
             checked = []
             for i, v in enumerate(members):
-                if type(v) is not int:  # the path is built only for other types (True is one)
-                    v = _require_int(v, f"edges[{j}].members[{i}]")
-                if not 1 <= v <= n:
-                    raise ValueError(f"edges[{j}].members[{i}]: vertex {_shown(v)} out of range 1..{n}")
+                if type(v) is not int or not 1 <= v <= n:  # the path is built only for the rest
+                    v = _require_int(v, f"edges[{j}].members[{i}]", 1, n)
                 checked.append(v)
             edges.append((frozenset(checked), _require_number(weight, f"edges[{j}].weight")))
         self._set(n, weights, tuple(edges))
@@ -167,9 +168,7 @@ def _memberships(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
 
 def incidence_matrix(h: Hypergraph) -> np.ndarray:
     """n x m 0/1 matrix: entry (i, j) is 1 iff vertex i+1 belongs to hyperedge j."""
-    if h.n_vertices * h.n_edges > MAX_CELLS:
-        raise ValueError(f"incidence matrix of n_vertices={h.n_vertices} x n_edges={h.n_edges} = "
-                         f"{h.n_vertices * h.n_edges} cells exceeds the cap of {MAX_CELLS}")
+    _require_cells("incidence matrix", h.n_vertices, h.n_edges)
     mat = np.zeros((h.n_vertices, h.n_edges), dtype=np.float64)
     mat[_memberships(h)] = 1.0
     return mat
@@ -188,8 +187,16 @@ def _checked(form: Callable[..., np.ndarray], *args) -> np.ndarray:
     return out
 
 
-def _adjacency(h: Hypergraph, inc: np.ndarray) -> np.ndarray:
-    a = (inc * np.array(h.edge_weights())) @ inc.T
+def _gram(h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """H diag(x) H^T, the one product behind A and both Laplacians; its n x n cells are
+    checked before H is built."""
+    _require_cells("vertex-by-vertex Gram product", h.n_vertices, h.n_vertices)
+    inc = incidence_matrix(h)
+    return (inc * x) @ inc.T
+
+
+def _adjacency(h: Hypergraph) -> np.ndarray:
+    a = _gram(h, np.array(h.edge_weights()))
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -220,11 +227,13 @@ def _edge_degrees(h: Hypergraph) -> np.ndarray:
 
 def vertex_degree_matrix(h: Hypergraph) -> np.ndarray:
     """Diagonal D_v of the vertex degrees d(v)."""
+    _require_cells("vertex degree matrix", h.n_vertices, h.n_vertices)
     return np.diag(_vertex_degrees(h))
 
 
 def edge_degree_matrix(h: Hypergraph) -> np.ndarray:
     """Diagonal D_e of the edge degrees d(e) = |e|."""
+    _require_cells("edge degree matrix", h.n_edges, h.n_edges)
     return np.diag(_edge_degrees(h))
 
 
@@ -233,23 +242,23 @@ def edge_weight_sum_matrix(h: Hypergraph) -> np.ndarray:
 
     With unit vertex weights this coincides with the edge degree matrix.
     """
+    _require_cells("edge weight sum matrix", h.n_edges, h.n_edges)
     return np.diag(_edge_weight_sums(h))
 
 
 def adjacency_matrix(h: Hypergraph) -> np.ndarray:
     """Weighted adjacency A = H W H^T - D_v; diagonal forced to exact zero."""
-    return _checked(_adjacency, h, incidence_matrix(h))
+    return _checked(_adjacency, h)
 
 
 def momentum_laplacian(h: Hypergraph) -> np.ndarray:
     """Unnormalized Laplacian L = D_v - A (equivalently 2 D_v - H W H^T)."""
-    return _checked(lambda inc: _laplacian(_adjacency(h, inc), _vertex_degrees(h)), incidence_matrix(h))
+    return _checked(lambda: _laplacian(_adjacency(h), _vertex_degrees(h)))
 
 
 def position_laplacian(h: Hypergraph) -> np.ndarray:
     """Position-form Laplacian L = 2 D_v - H f_w H^T."""
-    return _checked(lambda inc: _laplacian((inc * _edge_weight_sums(h)) @ inc.T, 2 * _vertex_degrees(h)),
-                    incidence_matrix(h))
+    return _checked(lambda: _laplacian(_gram(h, _edge_weight_sums(h)), 2 * _vertex_degrees(h)))
 
 
 class PartitionEnsemble(_Value):
@@ -266,10 +275,7 @@ class PartitionEnsemble(_Value):
         frozen: list[frozenset[int]] = []
         owner: dict[int, int] = {}
         for k, p in enumerate(parts):
-            pset = frozenset(_require_int(v, f"parts[{k}]") for v in p)
-            for v in pset:
-                if not 1 <= v <= parent.n_vertices:
-                    raise ValueError(f"parts[{k}]: vertex {_shown(v)} out of range 1..{parent.n_vertices}")
+            pset = frozenset(_require_int(v, f"parts[{k}]", 1, parent.n_vertices) for v in p)
             overlap = owner.keys() & pset
             if overlap:
                 raise ValueError(f"parts[{k}]: vertices {sorted(overlap)} already assigned")
@@ -287,9 +293,8 @@ class PartitionEnsemble(_Value):
 
 def part_weight(p: PartitionEnsemble, k: int) -> float:
     """Total vertex weight of part k (0-based part index)."""
-    if not 0 <= k < p.n_parts:
-        raise ValueError(f"part index {k} out of range 0..{p.n_parts - 1}")
-    return float(sum(p.parent.vertex_weights[v - 1] for v in p.parts[k]))
+    part = p.parts[_require_int(k, "k", 0, p.n_parts - 1)]
+    return float(sum(p.parent.vertex_weights[v - 1] for v in part))
 
 
 class BalanceReport(_Value):

@@ -41,9 +41,7 @@ class QubitStateVector(_Value):
     __slots__ = ("n_qubits", "signs")
 
     def __init__(self, n_qubits: int, signs: np.ndarray) -> None:
-        n_qubits = _require_int(n_qubits, "n_qubits")
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+        n_qubits = _require_int(n_qubits, "n_qubits", 1, MAX_QUBITS)
         table = np.asarray(signs)
         if table.shape != (2**n_qubits,):
             raise ValueError(f"signs: expected shape ({2**n_qubits},), got {table.shape}")
@@ -64,9 +62,7 @@ class QubitStateVector(_Value):
 
 def plus_state(n: int) -> QubitStateVector:
     """|+>^n: the zero table, all 2^n amplitudes 2^(-n/2)."""
-    n = _require_int(n, "n")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    n = _require_int(n, "n", 1, MAX_QUBITS)
     table = np.zeros(2**n, dtype=np.uint8)
     table.flags.writeable = False
     return object.__new__(QubitStateVector)._set(n, table)  # all 0s: no scan, no copy
@@ -75,10 +71,7 @@ def plus_state(n: int) -> QubitStateVector:
 def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     """Multi-controlled Z on ``targets``: flip f where all are 1 (no targets: everywhere)."""
     n = s.n_qubits
-    qubits = {_require_int(t, "targets") for t in targets}
-    for q in qubits:
-        if not 1 <= q <= n:
-            raise ValueError(f"target qubit {q} out of range 1..{n}")
+    qubits = {_require_int(t, "targets", 1, n) for t in targets}
     signs = s.signs.copy()
     # axis q-1 is qubit q (a trailing ... keeps an all-targets block a 0-d view); the
     # last k qubits' block is a mask XORed into whole runs of 2**k bytes, not a few at a time
@@ -98,10 +91,8 @@ def encode_hypergraph(h: Hypergraph) -> QubitStateVector:
     The diagonal gates commute, so hyperedge order is irrelevant.  Hyperedge
     weights act only in the matrix algebra and the phase map.
     """
-    if h.n_vertices > MAX_QUBITS:
-        raise ValueError(f"hypergraph has {h.n_vertices} vertices; "
-                         f"dense encoding is capped at {MAX_QUBITS}")
-    state = plus_state(h.n_vertices)
+    n = _require_int(h.n_vertices, "vertices (qubits, capped for the dense encoding)", high=MAX_QUBITS)
+    state = plus_state(n)
     for members, _ in h.hyperedges:
         state = apply_ckz(state, members)
     return state

@@ -90,7 +90,7 @@ def grid_from_boundary(
     """
     margin = _require_real(margin, "margin")
     if margin < 0:
-        raise ValueError(f"margin: must be >= 0, got {margin}")
+        raise ValueError(f"margin: expected a number >= 0, got {margin}")
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
     source = _degree_source(h)

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import MAX_CELLS, _require_int, _require_number, _require_real, _Value
+from .hypergraph import MAX_CELLS, _require_cells, _require_int, _require_number, _require_real, _Value
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -54,14 +54,11 @@ class PhaseSpaceGrid(_Value):
 
     def __init__(self, n_q: int, n_p: int, q_min: float, q_max: float, p_min: float,
                  p_max: float, mass: float = 1.0, hbar: float = 1.0) -> None:
-        self._set(_require_int(n_q, "n_q"), _require_int(n_p, "n_p"),  # each under its slot's name
+        # each under its slot's name; the other count is at least 2, so each is at most MAX_CELLS / 2
+        self._set(_require_int(n_q, "n_q", 2, MAX_CELLS // 2), _require_int(n_p, "n_p", 2, MAX_CELLS // 2),
                   *map(_require_real, (q_min, q_max, p_min, p_max), self.__slots__[2:6]),
                   _require_number(mass, "mass"), _require_number(hbar, "hbar"))
-        if self.n_q < 2 or self.n_p < 2:
-            raise ValueError(f"cell counts must be >= 2, got n_q={self.n_q}, n_p={self.n_p}")
-        if self.n_q * self.n_p > MAX_CELLS:
-            raise ValueError(f"grid of n_q={self.n_q} x n_p={self.n_p} = {self.n_q * self.n_p} "
-                             f"cells exceeds the cap of {MAX_CELLS}")
+        _require_cells("n_q x n_p grid", self.n_q, self.n_p)
         bounds = f"q in [{self.q_min}, {self.q_max}], p in [{self.p_min}, {self.p_max}]"
         if not self.q_max > self.q_min:
             raise ValueError(f"inverted q bounds: [{self.q_min}, {self.q_max}]")
@@ -262,9 +259,7 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     ):
         raise ValueError("wavefunction q axis does not match grid")
     half = (n + 1) // 2
-    if n * half > MAX_CELLS:
-        raise ValueError(f"Wigner correlation of n_q={n} x {half} offsets = {n * half} cells "
-                         f"exceeds the cap of {MAX_CELLS}")
+    _require_cells("Wigner correlation of n_q x offsets", n, half)
     # past 2**53 rad a phase has no correct digit left
     phase = 2.0 * grid.dq * (half - 1) * max(abs(grid.p_min), abs(grid.p_max)) / grid.hbar
     if not phase <= 2.0**53:
@@ -367,9 +362,7 @@ def evolve(
 
 def _require_steps(steps) -> int:
     """``steps`` as an int of at least 1 that is a finite float64, as ``t + steps * dt`` takes it."""
-    steps = _require_int(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps: must be >= 1, got {steps}")
+    steps = _require_int(steps, "steps", 1)
     _require_real(steps, "steps")
     return steps
 
@@ -377,10 +370,8 @@ def _require_steps(steps) -> int:
 def _stretches(steps: int, snapshot_every: int) -> Iterator[int]:
     """Steps between snapshots: ``snapshot_every`` at a time and then the rest, or all if 0.
     Both counts are checked when this is called, before the first stretch is taken."""
-    steps, every = _require_steps(steps), _require_int(snapshot_every, "snapshot_every")
-    if every < 0:
-        raise ValueError(f"snapshot_every: must be >= 0, got {every}")
-    every = every or steps
+    steps = _require_steps(steps)
+    every = _require_int(snapshot_every, "snapshot_every", 0) or steps
     return (min(every, steps - done) for done in range(0, steps, every))
 
 
@@ -414,8 +405,7 @@ def plane_wave_slice(
     so one free-streaming step of dt advances the phase by exactly
     k p_row dt / m.  A phase that overflows float64 is refused before the cosine.
     """
-    if not 0 <= _require_int(slice_index, "slice_index") < grid.n_p:
-        raise ValueError(f"row {slice_index} out of range 0..{grid.n_p - 1}")
+    slice_index = _require_int(slice_index, "slice_index", 0, grid.n_p - 1)
     k, t = _require_real(k, "k"), _require_real(t, "t")
     omega = k * float(grid.p_centers()[slice_index]) / grid.mass
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or inf * 0 is nan

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase import QubitStateVector, formats, gaussian_wavefunction, incidence_matrix, make_grid
-from hyperphase.cli import main
+from hyperphase.cli import _parse_partition_spec, main
 
 from conftest import dump_amplitudes
 
@@ -83,8 +83,7 @@ def test_info_builds_no_square_matrix(tmp_path, capsys):
 # One single-member edge per vertex: an n x m incidence matrix of 4097**2 cells, over
 # MAX_CELLS = 2**24.  Only incidence_matrix refuses it; degrees are sums over the member lists.
 SQUARE_DOC = json.dumps({"vertices": 4097, "edges": [{"members": [v]} for v in range(1, 4098)]})
-SQUARE_REFUSAL = ("incidence matrix of n_vertices=4097 x n_edges=4097 = 16785409 cells "
-                  "exceeds the cap of 16777216")
+SQUARE_REFUSAL = "cells of the incidence matrix (4097 x 4097): expected an integer <= 16777216, got 16785409"
 
 
 def test_info_and_evolve_build_no_incidence_matrix(tmp_path, capsys):
@@ -288,8 +287,15 @@ def test_encode_bad_partition_spec(fig4_file, tmp_path, capsys):
     assert "partition part 1" in capsys.readouterr().err
 
 
+def test_partition_members_read_as_json_integers():
+    assert _parse_partition_spec(" 1, +4 |2,03") == [[1, 4], [2, 3]]
+    assert _parse_partition_spec("%s3|-2" % ("0" * 5000)) == [[3], [-2]]
+    assert _parse_partition_spec("-1%s" % ("0" * 5000)) == [[-(10**5000)]]
+
+
 @pytest.mark.parametrize("text, message", [
-    ('{"vertices": 4, "edges": [{"members": [5]}]}', "edges[0].members[0]: vertex 5 out of range 1..4"),
+    ('{"vertices": 4, "edges": [{"members": [5]}]}',
+     "edges[0].members[0]: expected an integer in 1..4, got 5"),
     # JSON integers past float64: json parses them exactly, and float() of one raises OverflowError
     ('{"vertices": 1, "edges": [{"members": [1], "weight": 1%s}]}' % ("0" * 400),
      "edges[0].weight: expected a finite number, got 401 digits"),
@@ -300,10 +306,10 @@ def test_encode_bad_partition_spec(fig4_file, tmp_path, capsys):
      "edges[0].weight: expected a finite number, got 5001 digits"),
     ('{"vertices": 2, "vertex_weights": [1, -1%s]}' % ("0" * 5000),
      "vertex_weights[1]: expected a finite number, got 5001 digits"),
-    ('{"vertices": 1%s}' % ("0" * 5000), "vertices: must be at most 16777216, got 5001 digits"),
+    ('{"vertices": 1%s}' % ("0" * 5000), "vertices: expected an integer in 1..16777216, got 5001 digits"),
     ('{"vertices": 2, "edges": [{"members": [1, 1%s]}]}' % ("0" * 5000),
-     "edges[0].members[1]: vertex 5001 digits out of range 1..2"),
-    ('{"vertices": 10000000000}', "vertices: must be at most 16777216, got 10000000000"),
+     "edges[0].members[1]: expected an integer in 1..2, got 5001 digits"),
+    ('{"vertices": 10000000000}', "vertices: expected an integer in 1..16777216, got 10000000000"),
 ], ids=["member", "edge-weight", "vertex-weight", "edge-weight-5001", "vertex-weight-5001",
         "vertices-5001", "member-5001", "vertices-1e10"])
 def test_invalid_document_is_validation_error(text, message, tmp_path, capsys):
@@ -359,7 +365,7 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "inf"],
          "error: margin: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "-1"],
-         "error: margin: must be >= 0, got -1.0"),
+         "error: margin: expected a number >= 0, got -1.0"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "nan", *SMALL_PHYSICAL],
          "error: extent: expected a finite number, got nan"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "-1", *SMALL_PHYSICAL],
@@ -514,7 +520,7 @@ def test_evolve_oversized_grid(mode, fig4_file, tmp_path, capsys):
             "--out", str(tmp_path / "x")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: grid of n_q=1000000 x n_p=1000000") and err.count("\n") == 1
+    assert err.startswith("error: cells of the n_q x n_p grid (1000000 x 1000000)") and err.count("\n") == 1
 
 
 def test_evolve_physical_delta_packet(tmp_path):
@@ -549,12 +555,12 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["encode", "FIG4", "--partition", "1,x|2,3,4"], "partition part 1: 'x' is not an integer"),
     # the spec's text is checked as it is split; its vertices, after delta, by PartitionEnsemble
-    (["encode", "FIG4", "--partition", "1,4|2,9"], "parts[1]: vertex 9 out of range 1..4"),
+    (["encode", "FIG4", "--partition", "1,4|2,9"], "parts[1]: expected an integer in 1..4, got 9"),
     (["encode", "FIG4", "--partition", "9|x"], "partition part 2: 'x' is not an integer"),
     (["encode", "FIG4", "--partition", "1,4|2,9", "--delta", "1.5"],
      "delta must lie in (0, 1), got 1.5"),
     (["evolve", "FIG4", "--dt", "0.1", "--snapshot-every", "-1"],
-     "snapshot_every: must be >= 0, got -1"),
+     "snapshot_every: expected an integer >= 0, got -1"),
     (["evolve", "--physical", "box", "--t", "1"],
      "unknown physical state 'box' (expected 'gaussian')"),
     (["evolve", "--dt", "0.1"], "evolve needs a hypergraph document (or --physical gaussian)"),
@@ -569,6 +575,16 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
     (["evolve", "--physical", "gaussian", "--t", "1", "--sigma", "0.0092", "--nq", "32", "--np", "32"],
      "sigma=0.0092 on a grid of dq=0.5: wavefunction norm is 0.9999286149151664, "
      "expected 1 within 1e-10"),
+    # a member is a sign and ASCII digits: int() would read 10 and 4 from these
+    (["encode", "FIG4", "--partition", "1_0|2,3,4"], "partition part 1: '1_0' is not an integer"),
+    (["encode", "FIG4", "--partition", "1,2|3,\u0664"], "partition part 2: '\u0664' is not an integer"),
+    (["encode", "FIG4", "--partition", "1|2,%s" % ("x" * 5000)],
+     "partition part 2: 'xxxxxxxxxxxxxxxxxxxx...' is not an integer"),
+    # past 4300 digits a member reaches PartitionEnsemble by its count; leading zeros are not counted
+    (["encode", "FIG4", "--partition", "1|2,1%s" % ("0" * 5000)],
+     "parts[1]: expected an integer in 1..4, got 5001 digits"),
+    (["encode", "FIG4", "--partition", "1|2,%s9" % ("0" * 5000)],
+     "parts[1]: expected an integer in 1..4, got 9"),
 ])
 def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
     argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
@@ -589,30 +605,33 @@ REFUSAL_INPUTS = {
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["encode", "fig4.json", "--partition", "1,4|2,9"], "parts[1]: vertex 9 out of range"),
+    (["encode", "fig4.json", "--partition", "1,4|2,9"], "parts[1]: expected an integer in 1..4, got 9"),
     (["encode", "fig4.json", "--partition", "1,4|2,3", "--delta", "1.5"],
      "delta must lie in (0, 1), got 1.5"),
-    (["encode", "big.json"], "hypergraph has 21 vertices; dense encoding is capped at 20"),
-    (["evolve", "fig4.json", "--steps", "0", "--dt", "0.1"], "steps: must be >= 1, got 0"),
+    (["encode", "big.json"],
+     "vertices (qubits, capped for the dense encoding): expected an integer <= 20, got 21"),
+    (["evolve", "fig4.json", "--steps", "0", "--dt", "0.1"], "steps: expected an integer >= 1, got 0"),
     (["evolve", "fig4.json", "--dt", "0.1", "--snapshot-every", "-1"],
-     "snapshot_every: must be >= 0, got -1"),
+     "snapshot_every: expected an integer >= 0, got -1"),
     (["evolve", "fig4.json", "--dt", "1e308", "--steps", "3"],
      "dt=1e+308 implies a shear p*dt/m of up to inf"),
     (["wigner-transform", "--state", "one.csv"], "wavefunction file needs at least 2 samples"),
-    (["matrices", "wide.json"], "matrices of n_vertices=200000, n_edges=0 hold up to 40000000000 "
-     "cells, over the cap of 16777216"),
-    (["matrices", "long.json"], "matrices of n_vertices=1, n_edges=4097 hold up to 16785409 cells"),
+    (["matrices", "wide.json"], "cells of the largest matrix (200000 x 200000): "
+     "expected an integer <= 16777216, got 40000000000"),
+    (["matrices", "long.json"],
+     "cells of the largest matrix (4097 x 4097): expected an integer <= 16777216, got 16785409"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "1000000000000", "--snapshot-every", "0",
-      "--nq", "4", "--np", "4"], "steps=1000000000000 on an n_q=4 x n_p=4 grid is too much work: "
-     "steps * max(n_q * n_p, 4096) must be at most 68719476736"),
+      "--nq", "4", "--np", "4"], "steps * max(n_q * n_p, 4096) for steps=1000000000000 on an "
+     "n_q=4 x n_p=4 grid: expected an integer <= 68719476736, got 4096000000000000"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "1000000000000", "--snapshot-every", "1",
-      "--nq", "4", "--np", "4"], "steps=1000000000000 on an n_q=4 x n_p=4 grid is too much work"),
+      "--nq", "4", "--np", "4"],
+     "for steps=1000000000000 on an n_q=4 x n_p=4 grid: expected an integer <= 68719476736"),
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "10000", "--nq", "4", "--np", "4"],
      "steps=10000 with snapshot_every=1 writes more than 9999 snapshots"),
     # counts no array can hold, and an int json cannot convert, are refused before any work
-    (["encode", "huge.json"], "vertices: must be at most 16777216, got 10000000000"),
-    (["matrices", "huger.json"], "vertices: must be at most 16777216, got 1000000000000000000000"),
-    (["evolve", "huge.json", "--dt", "0.1"], "vertices: must be at most 16777216"),
+    (["encode", "huge.json"], "vertices: expected an integer in 1..16777216, got 10000000000"),
+    (["matrices", "huger.json"], "vertices: expected an integer in 1..16777216, got 1000000000000000000000"),
+    (["evolve", "huge.json", "--dt", "0.1"], "vertices: expected an integer in 1..16777216"),
     (["encode", "digits.json"], "edges[0].weight: expected a finite number, got 5001 digits"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
@@ -642,8 +661,9 @@ def test_wigner_transform_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ([], "error: grid of n_q=8192 x n_p=8192 = 67108864 cells exceeds the cap"),
-        (["--np", "2"], "error: Wigner correlation of n_q=8192 x 4096 offsets"),
+        ([], "error: cells of the n_q x n_p grid (8192 x 8192): "
+             "expected an integer <= 16777216, got 67108864"),
+        (["--np", "2"], "error: cells of the Wigner correlation of n_q x offsets (8192 x 4096)"),
     ],
 )
 def test_wigner_transform_oversized_state(extra, message, tmp_path, capsys):

@@ -93,7 +93,7 @@ MESSAGES = [
     ('{"edges": []}',
      "document: missing required key 'vertices'"),
     ('{"vertices": 0}',
-     'vertices: must be >= 1, got 0'),
+     'vertices: expected an integer in 1..16777216, got 0'),
     ('{"vertices": 2, "edges": [{"members": [1], "weight": 0}]}',
      'edges[0].weight: expected a positive number, got 0'),
     ('{"vertices": 2, "edges": [{"members": [1], "weight": -3}]}',
@@ -129,7 +129,7 @@ MESSAGES = [
     ('{"vertices": null}',
      'vertices: expected an integer, got None'),
     ('{"vertices": -1}',
-     'vertices: must be >= 1, got -1'),
+     'vertices: expected an integer in 1..16777216, got -1'),
     ('{"vertices": 2, "vertex_weights": "12"}',
      'vertex_weights: expected a list'),
     ('{"vertices": 2, "vertex_weights": [1, "2"]}',
@@ -147,11 +147,11 @@ MESSAGES = [
     ('{"vertices": 2, "vertex_weights": [[1], 1]}',
      'vertex_weights[0]: expected a number, got [1]'),
     ('{"vertices": 2, "edges": [{"members": [3]}]}',
-     'edges[0].members[0]: vertex 3 out of range 1..2'),
+     'edges[0].members[0]: expected an integer in 1..2, got 3'),
     ('{"vertices": 2, "edges": [{"members": [0]}]}',
-     'edges[0].members[0]: vertex 0 out of range 1..2'),
+     'edges[0].members[0]: expected an integer in 1..2, got 0'),
     ('{"vertices": 2, "edges": [{"members": [1, -2]}]}',
-     'edges[0].members[1]: vertex -2 out of range 1..2'),
+     'edges[0].members[1]: expected an integer in 1..2, got -2'),
     ('{"vertices": 2, "edges": [{"members": [true]}]}',
      'edges[0].members[0]: expected an integer, got True'),
     ('{"vertices": 2, "edges": [{"members": ["1"]}]}',
@@ -176,19 +176,19 @@ MESSAGES = [
      'edges[1].weight: expected a positive number, got -0.0'),
     # several faults: the first in document order is named
     ('{"vertices": 0, "vertex_weights": 5}',
-     'vertices: must be >= 1, got 0'),
+     'vertices: expected an integer in 1..16777216, got 0'),
     ('{"vertices": 0, "edges": 5}',
-     'vertices: must be >= 1, got 0'),
+     'vertices: expected an integer in 1..16777216, got 0'),
     ('{"vertices": 2, "vertex_weights": [0, 1], "edges": 5}',
      'vertex_weights[0]: expected a positive number, got 0'),
     ('{"vertices": 2, "vertex_weights": [1], "edges": [{"members": [9]}]}',
      'vertex_weights: expected 2 entries, got 1'),
     ('{"vertices": 2, "edges": [{"members": [3], "weight": 0}]}',
-     'edges[0].members[0]: vertex 3 out of range 1..2'),
+     'edges[0].members[0]: expected an integer in 1..2, got 3'),
     ('{"vertices": 2, "edges": [{"members": [1], "weight": 0}, {"members": 5}]}',
      'edges[0].weight: expected a positive number, got 0'),
     ('{"vertices": 2, "edges": [{"members": [5, "x"]}]}',
-     'edges[0].members[0]: vertex 5 out of range 1..2'),
+     'edges[0].members[0]: expected an integer in 1..2, got 5'),
     ('{"vertices": 2, "edges": [{"members": ["x", 5]}]}',
      "edges[0].members[0]: expected an integer, got 'x'"),
     ('{"vertices": 2, "vertex_weights": [1, 1], "edges": [5, {"members": [1]}]}',

@@ -158,7 +158,7 @@ def test_ckz_matches_per_index_negation_bit_for_bit(n, data):
 
 
 def test_ckz_target_range_checked():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^targets: expected an integer in 1\.\.2, got 3$"):
         apply_ckz(plus_state(2), {3})
 
 
@@ -181,7 +181,7 @@ BIG = Hypergraph(21)
 
 @pytest.mark.parametrize("h, parent, parts, message", [
     (BIG, BIG, [range(1, 11), range(11, 22)],
-     "hypergraph has 21 vertices; dense encoding is capped at 20"),
+     "vertices (qubits, capped for the dense encoding): expected an integer <= 20, got 21"),
     (BIG, BIG, [range(1, 21)], "partition must cover every vertex"),
     (BIG, BIG, [range(1, 22), []], "empty parts cannot be encoded"),
     # an equal hypergraph is not this one

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,24 +14,36 @@ import pytest
 
 import hyperphase
 from hyperphase import (
+    MAX_CELLS,
     BalanceReport,
     Hypergraph,
     PartitionEnsemble,
     PhaseMap,
     PhaseSpaceGrid,
+    QubitStateVector,
     Wavefunction,
     WignerField,
+    adjacency_matrix,
+    apply_ckz,
     build_phase_map,
+    edge_degree_matrix,
+    edge_weight_sum_matrix,
     evolve,
     formats,
     free_stream_step,
     gaussian_wavefunction,
     grid_from_boundary,
+    incidence_matrix,
     initial_field_from_hypergraph,
     is_balanced,
     make_grid,
+    momentum_laplacian,
+    part_weight,
     plane_wave_slice,
     plus_state,
+    position_laplacian,
+    vertex_degree_matrix,
+    wigner_transform,
 )
 
 SUBMODULES = ("hypergraph", "hyperstate", "phasemap", "wigner")
@@ -171,3 +186,125 @@ def test_every_real_parameter_is_in_the_finite_table():
                 reals.update((name, p) for p, param in inspect.signature(obj).parameters.items()
                              if param.annotation in ("float", float))
     assert len(reals) > 20 and reals <= FINITE_REFUSALS.keys(), sorted(reals - FINITE_REFUSALS.keys())
+
+
+# --- integers -------------------------------------------------------------------
+
+_HALVES = PartitionEnsemble(_FIG4, [[1, 4], [2, 3]], 0.2)
+_CELLS = MAX_CELLS // 2  # a grid count's largest value: the other count is at least 2
+
+# (callable, parameter) -> (the name its refusal gives, lowest and highest value (None: open),
+# a call with the parameter set to x).  Members, parts and targets are integers in a list.
+RANGE_REFUSALS = {
+    ("Hypergraph", "n_vertices"): ("vertices", 1, MAX_CELLS, lambda x: Hypergraph(x)),
+    ("Hypergraph", "hyperedges"): ("edges[0].members[0]", 1, 4, lambda x: Hypergraph(4, [([x], 1.0)])),
+    ("PartitionEnsemble", "parts"): ("parts[0]", 1, 4, lambda x: PartitionEnsemble(_FIG4, [[x]], 0.5)),
+    ("part_weight", "k"): ("k", 0, 1, lambda x: part_weight(_HALVES, x)),
+    ("QubitStateVector", "n_qubits"): ("n_qubits", 1, 20, lambda x: QubitStateVector(x, np.zeros(2, int))),
+    ("plus_state", "n"): ("n", 1, 20, lambda x: plus_state(x)),
+    ("apply_ckz", "targets"): ("targets", 1, 2, lambda x: apply_ckz(plus_state(2), [x])),
+    ("PhaseSpaceGrid", "n_q"): ("n_q", 2, _CELLS, lambda x: PhaseSpaceGrid(x, 4, 0.0, 1.0, 0.0, 1.0)),
+    ("PhaseSpaceGrid", "n_p"): ("n_p", 2, _CELLS, lambda x: PhaseSpaceGrid(4, x, 0.0, 1.0, 0.0, 1.0)),
+    ("make_grid", "n_q"): ("n_q", 2, _CELLS, lambda x: make_grid(x, 4, (0, 1), (0, 1))),
+    ("make_grid", "n_p"): ("n_p", 2, _CELLS, lambda x: make_grid(4, x, (0, 1), (0, 1))),
+    ("grid_from_boundary", "n_q"): ("n_q", 2, _CELLS, lambda x: grid_from_boundary(_FIG4, x, 8)),
+    ("grid_from_boundary", "n_p"): ("n_p", 2, _CELLS, lambda x: grid_from_boundary(_FIG4, 8, x)),
+    ("plane_wave_slice", "slice_index"): ("slice_index", 0, 3, lambda x: plane_wave_slice(_GRID, x, 1.0)),
+    ("free_stream_step", "steps"): ("steps", 1, None, lambda x: free_stream_step(_ROW, 0.1, x)),
+    ("evolve", "steps"): ("steps", 1, None, lambda x: evolve(_ROW, 0.1, x)),
+    ("evolve", "snapshot_every"): ("snapshot_every", 0, None, lambda x: evolve(_ROW, 0.1, 2, x)),
+}
+
+
+@pytest.mark.parametrize("key", RANGE_REFUSALS, ids="{0[0]}.{0[1]}".format)
+def test_every_integer_is_range_checked(key):
+    """One check refuses each integer outside its range, under its name, with the bound and the
+    value; a value past the 4300 digits str() allows is given by its digit count."""
+    name, low, high, call = RANGE_REFUSALS[key]
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    outside = {low - 1: str(low - 1), -(10**5000): "5001 digits"}
+    if high is not None:
+        outside.update({high + 1: str(high + 1), 10**5000: "5001 digits"})
+    for value, shown in outside.items():
+        message = f"{name}: expected an integer {bound}, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: expected an integer, got True$"):
+        call(True)
+
+
+def test_open_ended_counts_take_any_size():
+    """A step count has no integer bound, but t + steps * dt needs it as a finite float64; a
+    snapshot interval longer than the run is the whole run."""
+    with pytest.raises(ValueError, match="^steps: expected a finite number, got 5001 digits$"):
+        evolve(_ROW, 0.1, 10**5000)
+    assert len(evolve(_ROW, 0.1, 2, 10**5000)) == 1
+
+
+def test_every_integer_parameter_is_in_the_range_table():
+    """A public parameter annotated with ``int``, alone or in a list, has a row above, so a new
+    integer cannot skip the range check unnoticed."""
+    ints = set()
+    for module in (importlib.import_module(f"hyperphase.{name}") for name in SUBMODULES):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                ints.update((name, p) for p, param in inspect.signature(obj).parameters.items()
+                            if re.search(r"\bint\b", str(param.annotation)))
+    assert len(ints) > 15 and ints <= RANGE_REFUSALS.keys(), sorted(ints - RANGE_REFUSALS.keys())
+
+
+# --- cells ----------------------------------------------------------------------
+
+# 4200**2 and 4097**2 cells are past MAX_CELLS = 2**24; each input is small, and no builder
+# may allocate its refused array: tracemalloc measured 134.7-151.5 MiB where one did.
+_WIDE = Hypergraph(4200, [([1], 1.0)])  # an n x n past the cap, its incidence matrix 4200 x 1
+_LONG = Hypergraph(1, [([1], 1.0)] * 4097)  # an m x m past the cap
+_SQUARE = Hypergraph(4097, [([v], 1.0) for v in range(1, 4098)])  # an n x m past the cap
+_NARROW = make_grid(8192, 2, (-8, 8), (-8, 8))  # its n_q x ceil(n_q / 2) correlation is past the cap
+_PSI = gaussian_wavefunction(_NARROW)
+CELL_REFUSALS = {
+    "incidence_matrix": lambda: incidence_matrix(_SQUARE),
+    "vertex_degree_matrix": lambda: vertex_degree_matrix(_WIDE),
+    "edge_degree_matrix": lambda: edge_degree_matrix(_LONG),
+    "edge_weight_sum_matrix": lambda: edge_weight_sum_matrix(_LONG),
+    "adjacency_matrix": lambda: adjacency_matrix(_WIDE),
+    "momentum_laplacian": lambda: momentum_laplacian(_WIDE),
+    "position_laplacian": lambda: position_laplacian(_WIDE),
+    "PhaseSpaceGrid": lambda: PhaseSpaceGrid(4097, 4097, 0.0, 1.0, 0.0, 1.0),
+    "wigner_transform": lambda: wigner_transform(_PSI, _NARROW),
+}
+
+
+@pytest.mark.parametrize("name", CELL_REFUSALS)
+def test_every_dense_builder_refuses_before_it_allocates(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^cells of the .*: expected an integer <= 16777216, got \d+$"):
+            CELL_REFUSALS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_a_count_no_diagonal_can_hold_is_refused():
+    # the hypergraph holds one weight per vertex (128 MiB of tuple); its 2**48-cell D_v is refused
+    with pytest.raises(ValueError, match=r"^cells of the vertex degree matrix \(16777216 x 16777216\)"):
+        vertex_degree_matrix(Hypergraph(2**24))
+
+
+# --- one home per bound ---------------------------------------------------------
+
+def test_each_bound_has_one_home():
+    """An integer's range is refused only by ``_require_int``, and an array's cells only by
+    ``_require_cells``: no other code words a range refusal or compares with a cap."""
+    for path in sorted(Path(hyperphase.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        helpers = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
+                   if isinstance(f, ast.FunctionDef) and f.name in ("_require_int", "_require_cells")]
+        for i, line in enumerate(text.splitlines(), start=1):
+            assert not re.search(r"out of range|must be >=|must be at most|must be in ", line), \
+                f"{path.name}:{i}"
+            if not any(i in lines for lines in helpers):
+                assert not re.search(r"[<>]=? *MAX_(CELLS|QUBITS)", line), f"{path.name}:{i}"
