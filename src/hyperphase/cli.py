@@ -20,6 +20,7 @@ from . import formats
 from .hypergraph import (
     Hypergraph,
     PartitionEnsemble,
+    _echo,
     _edge_degrees,
     _require_cells,
     _require_int,
@@ -43,7 +44,7 @@ from .hyperstate import (
     encode_partitioned,
     is_real_equally_weighted,
 )
-from .phasemap import build_phase_map, grid_from_boundary, initial_field_from_hypergraph
+from .phasemap import _boundary, build_phase_map, grid_from_boundary, initial_field_from_hypergraph
 from .wigner import (
     MAX_CELLS,
     _gaussian_wigner,
@@ -82,10 +83,9 @@ def _parse_partition_spec(spec: str) -> list[list[int]]:
         for token in group.split(","):
             token = token.strip()
             if not token:
-                raise ValueError(f"partition part {k + 1}: empty member in {group!r}")
+                raise ValueError(f"partition part {k + 1}: empty member in {_echo(group)}")
             if not re.fullmatch(r"[+-]?[0-9]+", token):
-                shown = token if len(token) <= 20 else token[:20] + "..."
-                raise ValueError(f"partition part {k + 1}: {shown!r} is not an integer")
+                raise ValueError(f"partition part {k + 1}: {_echo(token)} is not an integer")
             members.append(formats._json_int(token))
         parts.append(members)
     return parts
@@ -102,9 +102,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"  e{j + 1}: {body} weight {formats.fmt17(w)}")
     print("vertex degrees: " + ", ".join(formats.fmt17(d) for d in dv))
     print("edge degrees: " + ", ".join(formats.fmt17(d) for d in de))
-    if h.n_edges:
-        print(f"boundary: max edge weight {formats.fmt17(max(h.edge_weights()))}, "
-              f"max vertex degree {formats.fmt17(float(dv.max()) if dv.size else 0.0)}")
+    if h.n_edges:  # the extents grid_from_boundary takes, by its rule
+        print("boundary:", ", ".join(f"max {name} {formats.fmt17(v)}" for name, v in _boundary(h).items()))
     return 0
 
 
@@ -199,7 +198,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.physical is not None:
         if args.physical != "gaussian":
-            raise ValueError(f"unknown physical state {args.physical!r} (expected 'gaussian')")
+            raise ValueError(f"unknown physical state {_echo(args.physical)} (expected 'gaussian')")
         if args.t is not None:
             dt = _require_real(args.t, "t") / args.steps
         elif args.dt is not None:

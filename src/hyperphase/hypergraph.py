@@ -59,7 +59,7 @@ def _require_int(value, path: str, low: int | None = None, high: int | None = No
     integer and its range.  A value past _STR_DIGITS digits, where str() refuses, is named by
     their count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{path}: expected an integer, got {value!r}")
+        raise ValueError(f"{path}: expected an integer, got {_echo(value)}")
     v = int(value)
     if (low is None or v >= low) and (high is None or v <= high):
         return v
@@ -76,7 +76,7 @@ def _require_cells(what: str, rows: int, cols: int) -> None:
 def _require_real(value, path: str) -> float:
     """``value`` as a finite float64: the one check of every real the package takes."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{path}: expected a number, got {value!r}")
+        raise ValueError(f"{path}: expected a number, got {_echo(value)}")
     try:
         v = float(value)
     except OverflowError:  # a Python int past float64: its digit count, not its digits
@@ -84,6 +84,22 @@ def _require_real(value, path: str) -> float:
     if not math.isfinite(v):
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
     return v
+
+
+def _require_phase(rad: float, path: str) -> None:
+    """Refuse a largest phase ``rad`` that is not at most 2**53 rad, inf and nan too: past it a
+    phase has no correct digit left.  The one home of the phase bound."""
+    if not rad <= 2.0**53:
+        raise ValueError(f"{path}: expected a phase of at most 2**53 rad, got {rad}")
+
+
+def _echo(value) -> str:
+    """How a refusal shows ``value``: its repr, cut after 20 characters with '...'; a str is cut
+    before it is quoted."""
+    if isinstance(value, str):
+        return repr(value if len(value) <= 20 else value[:20] + "...")
+    text = repr(value)
+    return text if len(text) <= 20 else text[:20] + "..."
 
 
 def _digits(n: int) -> int:

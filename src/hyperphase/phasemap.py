@@ -9,11 +9,9 @@ identity, p = omega(e) and q = d(v) in grid units.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .hypergraph import Hypergraph, _Value, _edge_degrees, _require_real, _vertex_degrees
+from .hypergraph import Hypergraph, _Value, _edge_degrees, _require_phase, _require_real, _vertex_degrees
 from .wigner import PhaseSpaceGrid, WignerField
 
 __all__ = [
@@ -75,6 +73,13 @@ def _degree_source(h: Hypergraph) -> str:
 _DEGREES = {VERTEX_DEGREE: _vertex_degrees, EDGE_DEGREE: _edge_degrees}
 
 
+def _boundary(h: Hypergraph) -> dict[str, float]:
+    """The largest edge weight and the largest of the degrees that place position columns, by
+    name: the extents of ``grid_from_boundary``'s p and q axes, before the margin."""
+    source = _degree_source(h)
+    return {"edge weight": max(h.edge_weights()), source.replace("_", " "): float(_DEGREES[source](h).max())}
+
+
 def grid_from_boundary(
     h: Hypergraph,
     n_q: int,
@@ -93,13 +98,9 @@ def grid_from_boundary(
         raise ValueError(f"margin: expected a number >= 0, got {margin}")
     if h.n_edges == 0:
         raise ValueError("hypergraph has no hyperedges; no phase-space boundary derivable")
-    source = _degree_source(h)
-    tops = {"edge weight": max(h.edge_weights()), source.replace("_", " "): float(_DEGREES[source](h).max())}
-    for name, top in tops.items():  # refused here: PhaseSpaceGrid would name an inf q_max or p_max
-        if not math.isfinite((1.0 + margin) * top):
-            raise ValueError(f"margin={margin} makes (1 + margin) * {top}, the largest {name}, "
-                             "overflow float64")
-    p_hi, q_hi = ((1.0 + margin) * top for top in tops.values())
+    # refused here: PhaseSpaceGrid would name an inf q_max or p_max
+    p_hi, q_hi = (_require_real((1.0 + margin) * top, f"(1 + margin) * the largest {name}, {top}, for "
+                                f"margin={margin}") for name, top in _boundary(h).items())
     if q_hi <= 0.0:
         raise ValueError("hypergraph boundary has zero position extent (all hyperedges empty)")
     return PhaseSpaceGrid(n_q, n_p, 0.0, q_hi, 0.0, p_hi, m, hbar)
@@ -136,9 +137,8 @@ def initial_field_from_hypergraph(
     field (field_mode=True), not a normalized Wigner function.
     """
     k = _require_real(k_default, "k_default")
-    if not math.isfinite(k * max(abs(grid.q_min), abs(grid.q_max))):
-        raise ValueError(f"k_default={k_default} makes the phase k*q overflow float64 "
-                         f"on q in [{grid.q_min}, {grid.q_max}]")
+    _require_phase(abs(k) * max(abs(grid.q_min), abs(grid.q_max)),
+                   f"k_default*q for k_default={k} on q in [{grid.q_min}, {grid.q_max}]")
     wave = np.cos(k * grid.q_centers())
     values = np.zeros((grid.n_p, grid.n_q))
     for row in map_momentum_rows(h, grid).values():

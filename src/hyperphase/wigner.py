@@ -28,7 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import MAX_CELLS, _require_cells, _require_int, _require_number, _require_real, _Value
+from .hypergraph import (MAX_CELLS, _echo, _require_cells, _require_int, _require_number, _require_phase,
+                         _require_real, _Value)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -64,12 +65,9 @@ class PhaseSpaceGrid(_Value):
             raise ValueError(f"inverted q bounds: [{self.q_min}, {self.q_max}]")
         if not self.p_max > self.p_min:
             raise ValueError(f"inverted p bounds: [{self.p_min}, {self.p_max}]")
-        if not math.isfinite(self.dq * self.dp):
-            raise ValueError(f"phase-space cell area dq*dp overflows float64 for {bounds}")
-        for name, d in (("dq", self.dq), ("dp", self.dp)):
-            if not (d > 0 and math.isfinite(math.pi / d)):  # d > 0 first: pi / 0.0 raises
-                raise ValueError(f"phase-space spacing {name}={d} is 0 or makes pi/{name} "
-                                 f"overflow float64 for {bounds}")
+        _require_real(self.dq * self.dp, f"phase-space cell area dq*dp for {bounds}")
+        for name, d in (("dq", self.dq), ("dp", self.dp)):  # 0 only by underflow; pi / 0.0 would raise
+            _require_real(math.pi / d if d else math.inf, f"pi/{name} of the spacing {name}={d} for {bounds}")
 
     @property
     def dq(self) -> float:
@@ -104,7 +102,7 @@ def _pair(bounds, path: str) -> tuple:
     try:
         low, high = bounds
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: expected a (min, max) pair, got {bounds!r}") from None
+        raise ValueError(f"{path}: expected a (min, max) pair, got {_echo(bounds)}") from None
     return low, high
 
 
@@ -127,7 +125,7 @@ class WignerField(_Value):
         field_mode: bool = False,
     ) -> None:
         if not isinstance(field_mode, (bool, np.bool_)):
-            raise ValueError(f"field_mode: expected a bool, got {field_mode!r}")
+            raise ValueError(f"field_mode: expected a bool, got {_echo(field_mode)}")
         self._adopt(grid, np.array(values, dtype=np.float64, copy=True, order="C"),
                     _require_real(t, "t"), bool(field_mode))
 
@@ -179,26 +177,21 @@ def gaussian_wavefunction(
 ) -> Wavefunction:
     """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized.
 
-    sigma must be > 0 with a finite sigma**2, the phase p0 q / hbar must be
-    finite on the grid, and the samples must have a finite, nonzero norm on
+    sigma must be > 0 with a finite sigma**2, the phase p0 q / hbar at most
+    2**53 rad on the grid, and the samples must have a finite, nonzero norm on
     the grid (a packet far narrower than dq, or far off it, can underflow to zero).
     """
-    sigma, q0, p0 = _require_real(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
-    if not (sigma > 0 and math.isfinite(sigma * sigma)):
-        raise ValueError(f"sigma must be > 0 with a finite sigma**2, got {sigma}")
+    sigma, q0, p0 = _require_number(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
+    _require_real(sigma * sigma, f"sigma**2 for sigma={sigma}")
+    bounds = f"q in [{grid.q_min}, {grid.q_max}]"
+    _require_phase(abs(p0) * max(abs(grid.q_min), abs(grid.q_max)) / grid.hbar,
+                   f"p0*q/hbar for p0={p0}, hbar={grid.hbar} on {bounds}")
     q = grid.q_centers()
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
-        phase = 1j * p0 * q / grid.hbar
-    if not np.all(np.isfinite(phase)):
-        raise ValueError(f"p0={p0}, hbar={grid.hbar} make the phase p0*q/hbar overflow float64 "
-                         f"on q in [{grid.q_min}, {grid.q_max}]")
     # a sigma**2 that underflows divides by zero; the norm check below rejects the result
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(phase)
+        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
         norm = float(np.sum(np.abs(raw) ** 2)) * grid.dq
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError(f"sigma={sigma} gives a Gaussian of norm {norm} at q0={q0} on a grid of "
-                         f"q in [{grid.q_min}, {grid.q_max}], dq={grid.dq}")
+    _require_number(norm, f"norm of the Gaussian of sigma={sigma} at q0={q0} on {bounds}, dq={grid.dq}")
     raw /= math.sqrt(norm)  # checked again: a norm of subnormal squares can be off by > 1e-10
     try:
         return object.__new__(Wavefunction)._adopt(float(grid.q_min), float(grid.q_max), raw)
@@ -246,9 +239,8 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
 
     Total mass equals psi's norm, sum |psi|^2 dq, whenever the grid's
     momentum window covers psi's momentum content; that is asserted by
-    callers, not here.  An
-    hbar that puts the kernel phase past 2**53 rad, or overflows the factor
-    dq/(pi hbar), is refused before anything is computed.
+    callers, not here.  An hbar that puts the kernel phase past 2**53 rad,
+    or overflows the factor dq/(pi hbar), is refused before anything is computed.
     """
     n = grid.n_q
     if psi.n_q != n:
@@ -260,14 +252,10 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
         raise ValueError("wavefunction q axis does not match grid")
     half = (n + 1) // 2
     _require_cells("Wigner correlation of n_q x offsets", n, half)
-    # past 2**53 rad a phase has no correct digit left
-    phase = 2.0 * grid.dq * (half - 1) * max(abs(grid.p_min), abs(grid.p_max)) / grid.hbar
-    if not phase <= 2.0**53:
-        raise ValueError(f"hbar={grid.hbar} gives a Wigner kernel phase 2*dq*m*p/hbar of up to "
-                         f"{phase} rad, past 2**53")
-    if not math.isfinite(grid.dq / (math.pi * grid.hbar)):
-        raise ValueError(f"hbar={grid.hbar} makes the Wigner normalization dq/(pi*hbar) overflow")
-
+    _require_phase(2.0 * grid.dq * (half - 1) * max(abs(grid.p_min), abs(grid.p_max)) / grid.hbar,
+                   f"Wigner kernel phase 2*dq*m*p/hbar for hbar={grid.hbar}")
+    scale = _require_real(grid.dq / (math.pi * grid.hbar),
+                          f"Wigner normalization dq/(pi*hbar) for hbar={grid.hbar}")
     theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
     kernel = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     del theta  # each temporary is let go once used, so the product runs with fewer alive
@@ -275,7 +263,7 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
     # columns 2m, 2m+1 of the float view hold (Re c_m, Im c_m); kernel rows hold (cos, sin)
     w = _correlation(psi).view(np.float64) @ kernel.reshape(2 * half, -1)
     del kernel
-    scaled = np.multiply(w.T, grid.dq / (math.pi * grid.hbar), order="C")
+    scaled = np.multiply(w.T, scale, order="C")
     return object.__new__(WignerField)._adopt(grid, scaled, 0.0, False)  # fresh: no copy
 
 
@@ -322,24 +310,17 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     across the steps and are inverted once; the per-step Nyquist rule of
     ``_spectral_shift`` is unchanged, so this equals ``steps`` single-step
     calls up to rounding.  The time advances by dt once per step.  A dt whose
-    shear p*dt/m, spectral phase or end time overflows float64, or whose
-    spectral phase is past 2**53 rad, is refused before anything is computed.
+    spectral phase is past 2**53 rad, or whose end time overflows float64, is
+    refused before anything is computed.
     """
     dt, steps = _require_real(dt, "dt"), _require_steps(steps)
     if dt == 0.0:
         return w  # fields are immutable: the unstreamed field is its own result
     g = w.grid
-    shear = max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass
-    # the largest rfft wavenumber is pi/dq, so the largest phase is shear * pi / dq
-    phase = shear * math.pi / g.dq
-    if not math.isfinite(phase):
-        raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
-                         f"whose spectral phase overflows float64")
-    if not math.isfinite(w.t + steps * dt):
-        raise ValueError(f"dt={dt} over {steps} steps from t={w.t} overflows float64")
-    if phase > 2.0**53:  # past 2**53 rad a phase has no correct digit left
-        raise ValueError(f"dt={dt} implies a shear p*dt/m of up to {shear} per step, "
-                         f"whose spectral phase of {phase} rad is past 2**53")
+    # the largest rfft wavenumber is pi/dq, so the largest phase is the largest shear p*dt/m times it
+    _require_phase(max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass * math.pi / g.dq,
+                   f"spectral phase p*dt/m*pi/dq of a step for dt={dt}, m={g.mass}")
+    _require_real(w.t + steps * dt, f"end time t + steps*dt for dt={dt} over {steps} steps from t={w.t}")
     shifts = g.p_centers() * dt / g.mass
     out = _spectral_shift(w.values, shifts, spacing=g.dq, steps=steps)
     t = w.t
@@ -403,15 +384,13 @@ def plane_wave_slice(
 
     Row ``slice_index`` carries cos(k q - omega t) with omega = k p_row / m,
     so one free-streaming step of dt advances the phase by exactly
-    k p_row dt / m.  A phase that overflows float64 is refused before the cosine.
+    k p_row dt / m.  A phase past 2**53 rad is refused before the cosine.
     """
     slice_index = _require_int(slice_index, "slice_index", 0, grid.n_p - 1)
     k, t = _require_real(k, "k"), _require_real(t, "t")
     omega = k * float(grid.p_centers()[slice_index]) / grid.mass
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf or inf * 0 is nan
-        phase = k * grid.q_centers() - omega * t
-    if not np.all(np.isfinite(phase)):
-        raise ValueError(f"k={k}, t={t} make the phase k*q - omega*t overflow float64 on row {slice_index}")
+    _require_phase(abs(k) * max(abs(grid.q_min), abs(grid.q_max)) + abs(omega * t),
+                   f"k*q - omega*t for k={k}, t={t} on row {slice_index}")
     values = np.zeros((grid.n_p, grid.n_q))
-    values[slice_index, :] = np.cos(phase)
+    values[slice_index, :] = np.cos(k * grid.q_centers() - omega * t)
     return object.__new__(WignerField)._adopt(grid, values, t, True)  # fresh: no copy

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperphase import QubitStateVector, formats, gaussian_wavefunction, incidence_matrix, make_grid
+from hyperphase import (QubitStateVector, formats, gaussian_wavefunction, grid_from_boundary,
+                        incidence_matrix, make_grid)
 from hyperphase.cli import _parse_partition_spec, main
 
 from conftest import dump_amplitudes
@@ -58,6 +59,18 @@ def test_info(fig4_file, capsys):
         "edge degrees: 3, 3, 2\n"
         "boundary: max edge weight 3, max vertex degree 5\n"
     )
+
+
+def test_info_boundary_is_the_grid_extent(tmp_path, capsys):
+    """The boundary line names the degrees grid_from_boundary sizes its q axis by: edge degrees
+    once some hyperedge is empty (the largest vertex degree here is 7)."""
+    doc = tmp_path / "empty_edge.json"
+    doc.write_text('{"vertices": 3, "edges": [{"members": [1, 2], "weight": 2}, '
+                   '{"members": [], "weight": 1}, {"members": [1, 3], "weight": 5}]}')
+    assert main(["info", str(doc)]) == 0
+    assert capsys.readouterr().out.endswith("boundary: max edge weight 5, max edge degree 2\n")
+    grid = grid_from_boundary(formats.parse_hypergraph(doc.read_text()), 8, 8)
+    assert (grid.p_max, grid.q_max) == (5.0, 2.0)
 
 
 def test_info_builds_no_square_matrix(tmp_path, capsys):
@@ -310,8 +323,15 @@ def test_partition_members_read_as_json_integers():
     ('{"vertices": 2, "edges": [{"members": [1, 1%s]}]}' % ("0" * 5000),
      "edges[0].members[1]: expected an integer in 1..2, got 5001 digits"),
     ('{"vertices": 10000000000}', "vertices: expected an integer in 1..16777216, got 10000000000"),
+    # a refused non-number is echoed up to 20 characters
+    ('{"vertices": 2, "edges": [{"members": ["%s"]}]}' % ("x" * 5000),
+     "edges[0].members[0]: expected an integer, got 'xxxxxxxxxxxxxxxxxxxx...'"),
+    ('{"vertices": "%s"}' % ("x" * 5000), "vertices: expected an integer, got 'xxxxxxxxxxxxxxxxxxxx...'"),
+    ('{"vertices": [%s]}' % ", ".join(["1"] * 5000),
+     "vertices: expected an integer, got [1, 1, 1, 1, 1, 1, 1..."),
 ], ids=["member", "edge-weight", "vertex-weight", "edge-weight-5001", "vertex-weight-5001",
-        "vertices-5001", "member-5001", "vertices-1e10"])
+        "vertices-5001", "member-5001", "vertices-1e10", "member-str-5000", "vertices-str-5000",
+        "vertices-list-5000"])
 def test_invalid_document_is_validation_error(text, message, tmp_path, capsys):
     doc = tmp_path / "bad.json"
     doc.write_text(text)
@@ -333,30 +353,35 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2"],
          "error: phase-space cell area"),
         (HUGE_GRID_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--margin", "1"],
-         "error: margin=1.0 makes (1 + margin) * 1e+308, the largest edge weight, overflow float64"),
+         "error: (1 + margin) * the largest edge weight, 1e+308, for margin=1.0: expected a finite number, "
+         "got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
          "error: sigma: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
-         "error: sigma=1e-300 gives a Gaussian of norm"),
+         "error: norm of the Gaussian of sigma=1e-300 at q0=0.0"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "inf"],
          "error: k_default: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "1e308"],
-         "error: k_default=1e+308 makes the phase k*q overflow"),
+         "error: k_default*q for k_default=1e+308 on q in [0.0, 6.25]: "
+         "expected a phase of at most 2**53 rad, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "1e308", "--steps", "3"],
-         "error: dt=1e+308 implies a shear p*dt/m of up to inf"),
+         "error: spectral phase p*dt/m*pi/dq of a step for dt=1e+308, m=1.0: expected a phase of at most "
+         "2**53 rad, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-320", *SMALL_PHYSICAL],
-         "error: dt=0.5 implies a shear p*dt/m of up to inf"),
+         "error: spectral phase p*dt/m*pi/dq of a step for dt=0.5, m=1e-320: expected a phase of at most "
+         "2**53 rad, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--hbar", "1e-300", *SMALL_PHYSICAL],
-         "error: hbar=1e-300 gives a Wigner kernel phase"),
+         "error: Wigner kernel phase 2*dq*m*p/hbar for hbar=1e-300: expected a phase of at most 2**53 rad, "
+         "got 1.2412121212121213e+302"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--mass", "1e-300", *SMALL_PHYSICAL],
-         "error: dt=0.5 implies a shear p*dt/m of up to 3.9999999999999996e+300 per step, "
-         "whose spectral phase of"),
+         "error: spectral phase p*dt/m*pi/dq of a step for dt=0.5, m=1e-300: expected a phase of at most "
+         "2**53 rad, got 2.5918139392115786e+301"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--mass", "inf"],
          "error: mass: expected a finite number, got inf"),
         ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e-320}]}',
          ["evolve", "--dt", "0.1", "--steps", "2", "--nq", "4", "--np", "4"],
-         "error: phase-space spacing dq=3.122e-321 is 0 or makes pi/dq overflow float64 "
-         "for q in [0.0, 1.25e-320], p in [0.0, 1.25e-320]"),
+         "error: pi/dq of the spacing dq=3.122e-321 for q in [0.0, 1.25e-320], "
+         "p in [0.0, 1.25e-320]: expected a finite number, got inf"),
         # only the position Laplacian's 2 d(v) overflows: refused after the other six files
         ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}]}', ["matrices"],
          "error: edge weights"),
@@ -614,7 +639,7 @@ REFUSAL_INPUTS = {
     (["evolve", "fig4.json", "--dt", "0.1", "--snapshot-every", "-1"],
      "snapshot_every: expected an integer >= 0, got -1"),
     (["evolve", "fig4.json", "--dt", "1e308", "--steps", "3"],
-     "dt=1e+308 implies a shear p*dt/m of up to inf"),
+     "spectral phase p*dt/m*pi/dq of a step for dt=1e+308, m=1.0: expected a phase of at most 2**53 rad"),
     (["wigner-transform", "--state", "one.csv"], "wavefunction file needs at least 2 samples"),
     (["matrices", "wide.json"], "cells of the largest matrix (200000 x 200000): "
      "expected an integer <= 16777216, got 40000000000"),
@@ -633,6 +658,10 @@ REFUSAL_INPUTS = {
     (["matrices", "huger.json"], "vertices: expected an integer in 1..16777216, got 1000000000000000000000"),
     (["evolve", "huge.json", "--dt", "0.1"], "vertices: expected an integer in 1..16777216"),
     (["encode", "digits.json"], "edges[0].weight: expected a finite number, got 5001 digits"),
+    # a finite phase past 2**53 rad has no correct digit left
+    (["evolve", "fig4.json", "--dt", "0.1", "--steps", "1", "--nq", "4", "--np", "4", "--k-default", "1e300"],
+     "k_default*q for k_default=1e+300 on q in [0.0, 6.25]: "
+     "expected a phase of at most 2**53 rad, got 6.25e+300"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():
@@ -688,7 +717,8 @@ def test_wigner_transform_tiny_hbar(hbar, tmp_path, capsys):
         assert main(argv) == 1
     assert caught == []
     err = capsys.readouterr().err
-    assert err.startswith(f"error: hbar={float(hbar)} gives a Wigner kernel phase")
+    assert err.startswith(f"error: Wigner kernel phase 2*dq*m*p/hbar for hbar={float(hbar)}: "
+                          "expected a phase of at most 2**53 rad, got ")
     assert err.count("\n") == 1
 
 

@@ -188,6 +188,34 @@ def test_every_real_parameter_is_in_the_finite_table():
     assert len(reals) > 20 and reals <= FINITE_REFUSALS.keys(), sorted(reals - FINITE_REFUSALS.keys())
 
 
+# --- phases ---------------------------------------------------------------------
+
+_PSI4 = gaussian_wavefunction(_GRID)
+
+# (callable, parameter) -> (the name its refusal gives, a call with the parameter set from x).
+# A phase grows with each input but hbar, which divides it: hbar is set to 1 / x.
+PHASE_REFUSALS = {
+    ("gaussian_wavefunction", "p0"): ("p0", lambda x: gaussian_wavefunction(_GRID, p0=x)),
+    ("plane_wave_slice", "k"): ("k", lambda x: plane_wave_slice(_GRID, 1, x)),
+    ("plane_wave_slice", "t"): ("t", lambda x: plane_wave_slice(_GRID, 1, 1.0, x)),
+    ("initial_field_from_hypergraph", "k_default"):
+        ("k_default", lambda x: initial_field_from_hypergraph(_FIG4, _GRID, x)),
+    ("free_stream_step", "dt"): ("dt", lambda x: free_stream_step(_ROW, x)),
+    ("make_grid", "hbar"):
+        ("hbar", lambda x: wigner_transform(_PSI4, make_grid(4, 4, (0, 1), (0, 1), hbar=1 / x))),
+}
+
+
+@pytest.mark.parametrize("value", [1e300, 1e308])
+@pytest.mark.parametrize("key", PHASE_REFUSALS, ids="{0[0]}.{0[1]}".format)
+def test_every_phase_is_bounded(key, value):
+    """A finite input whose phase is past 2**53 rad, where no digit of it is left, is refused by
+    one check under its name, before the phase is computed and any numpy warning."""
+    name, call = PHASE_REFUSALS[key]
+    with pytest.raises(ValueError, match=rf"\b{name}=[^:]*: expected a phase of at most 2\*\*53 rad, "):
+        call(value)
+
+
 # --- integers -------------------------------------------------------------------
 
 _HALVES = PartitionEnsemble(_FIG4, [[1, 4], [2, 3]], 0.2)
@@ -296,15 +324,26 @@ def test_a_count_no_diagonal_can_hold_is_refused():
 
 # --- one home per bound ---------------------------------------------------------
 
+# a line may match each pattern only inside its helpers
+BOUND_HOMES = {
+    r"[<>]=? *MAX_(CELLS|QUBITS)": ("_require_int", "_require_cells"),
+    r"math\.isfinite": ("_require_real",),
+    r"[<>]=? *2(\.0)? *\*\* *53": ("_require_phase",),
+}
+
+
 def test_each_bound_has_one_home():
-    """An integer's range is refused only by ``_require_int``, and an array's cells only by
-    ``_require_cells``: no other code words a range refusal or compares with a cap."""
+    """An integer's range is refused only by ``_require_int``, an array's cells only by
+    ``_require_cells``, a real that is not finite only by ``_require_real`` and a phase past
+    2**53 rad only by ``_require_phase``: no other code words a range refusal, compares with a
+    cap or with 2**53, or calls math.isfinite."""
     for path in sorted(Path(hyperphase.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        helpers = [range(f.lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
-                   if isinstance(f, ast.FunctionDef) and f.name in ("_require_int", "_require_cells")]
+        spans = {f.name: range(f.lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef)}
         for i, line in enumerate(text.splitlines(), start=1):
             assert not re.search(r"out of range|must be >=|must be at most|must be in ", line), \
                 f"{path.name}:{i}"
-            if not any(i in lines for lines in helpers):
-                assert not re.search(r"[<>]=? *MAX_(CELLS|QUBITS)", line), f"{path.name}:{i}"
+            for pattern, helpers in BOUND_HOMES.items():
+                if re.search(pattern, line):
+                    assert any(i in spans.get(name, ()) for name in helpers), f"{path.name}:{i}"

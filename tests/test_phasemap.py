@@ -117,12 +117,12 @@ def test_empty_edge_switches_boundary_to_edge_degrees():
 
 @pytest.mark.parametrize("h, margin, message", [
     (Hypergraph(2, [({1}, 1e308)]), 1.0,
-     "margin=1.0 makes (1 + margin) * 1e+308, the largest edge weight, overflow float64"),
+     "(1 + margin) * the largest edge weight, 1e+308, for margin=1.0: expected a finite number, got inf"),
     (Hypergraph(2, [({1}, 6e307), ({1}, 6e307)]), 0.5,
-     "margin=0.5 makes (1 + margin) * 1.2e+308, the largest vertex degree, overflow float64"),
+     "(1 + margin) * the largest vertex degree, 1.2e+308, for margin=0.5: expected a finite number, got inf"),
     # an empty hyperedge places position columns by edge degree
     (Hypergraph(2, [(set(), 1e-300), ({1, 2}, 1e-300)]), 1e308,
-     "margin=1e+308 makes (1 + margin) * 2.0, the largest edge degree, overflow float64"),
+     "(1 + margin) * the largest edge degree, 2.0, for margin=1e+308: expected a finite number, got inf"),
 ])
 def test_overflowing_boundary_names_margin(h, margin, message):
     """The grid's extents (1 + margin) * boundary are checked before PhaseSpaceGrid sees them."""
@@ -275,7 +275,8 @@ def test_overflowing_wavenumber_rejected(fig4):
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match=r"^k_default: expected a finite number, got "):
             initial_field_from_hypergraph(fig4, g, k_default=bad)
-    with pytest.raises(ValueError, match=r"k_default=1e\+308 makes the phase k\*q overflow"):
+    with pytest.raises(ValueError, match=r"^k_default\*q for k_default=1e\+308 on q in \[0.0, 6.25\]: "
+                                         r"expected a phase of at most 2\*\*53 rad, got inf$"):
         initial_field_from_hypergraph(fig4, g, k_default=1e308)
 
 

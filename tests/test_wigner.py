@@ -192,28 +192,31 @@ def test_gaussian_marginals():
 
 def test_gaussian_sigma_validation():
     grid = make_grid(33, 33, (-8, 8), (-8, 8))
-    for bad in (0.0, -1.0, 1e200):
-        with pytest.raises(ValueError, match=r"sigma must be > 0 with a finite sigma\*\*2"):
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match=rf"^sigma: expected a positive number, got {bad}$"):
             gaussian_wavefunction(grid, sigma=bad)
+    with pytest.raises(ValueError, match=r"^sigma\*\*2 for sigma=1e\+200: expected a finite number, "
+                                         r"got inf$"):
+        gaussian_wavefunction(grid, sigma=1e200)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^sigma: expected a finite number, got "):
             gaussian_wavefunction(grid, sigma=bad)
     # sigma**2 underflows to 0, or every sample lies many sigmas off a cell center
     for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
-        with pytest.raises(ValueError, match=f"sigma={tiny} gives a Gaussian of norm"):
+        with pytest.raises(ValueError, match=f"^norm of the Gaussian of sigma={tiny} at q0=0.0 on "):
             gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"q0": 1e200}, "sigma=1.0 gives a Gaussian of norm 0.0 at q0=1e+200 on a grid of "
-     "q in [-4.0, 4.0], dq=1.0"),
-    ({"p0": 1e308}, "p0=1e+308, hbar=1.0 make the phase p0*q/hbar overflow float64 "
-     "on q in [-4.0, 4.0]"),
-    ({"p0": -1e308}, "p0=-1e+308, hbar=1.0 make the phase p0*q/hbar overflow float64 "
-     "on q in [-4.0, 4.0]"),
+    ({"q0": 1e200}, "norm of the Gaussian of sigma=1.0 at q0=1e+200 on q in [-4.0, 4.0], dq=1.0: "
+     "expected a positive number, got 0.0"),
+    ({"p0": 1e308}, "p0*q/hbar for p0=1e+308, hbar=1.0 on q in [-4.0, 4.0]: "
+     "expected a phase of at most 2**53 rad, got inf"),
+    ({"p0": -1e308}, "p0*q/hbar for p0=-1e+308, hbar=1.0 on q in [-4.0, 4.0]: "
+     "expected a phase of at most 2**53 rad, got inf"),
 ])
 def test_gaussian_refusal_names_the_input_at_fault(kwargs, message):
-    """A packet centred off the grid names q0; a phase past float64 names p0, before any warning."""
+    """A packet centred off the grid names q0; a phase past 2**53 rad names p0, before any warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
@@ -547,14 +550,20 @@ def test_non_finite_dt_rejected():
 def test_overflowing_shear_rejected():
     g = make_grid(8, 4, (0, 8), (-4, 4))
     f = WignerField(g, np.zeros((4, 8)))
-    with pytest.raises(ValueError, match=r"dt=1e\+308 implies a shear p\*dt/m of up to inf"):
+    with pytest.raises(ValueError, match=r"^spectral phase p\*dt/m\*pi/dq of a step for dt=1e\+308, m=1.0: "
+                                         r"expected a phase of at most 2\*\*53 rad, got inf$"):
         free_stream_step(f, 1e308)
     tiny_mass = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e-320), np.zeros((4, 8)))
-    with pytest.raises(ValueError, match="dt=0.1 implies a shear"):
+    with pytest.raises(ValueError, match=r"^spectral phase .* for dt=0.1, m=1e-320: .*, got inf$"):
         free_stream_step(tiny_mass, 0.1)
-    # a finite shear and phase, but the end time t + steps * dt overflows
+    # the phase is refused before the end time: here it is 1.3e298 rad
     late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e10), np.zeros((4, 8)), t=1.7e308)
-    with pytest.raises(ValueError, match=r"dt=1e\+307 over 2 steps from t=1.7e\+308 overflows"):
+    with pytest.raises(ValueError, match=r"^spectral phase .* for dt=1e\+307, m=10000000000.0: "):
+        free_stream_step(late, 1e307, 2)
+    # a phase of 1.3e8 rad, but the end time t + steps * dt overflows
+    late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e300), np.zeros((4, 8)), t=1.7e308)
+    with pytest.raises(ValueError, match=r"^end time t \+ steps\*dt for dt=1e\+307 over 2 steps from "
+                                         r"t=1.7e\+308: expected a finite number, got inf$"):
         free_stream_step(late, 1e307, 2)
     with pytest.raises(ValueError, match=r"^steps: expected a finite number, got 401 digits$"):
         free_stream_step(f, 0.1, 10**400)  # a step count past float64, refused as a ValueError
@@ -565,12 +574,13 @@ def test_overflowing_shear_rejected():
 def test_meaningless_shear_rejected():
     # finite, but past 2**53 rad the spectral phase has no correct digit
     tiny_mass = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e-300), np.zeros((4, 8)))
-    with pytest.raises(ValueError, match=r"dt=0.1 implies a shear .* past 2\*\*53"):
+    with pytest.raises(ValueError, match=r"^spectral phase .* for dt=0.1, m=1e-300: expected a phase "
+                                         r"of at most 2\*\*53 rad, got 1.2566370614359173e\+300$"):
         free_stream_step(tiny_mass, 0.1)
     # dq = 1 and |p| <= 4, so the largest phase is 4 * pi * dt
     f = WignerField(make_grid(8, 4, (0, 8), (-4, 4)), np.zeros((4, 8)))
     assert free_stream_step(f, 2.0**49).t == 2.0**49  # 2**51 * pi rad
-    with pytest.raises(ValueError, match=r"past 2\*\*53"):
+    with pytest.raises(ValueError, match=r"expected a phase of at most 2\*\*53 rad"):
         free_stream_step(f, 2.0**50)  # 2**52 * pi rad
 
 
@@ -579,13 +589,15 @@ def test_tiny_hbar_rejected():
     # dq = 0.5, 8 half offsets and |p| <= 4: the largest kernel phase is 28 / hbar
     for hbar in (1e-320, 1e-300, 28 / 2.0**54):
         grid = make_grid(16, 16, (-4, 4), (-4, 4), hbar=hbar)
-        with pytest.raises(ValueError, match=re.escape(f"hbar={hbar} gives a Wigner kernel phase")):
+        with pytest.raises(ValueError, match=re.escape(f"Wigner kernel phase 2*dq*m*p/hbar for hbar={hbar}: "
+                                                       "expected a phase of at most 2**53 rad, got ")):
             wigner_transform(psi, grid)
     grid = make_grid(16, 16, (-4, 4), (-4, 4), hbar=28 / 2.0**52)
     assert np.isfinite(wigner_transform(psi, grid).values).all()
     # two samples have one half offset, so no phase, but dq/(pi*hbar) still overflows
     two = Wavefunction(0.0, 2.0, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError, match=r"hbar=1e-320 makes the Wigner normalization"):
+    with pytest.raises(ValueError, match=r"^Wigner normalization dq/\(pi\*hbar\) for hbar=1e-320: "
+                                         r"expected a finite number, got inf$"):
         wigner_transform(two, make_grid(2, 2, (0, 2), (-1, 1), hbar=1e-320))
 
 
@@ -869,5 +881,6 @@ def test_plane_wave_slice_validation():
     with pytest.raises(ValueError, match=r"^slice_index: expected an integer in 0\.\.7, got 8$"):
         plane_wave_slice(g, 8, 1.0)
     # finite k and t whose phase k*q - omega*t overflows: refused before the cosine, by name
-    with pytest.raises(ValueError, match=r"^k=1e\+308, t=1e\+308 make the phase k\*q - omega\*t overflow"):
+    with pytest.raises(ValueError, match=r"^k\*q - omega\*t for k=1e\+308, t=1e\+308 on row 1: "
+                                         r"expected a phase of at most 2\*\*53 rad, got inf$"):
         plane_wave_slice(g, 1, 1e308, 1e308)
