@@ -169,18 +169,18 @@ def _write_series(args: argparse.Namespace, stretches, start, dt: float):
 
     Returns the output directory, the last field and run.json's mass entries.  The first
     field's masses are taken before the first stretch, and no caller holds that field, so it
-    is freed as the stretch ends.  ``--out`` is made once the first stretch has passed its
-    checks, so a refused step leaves it as it was; a later stretch can still be refused (only
-    t overflowing float64 does that).
+    is freed as the stretch ends.  ``--out`` is made once the first stretch and its mass have
+    passed their checks, so a refused step leaves it as it was; a later stretch can still be
+    refused (only t or its mass overflowing float64 does that), before its snapshot is written.
     """
     w = start()
     m0, l1_mass = total_mass(w), _mass(np.abs(w.values), w.grid)
     out, masses = None, []
     for i, stretch in enumerate(stretches, start=1):
         w = evolve(w, dt, stretch)[0]
+        masses.append(total_mass(w))
         out = out or _output_dir(args)
         formats.write_snapshot(out, i, w)
-        masses.append(total_mass(w))
     drift = max(abs(mi - m0) for mi in masses)
     # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
     return out, w, {"snapshots": len(masses), "mass_initial": m0, "mass_drift_abs": drift,
@@ -244,10 +244,11 @@ def cmd_wigner_transform(args: argparse.Namespace) -> int:
     p_max = args.pmax if args.pmax is not None else psi.q_max
     grid = make_grid(psi.n_q, n_p, (psi.q_min, psi.q_max), (p_min, p_max), args.mass, args.hbar)
     field = wigner_transform_pure(psi, grid)
+    mass, low = total_mass(field), float(field.values.min())  # a refused mass leaves --out as it was
     csv_path, _ = formats.write_snapshot(_output_dir(args), 0, field)
     print(f"wrote {csv_path}")
-    print(f"total mass: {formats.fmt17(total_mass(field))}")
-    print(f"min value: {formats.fmt17(float(field.values.min()))}")
+    print(f"total mass: {formats.fmt17(mass)}")
+    print(f"min value: {formats.fmt17(low)}")
     return 0
 
 

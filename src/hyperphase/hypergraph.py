@@ -308,9 +308,10 @@ class PartitionEnsemble(_Value):
 
 
 def part_weight(p: PartitionEnsemble, k: int) -> float:
-    """Total vertex weight of part k (0-based part index)."""
+    """Total vertex weight of part k (0-based part index); a sum past float64 is refused."""
     part = p.parts[_require_int(k, "k", 0, p.n_parts - 1)]
-    return float(sum(p.parent.vertex_weights[v - 1] for v in part))
+    total = sum(p.parent.vertex_weights[v - 1] for v in part)
+    return _require_real(total, f"vertex weight sum of parts[{k}]")
 
 
 class BalanceReport(_Value):
@@ -327,8 +328,9 @@ def is_balanced(p: PartitionEnsemble) -> BalanceReport:
     if p.n_parts == 0:
         raise ValueError("partition ensemble has no parts")
     weights = tuple(part_weight(p, k) for k in range(p.n_parts))
-    mean = sum(weights) / p.n_parts
-    bound = (1.0 + p.delta) * mean
+    parts = f"parts[0..{p.n_parts - 1}]"
+    mean = _require_real(sum(weights) / p.n_parts, f"mean weight of {parts}")
+    bound = _require_real((1.0 + p.delta) * mean, f"(1 + delta) * mean weight of {parts} for delta={p.delta}")
     ok = tuple(w < bound for w in weights)
     return object.__new__(BalanceReport)._set(weights, mean, bound, p.delta, ok, all(ok))
 

@@ -177,18 +177,19 @@ def gaussian_wavefunction(
 ) -> Wavefunction:
     """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized.
 
-    sigma must be > 0 with a finite sigma**2, the phase p0 q / hbar at most
+    sigma must be > 0 with a finite, nonzero sigma**2, the phase p0 q / hbar at most
     2**53 rad on the grid, and the samples must have a finite, nonzero norm on
     the grid (a packet far narrower than dq, or far off it, can underflow to zero).
     """
     sigma, q0, p0 = _require_number(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
-    _require_real(sigma * sigma, f"sigma**2 for sigma={sigma}")
+    _require_number(sigma * sigma, f"sigma**2 for sigma={sigma}")
     bounds = f"q in [{grid.q_min}, {grid.q_max}]"
     _require_phase(abs(p0) * max(abs(grid.q_min), abs(grid.q_max)) / grid.hbar,
                    f"p0*q/hbar for p0={p0}, hbar={grid.hbar} on {bounds}")
     q = grid.q_centers()
-    # a sigma**2 that underflows divides by zero; the norm check below rejects the result
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # a sample far off the packet overflows its exponent to -inf (exp gives 0), or to nan once
+    # 2 sigma**2 overflows too; the norm check below refuses a norm of 0 or nan
+    with np.errstate(over="ignore", invalid="ignore"):
         raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
         norm = float(np.sum(np.abs(raw) ** 2)) * grid.dq
     _require_number(norm, f"norm of the Gaussian of sigma={sigma} at q0={q0} on {bounds}, dq={grid.dq}")
@@ -239,8 +240,8 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
 
     Total mass equals psi's norm, sum |psi|^2 dq, whenever the grid's
     momentum window covers psi's momentum content; that is asserted by
-    callers, not here.  An hbar that puts the kernel phase past 2**53 rad,
-    or overflows the factor dq/(pi hbar), is refused before anything is computed.
+    callers, not here.  An hbar that puts the kernel phase past 2**53 rad, or
+    overflows the factor 2 dq/hbar or dq/(pi hbar), is refused before anything is computed.
     """
     n = grid.n_q
     if psi.n_q != n:
@@ -256,7 +257,8 @@ def wigner_transform(psi: Wavefunction, grid: PhaseSpaceGrid) -> WignerField:
                    f"Wigner kernel phase 2*dq*m*p/hbar for hbar={grid.hbar}")
     scale = _require_real(grid.dq / (math.pi * grid.hbar),
                           f"Wigner normalization dq/(pi*hbar) for hbar={grid.hbar}")
-    theta = (2.0 * grid.dq / grid.hbar) * np.outer(np.arange(half), grid.p_centers())
+    factor = _require_real(2.0 * grid.dq / grid.hbar, f"Wigner kernel factor 2*dq/hbar for hbar={grid.hbar}")
+    theta = factor * np.outer(np.arange(half), grid.p_centers())
     kernel = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     del theta  # each temporary is let go once used, so the product runs with fewer alive
     kernel[1:] *= 2.0  # row m > 0 stands for the +-m pair; doubling is exact
@@ -281,35 +283,35 @@ def _spectral_shift(
     inverted by irfft, so real input gives real output by construction.  The
     coefficients stay in rfft space across steps.  An even-n Nyquist mode is
     set to its real part after every step, which is what irfft does to it
-    after one step: each step scales it by cos(k_N * shift).  Rows of +0.0 stay
-    +0.0 untransformed; pocketfft transforms rows one by one, so skipping them
-    leaves the other rows' bytes as they were; a field with none is not copied.
+    after one step: each step scales it by cos(k_N * shift).  Rows of +0.0 stay +0.0
+    untransformed; the rest go into one zeroed output a block of at most 2**16 cells at a
+    time.  pocketfft transforms rows one by one, so neither changes any row's bytes.
     """
     n = values.shape[1]
-    live = values.view(np.uint64).any(axis=1)  # any bit set: nonzero or -0.0
-    rows = slice(None) if live.all() else live
+    live = np.flatnonzero(values.view(np.uint64).any(axis=1))  # any bit set: nonzero or -0.0
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=spacing)
-    phase = np.exp(-1j * np.outer(shifts[rows], k))
-    coeffs = np.fft.rfft(values[rows])
-    for _ in range(steps):
-        coeffs *= phase
-        if n % 2 == 0:
-            coeffs[:, -1] = coeffs[:, -1].real
-    del phase  # so the inverse transform runs with one field fewer alive
-    if rows is not live:  # every row is live: the inverse transform is the output
-        return np.fft.irfft(coeffs, n=n)
     out = np.zeros_like(values)
-    out[live] = np.fft.irfft(coeffs, n=n)
+    block = max(1, 2**16 // n)
+    for start in range(0, live.size, block):
+        rows = live[start : start + block]
+        coeffs = np.fft.rfft(values[rows])
+        phase = np.exp(-1j * np.outer(shifts[rows], k))
+        for _ in range(steps):
+            coeffs *= phase
+            if n % 2 == 0:
+                coeffs[:, -1] = coeffs[:, -1].real
+        del phase  # the inverse transform then runs with one block fewer alive
+        out[rows] = np.fft.irfft(coeffs, n=n)
     return out
 
 
 def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     """Advance the field by ``steps`` steps of dt under free streaming.
 
-    Each step shears row j by p_j * dt / m.  The rows stay in rfft space
-    across the steps and are inverted once; the per-step Nyquist rule of
-    ``_spectral_shift`` is unchanged, so this equals ``steps`` single-step
-    calls up to rounding.  The time advances by dt once per step.  A dt whose
+    Each step shears row j by p_j * dt / m.  The rows stay in rfft space across the
+    steps and are inverted once, a bounded block at a time into the one output; the
+    per-step Nyquist rule of ``_spectral_shift`` is unchanged, so this equals ``steps``
+    single-step calls up to rounding.  The time advances by dt once per step.  A dt whose
     spectral phase is past 2**53 rad, or whose end time overflows float64, is
     refused before anything is computed.
     """
@@ -357,19 +359,28 @@ def _stretches(steps: int, snapshot_every: int) -> Iterator[int]:
 
 
 def marginals(w: WignerField) -> tuple[np.ndarray, np.ndarray]:
-    """(position marginal over p, momentum marginal over q), cell-weighted sums."""
-    position = w.values.sum(axis=0) * w.grid.dp
-    momentum = w.values.sum(axis=1) * w.grid.dq
-    return position, momentum
+    """(position marginal over p, momentum marginal over q), cell-weighted sums; a sum
+    past float64 is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below
+        sums = w.values.sum(axis=0) * w.grid.dp, w.values.sum(axis=1) * w.grid.dq
+    for name, marginal in zip(("position", "momentum"), sums):
+        _require_real(float(np.max(np.abs(marginal))), f"largest |{name} marginal|")
+    return sums
 
 
 def _mass(values: np.ndarray, grid: PhaseSpaceGrid) -> float:
     """Sum of ``values`` times the cell area: one fsum of the column sums.
 
     ``values.sum()`` was seen to round by the data pointer's offset mod 64;
-    this sum has one bit pattern at every offset.
+    this sum has one bit pattern at every offset.  A sum past float64 is refused.
     """
-    return math.fsum(values.sum(axis=0).tolist()) * grid.dq * grid.dp
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below
+        columns = values.sum(axis=0).tolist()
+    try:
+        total = math.fsum(columns) * grid.dq * grid.dp
+    except (OverflowError, ValueError):  # fsum's partials overflowed, or it met inf and -inf
+        total = math.inf
+    return _require_real(total, f"total mass sum(values)*dq*dp for dq={grid.dq}, dp={grid.dp}")
 
 
 def total_mass(w: WignerField) -> float:

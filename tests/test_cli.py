@@ -342,6 +342,7 @@ def test_invalid_document_is_validation_error(text, message, tmp_path, capsys):
 HUGE_SUMS_DOC = ('{"vertices": 2, "edges": [{"members": [1, 2], "weight": 1e308}, '
                  '{"members": [1], "weight": 1e308}]}')
 HUGE_GRID_DOC = '{"vertices": 1, "edges": [{"members": [1], "weight": 1e308}]}'
+HEAVY_DOC = '{"vertices": 2, "vertex_weights": [1e308, 1e308], "edges": [{"members": [1, 2], "weight": 1}]}'
 SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
 
 
@@ -358,7 +359,15 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
          "error: sigma: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
-         "error: norm of the Gaussian of sigma=1e-300 at q0=0.0"),
+         "error: sigma**2 for sigma=1e-300: expected a positive number, got 0.0"),
+        (FIG4_DOC, ["evolve", "--physical", "gaussian", "--t", "1", "--steps", "1", "--nq", "3", "--np", "2",
+                    "--sigma", "1e-200"],
+         "error: sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+        # part weights, their mean and the bound past float64 were written to report.json as Infinity
+        (HEAVY_DOC, ["encode", "--partition", "1,2"],
+         "error: vertex weight sum of parts[0]: expected a finite number, got inf"),
+        (HEAVY_DOC, ["encode", "--partition", "1|2"],
+         "error: mean weight of parts[0..1]: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "inf"],
          "error: k_default: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--dt", "0.1", "--steps", "2", "--k-default", "1e308"],
@@ -400,7 +409,7 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--extent", "inf", *SMALL_PHYSICAL],
          "error: extent: expected a finite number, got inf"),
     ],
-    ids=[f"command{i}" for i in range(22)],
+    ids=[f"command{i}" for i in range(25)],
 )
 def test_overflowing_weights_are_validation_error(text, command, message, tmp_path, capsys):
     doc = tmp_path / "huge.json"
@@ -514,10 +523,10 @@ def test_evolve_physical_holds_four_fields(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a stretch holds the field, its rfft coefficients and one more array of its size: the
-    # phase table, then the inverse transform, which is the output when every row is live (a
-    # Gaussian's are), and the analytic check builds its field and error in one array (4.31
-    # fields with a copy of the live rows, a zeroed output and the check's temporaries)
+    # a stretch holds the field, its output and one block of at most 2**16 cells, and the
+    # analytic check builds its field and error in one array: the Wigner transform's three
+    # fields are most of the 3.11-field peak (4.31 with a copy of the live rows, a zeroed output
+    # and the check's temporaries; 3.31 while a stretch transformed the field whole)
     assert peak < 3.5 * n * n * 8
 
 
@@ -626,6 +635,9 @@ REFUSAL_INPUTS = {
     "huge.json": '{"vertices": 10000000000}',
     "huger.json": '{"vertices": 1000000000000000000000}',
     "digits.json": '{"vertices": 1, "edges": [{"members": [1], "weight": 1%s}]}' % ("0" * 5000),
+    "heavy.json": HEAVY_DOC,
+    "wide_grid.json": '{"vertices": 1, "edges": [{"members": [1], "weight": 2.5e154}]}',
+    "w2.csv": "q,re,im\n0,0.7071067811865476,0\n1,0.7071067811865476,0\n",
 }
 
 
@@ -662,12 +674,31 @@ REFUSAL_INPUTS = {
     (["evolve", "fig4.json", "--dt", "0.1", "--steps", "1", "--nq", "4", "--np", "4", "--k-default", "1e300"],
      "k_default*q for k_default=1e+300 on q in [0.0, 6.25]: "
      "expected a phase of at most 2**53 rad, got 6.25e+300"),
+    # sums past float64 are refused before the first file is written
+    (["encode", "heavy.json", "--partition", "1,2"],
+     "vertex weight sum of parts[0]: expected a finite number"),
+    (["encode", "heavy.json", "--partition", "1|2"], "mean weight of parts[0..1]: expected a finite number"),
+    (["wigner-transform", "--state", "w2.csv", "--hbar", "1e-307", "--np", "1000"],
+     "total mass sum(values)*dq*dp for dq=1.0, dp=0.002: expected a finite number, got inf"),
+    (["wigner-transform", "--state", "w2.csv", "--hbar", "1e-307", "--np", "100"],
+     "total mass sum(values)*dq*dp for dq=1.0, dp=0.02: expected a finite number, got inf"),
+    # one half offset, so no kernel phase, but 2*dq/hbar overflows where dq/(pi*hbar) does not
+    (["wigner-transform", "--state", "w2.csv", "--hbar", "1e-308"],
+     "Wigner kernel factor 2*dq/hbar for hbar=1e-308: expected a finite number, got inf"),
+    (["evolve", "--physical", "gaussian", "--t", "1", "--steps", "1", "--nq", "3", "--np", "2",
+      "--sigma", "1e-200"], "sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+    # a finite cell area of 6.1e307 times the field's sum: run.json read Infinity and NaN
+    (["evolve", "wide_grid.json", "--dt", "1e-160", "--steps", "1", "--nq", "4", "--np", "4"],
+     "total mass sum(values)*dq*dp for dq=7.8125e+153, dp=7.8125e+153: expected a finite number, got inf"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in REFUSAL_INPUTS else a for a in argv]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert caught == []
     err = capsys.readouterr().err
     assert message in err and err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

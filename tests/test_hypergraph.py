@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,6 +383,25 @@ def test_is_balanced_requires_parts():
     h = Hypergraph(2)
     with pytest.raises(ValueError, match="no parts"):
         is_balanced(PartitionEnsemble(h, [], 0.5))
+
+
+@pytest.mark.parametrize("weights, parts, message", [
+    ([1e308, 1e308], [[1, 2]], "vertex weight sum of parts[0]: expected a finite number, got inf"),
+    ([1.0, 1e308, 1e308], [[1], [2, 3]], "vertex weight sum of parts[1]: expected a finite number, got inf"),
+    ([1e308, 1e308], [[1], [2]], "mean weight of parts[0..1]: expected a finite number, got inf"),
+    # each sum and the mean are finite: only the bound past them overflows
+    ([8.5e307, 8.5e307], [[1, 2]],
+     "(1 + delta) * mean weight of parts[0..0] for delta=0.1: expected a finite number, got inf"),
+])
+def test_balance_sums_past_float64_are_refused(weights, parts, message):
+    """A part weight, the mean or the bound past float64 is refused under the parts it sums,
+    where it was reported as inf (and written to report.json as Infinity)."""
+    p = PartitionEnsemble(Hypergraph(len(weights), vertex_weights=weights), parts, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            is_balanced(p)
+    assert str(info.value) == message
 
 
 def test_balance_invariant_under_weight_scaling():

@@ -180,6 +180,24 @@ def test_gaussian_wigner_matches_analytic():
     assert abs(w.values.max() - 1.0 / math.pi) <= 5e-3
 
 
+@pytest.mark.parametrize("values, spacing", [
+    ([[1e308, 1e308], [1e308, 1e308]], 1.0),  # the column sums overflow
+    ([[1e308, 1e308], [0.0, 0.0]], 1.0),  # fsum's partials overflow (an OverflowError)
+    ([[1e308, -1e308], [1e308, -1e308]], 1.0),  # inf and -inf sums (fsum's own ValueError)
+    ([[1e308, 0.0], [0.0, 0.0]], 2.0),  # a finite sum times the cell area
+])
+def test_mass_past_float64_is_refused(values, spacing):
+    """A total mass or a marginal past float64 is refused by name, before any numpy warning."""
+    w = WignerField(make_grid(2, 2, (0, 2 * spacing), (0, 2 * spacing)), values, field_mode=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"total mass sum(values)*dq*dp for dq={spacing}, "
+                                                       f"dp={spacing}: expected a finite number, got ")):
+            total_mass(w)
+        with pytest.raises(ValueError, match=r"^largest \|(position|momentum) marginal\|: expected a finite"):
+            marginals(w)
+
+
 def test_gaussian_marginals():
     grid = make_grid(128, 128, (-8, 8), (-8, 8))
     psi = gaussian_wavefunction(grid)
@@ -202,9 +220,12 @@ def test_gaussian_sigma_validation():
         with pytest.raises(ValueError, match=r"^sigma: expected a finite number, got "):
             gaussian_wavefunction(grid, sigma=bad)
     # sigma**2 underflows to 0, or every sample lies many sigmas off a cell center
-    for n, tiny in ((33, 1e-300), (32, 1e-300), (32, 1e-3)):
-        with pytest.raises(ValueError, match=f"^norm of the Gaussian of sigma={tiny} at q0=0.0 on "):
-            gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=tiny)
+    for n in (33, 32):
+        with pytest.raises(ValueError, match=r"^sigma\*\*2 for sigma=1e-300: expected a positive number, "
+                                             r"got 0\.0$"):
+            gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=1e-300)
+    with pytest.raises(ValueError, match="^norm of the Gaussian of sigma=0.001 at q0=0.0 on "):
+        gaussian_wavefunction(make_grid(32, 32, (-8, 8), (-8, 8)), sigma=1e-3)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -214,9 +235,12 @@ def test_gaussian_sigma_validation():
      "expected a phase of at most 2**53 rad, got inf"),
     ({"p0": -1e308}, "p0*q/hbar for p0=-1e+308, hbar=1.0 on q in [-4.0, 4.0]: "
      "expected a phase of at most 2**53 rad, got inf"),
+    # it was refused by the norm, nan after dividing by 2 * sigma**2 = 0
+    ({"sigma": 1e-200}, "sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
 ])
 def test_gaussian_refusal_names_the_input_at_fault(kwargs, message):
-    """A packet centred off the grid names q0; a phase past 2**53 rad names p0, before any warning."""
+    """A packet centred off the grid names q0; a phase past 2**53 rad names p0, and a sigma**2
+    that underflows names sigma, before any warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
@@ -599,6 +623,12 @@ def test_tiny_hbar_rejected():
     with pytest.raises(ValueError, match=r"^Wigner normalization dq/\(pi\*hbar\) for hbar=1e-320: "
                                          r"expected a finite number, got inf$"):
         wigner_transform(two, make_grid(2, 2, (0, 2), (-1, 1), hbar=1e-320))
+    # dq/(pi*hbar) is finite at hbar=1e-308, but the kernel's 2*dq/hbar overflows: it was nan * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Wigner kernel factor 2\*dq/hbar for hbar=1e-308: "
+                                             r"expected a finite number, got inf$"):
+            wigner_transform(two, make_grid(2, 2, (0, 2), (-1, 1), hbar=1e-308))
 
 
 def test_non_integer_steps_rejected():
@@ -667,13 +697,18 @@ def test_stream_skips_zero_rows_and_keeps_live_row_bits(n_q, n_p, dt, steps, see
     assert not out[~live].view(np.uint64).any()
 
 
-def test_all_live_field_streams_without_a_row_copy():
-    """An all-live field (every Gaussian) is transformed as it is, with no row copy and no
-    zeroed output; its bytes match the row-copy path's because pocketfft transforms each row
-    on its own."""
-    n = 1024
-    grid = make_grid(n, n, (-8, 8), (-8, 8))
-    w = wigner_transform_pure(gaussian_wavefunction(grid), grid)
+@pytest.mark.parametrize("shape", [(1024, 1024), (16, 65536)], ids=["1024x1024", "16x65536"])
+def test_stream_holds_its_output_and_one_block(shape):
+    """A step transforms its live rows a block of at most 2**16 cells at a time into one output
+    array, so it holds little above that output: 1.19 fields at 1024**2 and 1.22 at
+    16 x 65536, where it held 2.00 and 2.03 while a field was transformed whole.  Its bytes
+    match a whole-field transform's because pocketfft transforms each row on its own."""
+    n_p, n_q = shape
+    grid = make_grid(n_q, n_p, (-8, 8), (-8, 8))
+    if n_p == n_q:  # an all-live Gaussian
+        w = wigner_transform_pure(gaussian_wavefunction(grid), grid)
+    else:  # the transform refuses this shape: its correlation is past MAX_CELLS
+        w = WignerField(grid, np.random.default_rng(35).normal(size=shape), field_mode=True)
     assert w.values.view(np.uint64).any(axis=1).all()
     tracemalloc.start()  # the input was made before: the peak is what the step adds
     try:
@@ -681,11 +716,27 @@ def test_all_live_field_streams_without_a_row_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the rfft coefficients and the phase table, then the coefficients and the inverse
-    # transform, which is the output: two fields (three with a copy of the live rows)
-    assert peak < 2.5 * n * n * 8
+    assert peak < 1.3 * n_p * n_q * 8
     ref = full_array_shift(w.values, grid.p_centers() * 0.125 / grid.mass, grid.dq, 8)
     assert np.array_equal(out.values.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_q", [4096, 4095])
+def test_stream_blocks_keep_every_row_bits(n_q):
+    """At n_q = 4096 or 4095 a block is 16 rows, so these live rows, with rows of +0.0 and
+    -0.0 between them, take several blocks; each live row keeps the bits of a whole-field
+    transform, and each +0.0 row stays +0.0."""
+    n_p = 96
+    g = make_grid(n_q, n_p, (-3, 5), (-2, 2))
+    values = np.random.default_rng(n_q).normal(size=(n_p, n_q))
+    values[::3] = 0.0
+    values[1::7] = -0.0  # a row of -0.0 has bits set: it is transformed
+    live = values.view(np.uint64).any(axis=1)
+    assert live.sum() > 3 * 16 and (~live).any()
+    out = free_stream_step(WignerField(g, values, field_mode=True), 0.3, 3).values
+    ref = full_array_shift(values, g.p_centers() * 0.3 / g.mass, g.dq, 3)
+    assert np.array_equal(out[live].view(np.uint64), ref[live].view(np.uint64))
+    assert not out[~live].view(np.uint64).any()
 
 
 def test_edgeless_hypergraph_field_streams_to_positive_zeros():
