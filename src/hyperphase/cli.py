@@ -164,29 +164,6 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_series(args: argparse.Namespace, stretches, start, dt: float):
-    """``evolve`` ``start()`` over ``stretches``, writing each snapshot and its mass before the next.
-
-    Returns the output directory, the last field and run.json's mass entries.  The first
-    field's masses are taken before the first stretch, and no caller holds that field, so it
-    is freed as the stretch ends.  ``--out`` is made once the first stretch and its mass have
-    passed their checks, so a refused step leaves it as it was; a later stretch can still be
-    refused (only t or its mass overflowing float64 does that), before its snapshot is written.
-    """
-    w = start()
-    m0, l1_mass = total_mass(w), _mass(np.abs(w.values), w.grid)
-    out, masses = None, []
-    for i, stretch in enumerate(stretches, start=1):
-        w = evolve(w, dt, stretch)[0]
-        masses.append(total_mass(w))
-        out = out or _output_dir(args)
-        formats.write_snapshot(out, i, w)
-    drift = max(abs(mi - m0) for mi in masses)
-    # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
-    return out, w, {"snapshots": len(masses), "mass_initial": m0, "mass_drift_abs": drift,
-                    "mass_drift_rel": drift / max(l1_mass, 1e-30)}
-
-
 def cmd_evolve(args: argparse.Namespace) -> int:
     stretches = _stretches(args.steps, args.snapshot_every)  # checks both counts before the caps
     # n_q * n_p is clipped to MAX_CELLS: a larger grid is refused with its own message
@@ -195,40 +172,47 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.snapshot_every and args.steps > _MAX_SNAPSHOTS * args.snapshot_every:
         raise ValueError(f"steps={args.steps} with snapshot_every={args.snapshot_every} writes "
                          f"more than {_MAX_SNAPSHOTS} snapshots")
+    if (args.t is None) == (args.dt is None):
+        raise ValueError("evolve needs exactly one of --t (total time) or --dt (time step)")
+    dt = args.dt if args.t is None else _require_real(args.t, "t") / args.steps
 
     if args.physical is not None:
         if args.physical != "gaussian":
             raise ValueError(f"unknown physical state {_echo(args.physical)} (expected 'gaussian')")
-        if args.t is not None:
-            dt = _require_real(args.t, "t") / args.steps
-        elif args.dt is not None:
-            dt = args.dt
-        else:
-            raise ValueError("physical mode needs --t (total time) or --dt")
         ext = _require_number(args.extent, "extent")
         grid = make_grid(args.nq, args.np, (-ext, ext), (-ext, ext), args.mass, args.hbar)
-        psi = gaussian_wavefunction(grid, sigma=args.sigma)
-        out, final, series = _write_series(args, stretches, lambda: wigner_transform_pure(psi, grid), dt)
-        err = _gaussian_wigner(grid, args.sigma, final.t)  # the analytic field, then its error
-        max_err = float(np.max(np.abs(np.subtract(final.values, err, out=err), out=err)))
-        run: dict = {"mode": "physical", "sigma": args.sigma, "max_error_vs_analytic": max_err}
+        w = wigner_transform_pure(gaussian_wavefunction(grid, sigma=args.sigma), grid)
+        run: dict = {"mode": "physical", "sigma": args.sigma}
     else:
         if args.hypergraph is None:
             raise ValueError("evolve needs a hypergraph document (or --physical gaussian)")
-        if args.dt is None:
-            raise ValueError("hypergraph mode needs --dt")
-        dt = args.dt
         h = _load_hypergraph(args.hypergraph)
         grid = grid_from_boundary(h, args.nq, args.np, args.margin, args.mass, args.hbar)
         pmap = build_phase_map(h, grid)
-        out, _, series = _write_series(
-            args, stretches, lambda: initial_field_from_hypergraph(h, grid, args.k_default), dt)
+        w = initial_field_from_hypergraph(h, grid, args.k_default)
         run = {"mode": "hypergraph", "k_default": args.k_default, "margin": args.margin,
                "degree_source": pmap.degree_source,
                "momentum_rows": {str(k): v for k, v in pmap.momentum_rows.items()}}
 
-    run.update(series, n_q=grid.n_q, n_p=grid.n_p, dt=dt, steps=args.steps,
-               snapshot_every=args.snapshot_every)
+    # The first field's masses are taken before the first stretch, and rebinding w frees each
+    # field once the next is made.  --out is made once the first stretch and its mass have passed
+    # their checks, so a refused step leaves it as it was; a later stretch can still be refused
+    # (only t or its mass overflowing float64 does that), before its snapshot is written.
+    m0, l1_mass = total_mass(w), _mass(np.abs(w.values), grid)
+    out, masses = None, []
+    for i, stretch in enumerate(stretches, start=1):
+        w = evolve(w, dt, stretch)[0]
+        masses.append(total_mass(w))
+        out = out or _output_dir(args)
+        formats.write_snapshot(out, i, w)
+    if args.physical is not None:
+        err = _gaussian_wigner(grid, args.sigma, w.t)  # the analytic field, then its error
+        run["max_error_vs_analytic"] = float(np.max(np.abs(np.subtract(w.values, err, out=err), out=err)))
+    drift = max(abs(mi - m0) for mi in masses)
+    # relative to the L1 mass: a plane-wave field's signed mass is rounding noise
+    run.update(snapshots=len(masses), mass_initial=m0, mass_drift_abs=drift,
+               mass_drift_rel=drift / max(l1_mass, 1e-30), n_q=grid.n_q, n_p=grid.n_p, dt=dt,
+               steps=args.steps, snapshot_every=args.snapshot_every)
     formats._write_json(out / "run.json", run)
     print(f"wrote {run['snapshots']} snapshots to {out}")
     print(f"mass drift: {run['mass_drift_rel']:.3e} (relative), {run['mass_drift_abs']:.3e} (absolute)")
@@ -296,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--physical", default=None, metavar="STATE",
                       help="evolve a physical test state instead (only 'gaussian')")
     p_ev.add_argument("--sigma", type=float, default=1.0, help="gaussian width (physical mode)")
-    p_ev.add_argument("--t", type=float, default=None, help="total time (physical mode)")
+    p_ev.add_argument("--t", type=float, default=None, help="total time, stepped as t / steps (or --dt)")
     p_ev.add_argument("--extent", type=float, default=8.0,
                       help="half-extent of the symmetric grid (physical mode)")
     add_out(p_ev)

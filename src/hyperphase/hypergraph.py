@@ -86,6 +86,12 @@ def _require_real(value, path: str) -> float:
     return v
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of the float array ``arr`` is finite, read from its min and max
+    (both nan whenever any value is nan), so no array-sized temporary is made."""
+    return arr.size == 0 or bool(-math.inf < arr.min() and arr.max() < math.inf)
+
+
 def _require_phase(rad: float, path: str) -> None:
     """Refuse a largest phase ``rad`` that is not at most 2**53 rad, inf and nan too: past it a
     phase has no correct digit left.  The one home of the phase bound."""
@@ -198,7 +204,7 @@ def _checked(form: Callable[..., np.ndarray], *args) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(form(*args), dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ValueError("edge weights too large: weighted degree or Gram sums overflow float64")
     return out
 

@@ -28,8 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypergraph import (MAX_CELLS, _echo, _require_cells, _require_int, _require_number, _require_phase,
-                         _require_real, _Value)
+from .hypergraph import (MAX_CELLS, _all_finite, _echo, _require_cells, _require_int, _require_number,
+                         _require_phase, _require_real, _Value)
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -134,7 +134,7 @@ class WignerField(_Value):
         shape = (grid.n_p, grid.n_q)
         if arr.shape != shape:
             raise ValueError(f"values shape {arr.shape} does not match grid {shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("field values must be finite")
         arr.flags.writeable = False
         return self._set(grid, arr, t, field_mode)
@@ -177,20 +177,21 @@ def gaussian_wavefunction(
 ) -> Wavefunction:
     """Gaussian packet exp(-(q-q0)^2 / (2 sigma^2)) * exp(i p0 q / hbar), unit-normalized.
 
-    sigma must be > 0 with a finite, nonzero sigma**2, the phase p0 q / hbar at most
+    sigma must be > 0 with a finite, nonzero 2 sigma**2, the phase p0 q / hbar at most
     2**53 rad on the grid, and the samples must have a finite, nonzero norm on
     the grid (a packet far narrower than dq, or far off it, can underflow to zero).
     """
     sigma, q0, p0 = _require_number(sigma, "sigma"), _require_real(q0, "q0"), _require_real(p0, "p0")
-    _require_number(sigma * sigma, f"sigma**2 for sigma={sigma}")
+    # float ** raises OverflowError where * gives inf: from sigma = 1e154 on, 2 sigma**2 is inf
+    two_s2 = _require_number(2.0 * sigma**2 if sigma < 1e154 else math.inf, f"2*sigma**2 for sigma={sigma}")
     bounds = f"q in [{grid.q_min}, {grid.q_max}]"
     _require_phase(abs(p0) * max(abs(grid.q_min), abs(grid.q_max)) / grid.hbar,
                    f"p0*q/hbar for p0={p0}, hbar={grid.hbar} on {bounds}")
     q = grid.q_centers()
-    # a sample far off the packet overflows its exponent to -inf (exp gives 0), or to nan once
-    # 2 sigma**2 overflows too; the norm check below refuses a norm of 0 or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.exp(-((q - q0) ** 2) / (2.0 * sigma**2)) * np.exp(1j * p0 * q / grid.hbar)
+    # a sample far off the packet overflows its exponent to -inf (exp gives 0); the norm check
+    # below refuses a norm of 0
+    with np.errstate(over="ignore"):
+        raw = np.exp(-((q - q0) ** 2) / two_s2) * np.exp(1j * p0 * q / grid.hbar)
         norm = float(np.sum(np.abs(raw) ** 2)) * grid.dq
     _require_number(norm, f"norm of the Gaussian of sigma={sigma} at q0={q0} on {bounds}, dq={grid.dq}")
     raw /= math.sqrt(norm)  # checked again: a norm of subnormal squares can be off by > 1e-10
@@ -311,9 +312,9 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     Each step shears row j by p_j * dt / m.  The rows stay in rfft space across the
     steps and are inverted once, a bounded block at a time into the one output; the
     per-step Nyquist rule of ``_spectral_shift`` is unchanged, so this equals ``steps``
-    single-step calls up to rounding.  The time advances by dt once per step.  A dt whose
-    spectral phase is past 2**53 rad, or whose end time overflows float64, is
-    refused before anything is computed.
+    single-step calls up to rounding.  The time advances by dt once per step, and the end
+    time those additions reach is the one checked and stored.  A dt whose spectral phase is
+    past 2**53 rad, or whose end time overflows float64, is refused before anything is computed.
     """
     dt, steps = _require_real(dt, "dt"), _require_steps(steps)
     if dt == 0.0:
@@ -322,12 +323,12 @@ def free_stream_step(w: WignerField, dt: float, steps: int = 1) -> WignerField:
     # the largest rfft wavenumber is pi/dq, so the largest phase is the largest shear p*dt/m times it
     _require_phase(max(abs(g.p_min), abs(g.p_max)) * abs(dt) / g.mass * math.pi / g.dq,
                    f"spectral phase p*dt/m*pi/dq of a step for dt={dt}, m={g.mass}")
-    _require_real(w.t + steps * dt, f"end time t + steps*dt for dt={dt} over {steps} steps from t={w.t}")
-    shifts = g.p_centers() * dt / g.mass
-    out = _spectral_shift(w.values, shifts, spacing=g.dq, steps=steps)
     t = w.t
     for _ in range(steps):
         t += dt
+    _require_real(t, f"end time of {steps} steps of dt={dt} from t={w.t}")
+    shifts = g.p_centers() * dt / g.mass
+    out = _spectral_shift(w.values, shifts, spacing=g.dq, steps=steps)
     return object.__new__(WignerField)._adopt(g, out, t, w.field_mode)  # out is fresh: no copy
 
 
@@ -344,7 +345,7 @@ def evolve(
 
 
 def _require_steps(steps) -> int:
-    """``steps`` as an int of at least 1 that is a finite float64, as ``t + steps * dt`` takes it."""
+    """``steps`` as an int of at least 1 that is a finite float64, as the CLI's ``t / steps`` takes it."""
     steps = _require_int(steps, "steps", 1)
     _require_real(steps, "steps")
     return steps

@@ -359,10 +359,10 @@ SMALL_PHYSICAL = ["--t", "1", "--steps", "2", "--nq", "33", "--np", "33"]
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "inf", *SMALL_PHYSICAL],
          "error: sigma: expected a finite number, got inf"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--sigma", "1e-300", *SMALL_PHYSICAL],
-         "error: sigma**2 for sigma=1e-300: expected a positive number, got 0.0"),
+         "error: 2*sigma**2 for sigma=1e-300: expected a positive number, got 0.0"),
         (FIG4_DOC, ["evolve", "--physical", "gaussian", "--t", "1", "--steps", "1", "--nq", "3", "--np", "2",
                     "--sigma", "1e-200"],
-         "error: sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+         "error: 2*sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
         # part weights, their mean and the bound past float64 were written to report.json as Infinity
         (HEAVY_DOC, ["encode", "--partition", "1,2"],
          "error: vertex weight sum of parts[0]: expected a finite number, got inf"),
@@ -575,8 +575,10 @@ def test_evolve_physical_needs_time(tmp_path, capsys):
     assert "--t" in capsys.readouterr().err
 
 
-def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
-    small = ["evolve", "--physical", "gaussian", "--steps", "4", "--nq", "33", "--np", "33"]
+@pytest.mark.parametrize("mode", [["--physical", "gaussian"], ["FIG4"]], ids=["physical", "hypergraph"])
+def test_evolve_dt_writes_what_t_over_steps_writes(mode, fig4_file, tmp_path, capsys):
+    mode = [str(fig4_file) if a == "FIG4" else a for a in mode]
+    small = ["evolve", *mode, "--steps", "4", "--nq", "33", "--np", "33"]
     trees = []
     for time in (["--dt", "0.25"], ["--t", "1"]):
         out = tmp_path / time[0][2:]
@@ -584,6 +586,17 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
         trees.append(read_tree(out))
     assert trees[0] == trees[1]
     assert json.loads(trees[0]["run.json"])["dt"] == 0.25
+
+
+@pytest.mark.parametrize("every", ["0", "1"])
+def test_evolve_end_time_is_the_sum_of_its_steps(every, tmp_path):
+    # ten additions of dt end at the largest float64, where 10 * dt overflows: the run was
+    # refused as one stretch and accepted as ten
+    argv = ["evolve", "--physical", "gaussian", "--mass", "1e300", "--dt", "1.797693134862316e+307",
+            "--steps", "10", "--snapshot-every", every, "--nq", "16", "--np", "16"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    last = sorted(tmp_path.glob("snapshot_*.meta.json"))[-1]
+    assert json.loads(last.read_text())["t"] == 1.7976931348623157e308 == sys.float_info.max
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -598,9 +611,10 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
     (["evolve", "--physical", "box", "--t", "1"],
      "unknown physical state 'box' (expected 'gaussian')"),
     (["evolve", "--dt", "0.1"], "evolve needs a hypergraph document (or --physical gaussian)"),
-    (["evolve", "FIG4", "--steps", "2"], "hypergraph mode needs --dt"),
+    # neither --t nor --dt, in either mode (both: at the end)
+    (["evolve", "FIG4", "--steps", "2"], "evolve needs exactly one of --t (total time) or --dt (time step)"),
     (["evolve", "--physical", "gaussian", "--t", "nan"], "t: expected a finite number, got nan"),
-    # a step count past float64 would overflow t / steps and t + steps * dt
+    # a step count past float64 would overflow t / steps, and no loop could take its steps
     (["evolve", "--physical", "gaussian", "--t", "1", "--steps", str(10**400)],
      "steps: expected a finite number, got 401 digits"),
     (["evolve", "FIG4", "--dt", "0.1", "--steps", str(10**400), "--snapshot-every", "0"],
@@ -619,6 +633,11 @@ def test_evolve_physical_dt_writes_what_t_over_steps_writes(tmp_path, capsys):
      "parts[1]: expected an integer in 1..4, got 5001 digits"),
     (["encode", "FIG4", "--partition", "1|2,%s9" % ("0" * 5000)],
      "parts[1]: expected an integer in 1..4, got 9"),
+    # both --t and --dt, in either mode: physical mode took t / steps, hypergraph mode dt
+    (["evolve", "FIG4", "--t", "1", "--dt", "0.1"],
+     "evolve needs exactly one of --t (total time) or --dt (time step)"),
+    (["evolve", "--physical", "gaussian", "--t", "1", "--dt", "0.5"],
+     "evolve needs exactly one of --t (total time) or --dt (time step)"),
 ])
 def test_refused_flags_are_named(argv, message, fig4_file, tmp_path, capsys):
     argv = [str(fig4_file) if a == "FIG4" else a for a in argv]
@@ -686,10 +705,17 @@ REFUSAL_INPUTS = {
     (["wigner-transform", "--state", "w2.csv", "--hbar", "1e-308"],
      "Wigner kernel factor 2*dq/hbar for hbar=1e-308: expected a finite number, got inf"),
     (["evolve", "--physical", "gaussian", "--t", "1", "--steps", "1", "--nq", "3", "--np", "2",
-      "--sigma", "1e-200"], "sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+      "--sigma", "1e-200"], "2*sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
     # a finite cell area of 6.1e307 times the field's sum: run.json read Infinity and NaN
     (["evolve", "wide_grid.json", "--dt", "1e-160", "--steps", "1", "--nq", "4", "--np", "4"],
      "total mass sum(values)*dq*dp for dq=7.8125e+153, dp=7.8125e+153: expected a finite number, got inf"),
+    # 2 sigma**2 is inf, so every exponent was -0 and a flat packet was written
+    (["evolve", "--physical", "gaussian", "--sigma", "1e154", "--t", "1", "--steps", "2",
+      "--nq", "16", "--np", "16"], "2*sigma**2 for sigma=1e+154: expected a finite number, got inf"),
+    # 100 additions of dt overflow, where 100 * dt does not: a snapshot read "t": Infinity
+    (["evolve", "--physical", "gaussian", "--mass", "1e300", "--dt", "1.7976931348623153e+306",
+      "--steps", "100", "--snapshot-every", "0", "--nq", "16", "--np", "16"],
+     "end time of 100 steps of dt=1.7976931348623153e+306 from t=0.0: expected a finite number, got inf"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():

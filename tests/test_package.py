@@ -262,7 +262,7 @@ def test_every_integer_is_range_checked(key):
 
 
 def test_open_ended_counts_take_any_size():
-    """A step count has no integer bound, but t + steps * dt needs it as a finite float64; a
+    """A step count has no integer bound, but t / steps needs it as a finite float64; a
     snapshot interval longer than the run is the whole run."""
     with pytest.raises(ValueError, match="^steps: expected a finite number, got 5001 digits$"):
         evolve(_ROW, 0.1, 10**5000)

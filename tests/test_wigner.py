@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -96,6 +97,11 @@ def test_field_validation_and_immutability():
         WignerField(g, np.zeros((3, 4)))
     with pytest.raises(ValueError, match="finite"):
         WignerField(g, np.full((4, 4), np.nan))
+    for bad in (np.nan, np.inf, -np.inf):  # the check reads the min and max: one cell is enough
+        values = np.arange(16.0).reshape(4, 4)
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            WignerField(g, values)
     f = WignerField(g, np.zeros((4, 4)))
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
@@ -213,15 +219,15 @@ def test_gaussian_sigma_validation():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match=rf"^sigma: expected a positive number, got {bad}$"):
             gaussian_wavefunction(grid, sigma=bad)
-    with pytest.raises(ValueError, match=r"^sigma\*\*2 for sigma=1e\+200: expected a finite number, "
+    with pytest.raises(ValueError, match=r"^2\*sigma\*\*2 for sigma=1e\+200: expected a finite number, "
                                          r"got inf$"):
         gaussian_wavefunction(grid, sigma=1e200)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=r"^sigma: expected a finite number, got "):
             gaussian_wavefunction(grid, sigma=bad)
-    # sigma**2 underflows to 0, or every sample lies many sigmas off a cell center
+    # 2 sigma**2 underflows to 0, or every sample lies many sigmas off a cell center
     for n in (33, 32):
-        with pytest.raises(ValueError, match=r"^sigma\*\*2 for sigma=1e-300: expected a positive number, "
+        with pytest.raises(ValueError, match=r"^2\*sigma\*\*2 for sigma=1e-300: expected a positive number, "
                                              r"got 0\.0$"):
             gaussian_wavefunction(make_grid(n, n, (-8, 8), (-8, 8)), sigma=1e-300)
     with pytest.raises(ValueError, match="^norm of the Gaussian of sigma=0.001 at q0=0.0 on "):
@@ -236,11 +242,15 @@ def test_gaussian_sigma_validation():
     ({"p0": -1e308}, "p0*q/hbar for p0=-1e+308, hbar=1.0 on q in [-4.0, 4.0]: "
      "expected a phase of at most 2**53 rad, got inf"),
     # it was refused by the norm, nan after dividing by 2 * sigma**2 = 0
-    ({"sigma": 1e-200}, "sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+    ({"sigma": 1e-200}, "2*sigma**2 for sigma=1e-200: expected a positive number, got 0.0"),
+    # 2 sigma**2 overflows where sigma**2 does not: the norm was blamed, or, with q0 = 0, every
+    # exponent was -0 and the packet was accepted
+    ({"sigma": 1e154, "q0": 1e300}, "2*sigma**2 for sigma=1e+154: expected a finite number, got inf"),
+    ({"sigma": 1e154}, "2*sigma**2 for sigma=1e+154: expected a finite number, got inf"),
 ])
 def test_gaussian_refusal_names_the_input_at_fault(kwargs, message):
-    """A packet centred off the grid names q0; a phase past 2**53 rad names p0, and a sigma**2
-    that underflows names sigma, before any warning."""
+    """A packet centred off the grid names q0; a phase past 2**53 rad names p0, and a 2 sigma**2
+    that underflows or overflows names sigma, before any warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as info:
@@ -584,11 +594,18 @@ def test_overflowing_shear_rejected():
     late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e10), np.zeros((4, 8)), t=1.7e308)
     with pytest.raises(ValueError, match=r"^spectral phase .* for dt=1e\+307, m=10000000000.0: "):
         free_stream_step(late, 1e307, 2)
-    # a phase of 1.3e8 rad, but the end time t + steps * dt overflows
+    # a phase of 1.3e8 rad, but the end time overflows
     late = WignerField(make_grid(8, 4, (0, 8), (-4, 4), m=1e300), np.zeros((4, 8)), t=1.7e308)
-    with pytest.raises(ValueError, match=r"^end time t \+ steps\*dt for dt=1e\+307 over 2 steps from "
+    with pytest.raises(ValueError, match=r"^end time of 2 steps of dt=1e\+307 from "
                                          r"t=1.7e\+308: expected a finite number, got inf$"):
         free_stream_step(late, 1e307, 2)
+    # the end time is the sum of the steps: 100 additions overflow where 100 * dt does not, and
+    # 10 additions end at the largest float64 where 10 * dt overflows
+    ones = WignerField(make_grid(4, 4, (0, 4), (-1e-300, 1e-300)), np.ones((4, 4)))
+    with pytest.raises(ValueError, match=r"^end time of 100 steps of dt=1.7976931348623153e\+306 from "
+                                         r"t=0.0: expected a finite number, got inf$"):
+        free_stream_step(ones, 1.7976931348623153e306, 100)
+    assert free_stream_step(ones, 1.797693134862316e307, 10).t == sys.float_info.max
     with pytest.raises(ValueError, match=r"^steps: expected a finite number, got 401 digits$"):
         free_stream_step(f, 0.1, 10**400)  # a step count past float64, refused as a ValueError
     with pytest.raises(ValueError, match=r"^steps: expected a finite number, got 5001 digits$"):
@@ -719,6 +736,15 @@ def test_stream_holds_its_output_and_one_block(shape):
     assert peak < 1.3 * n_p * n_q * 8
     ref = full_array_shift(w.values, grid.p_centers() * 0.125 / grid.mass, grid.dq, 8)
     assert np.array_equal(out.values.view(np.uint64), ref.view(np.uint64))
+
+
+def test_stream_check_holds_no_field_sized_mask():
+    """The output's finiteness check reads its min and max, so at 2048**2, where one block is
+    small against the field, a step holds 1.05 fields above its input; a bool mask of the
+    output made it 1.13."""
+    grid = make_grid(2048, 2048, (-8, 8), (-8, 8))
+    w = WignerField(grid, np.random.default_rng(36).normal(size=(2048, 2048)), field_mode=True)
+    assert traced_peak(lambda: free_stream_step(w, 0.125)) < 1.08 * 2048 * 2048 * 8
 
 
 @pytest.mark.parametrize("n_q", [4096, 4095])
