@@ -1,8 +1,8 @@
 """Command-line surface: info, matrices, encode, evolve, wigner-transform.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error.  Output lands in
---out, falling back to the WHN_OUTPUT_DIR environment variable, then the
-current directory.
+Exit codes: 0 success, 1 validation error, 2 I/O error or a command line that
+argparse refuses.  Output lands in --out, falling back to the WHN_OUTPUT_DIR
+environment variable, then the current directory.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if (args.t is None) == (args.dt is None):
         raise ValueError("evolve needs exactly one of --t (total time) or --dt (time step)")
     dt = args.dt if args.t is None else _require_real(args.t, "t") / args.steps
+    if args.t and not dt:  # a nonzero t too small to split: every step would leave the field as it is
+        raise ValueError(f"t / steps for t={args.t}, steps={args.steps} underflows to 0.0")
 
     if args.physical is not None:
         if args.physical != "gaussian":

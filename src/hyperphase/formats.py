@@ -419,7 +419,7 @@ def read_wavefunction(path: Path) -> Wavefunction:
             raise ValueError(f"{path}:{k}: expected 'q,re,im'")
         try:
             qs.append(float(parts[0]))
-            amps.append(float(parts[1]) + 1j * float(parts[2]))
+            amps.append(complex(float(parts[1]), float(parts[2])))  # keeps the sign of a zero
         except ValueError:
             raise ValueError(f"{path}:{k}: non-numeric value") from None
     q = np.array(qs)

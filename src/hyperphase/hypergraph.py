@@ -38,9 +38,9 @@ _STR_DIGITS = 4300
 
 
 class _Value:
-    """Base of the package's value types: each slot is set once, by ``_set``, then read only.
-    Public constructors check (and copy) outside input; a value the library derives skips
-    them, as ``object.__new__(T)._set(...)``, or ``._adopt(...)`` to take over a fresh array."""
+    """Base of the package's value types: each slot is set once, by ``_set``, then read only, as is
+    each array it holds.  Public constructors check (and copy) outside input; a value the library
+    derives skips them, as ``object.__new__(T)._set(...)``, or ``._adopt(...)`` for a fresh array."""
 
     __slots__ = ()
 
@@ -48,8 +48,10 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _set(self, *values):
-        """Fill the slots in order; returns self."""
+        """Fill the slots in order, marking each array read-only; returns self."""
         for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
         return self
 
@@ -133,7 +135,7 @@ class Hypergraph(_Value):
     path: vertices an integer in 1..MAX_CELLS, members in 1..n, weights finite positive numbers.
     """
 
-    __slots__ = ("n_vertices", "vertex_weights", "hyperedges")
+    __slots__ = ("n_vertices", "_weights", "hyperedges")  # _weights: as given, or None for unit weights
 
     def __init__(
         self,
@@ -142,10 +144,9 @@ class Hypergraph(_Value):
         vertex_weights: Iterable[float] | None = None,
     ) -> None:
         n = _require_int(n_vertices, "vertices", 1, MAX_CELLS)  # before any per-vertex array is made
-        if vertex_weights is None:
-            weights = (1.0,) * n
-        else:
-            weights = tuple(vertex_weights)
+        weights = vertex_weights
+        if weights is not None:
+            weights = tuple(weights)
             if len(weights) != n:
                 raise ValueError(f"vertex_weights: expected {n} entries, got {len(weights)}")
             weights = tuple(_require_number(w, f"vertex_weights[{i}]") for i, w in enumerate(weights))
@@ -167,6 +168,10 @@ class Hypergraph(_Value):
 
     def _fields(self) -> tuple:
         return self.n_vertices, self.vertex_weights, self.hyperedges
+
+    @property
+    def vertex_weights(self) -> tuple[float, ...]:  # unit weights are built on each read
+        return (1.0,) * self.n_vertices if self._weights is None else self._weights
 
     @property
     def n_edges(self) -> int:
@@ -314,9 +319,9 @@ class PartitionEnsemble(_Value):
 
 
 def part_weight(p: PartitionEnsemble, k: int) -> float:
-    """Total vertex weight of part k (0-based part index); a sum past float64 is refused."""
+    """Total vertex weight of part k (0-based), its exact count for unit weights; past float64 refused."""
     part = p.parts[_require_int(k, "k", 0, p.n_parts - 1)]
-    total = sum(p.parent.vertex_weights[v - 1] for v in part)
+    total = len(part) if p.parent._weights is None else sum(p.parent._weights[v - 1] for v in part)
     return _require_real(total, f"vertex weight sum of parts[{k}]")
 
 

@@ -48,7 +48,6 @@ class QubitStateVector(_Value):
         if table.dtype.kind not in "biu" or table.min() < 0 or table.max() > 1:
             raise ValueError(f"signs: expected bool or integer 0s and 1s, got dtype {table.dtype}")
         table = table.astype(np.uint8)  # a copy, even of uint8 input
-        table.flags.writeable = False
         self._set(n_qubits, table)
 
     @property
@@ -64,7 +63,6 @@ def plus_state(n: int) -> QubitStateVector:
     """|+>^n: the zero table, all 2^n amplitudes 2^(-n/2)."""
     n = _require_int(n, "n", 1, MAX_QUBITS)
     table = np.zeros(2**n, dtype=np.uint8)
-    table.flags.writeable = False
     return object.__new__(QubitStateVector)._set(n, table)  # all 0s: no scan, no copy
 
 
@@ -81,7 +79,6 @@ def apply_ckz(s: QubitStateVector, targets: Iterable[int]) -> QubitStateVector:
     mask[index[n - k :]] = 1
     block = signs.reshape((2,) * n)[index[: n - k] + (...,)]
     block ^= mask
-    signs.flags.writeable = False
     return object.__new__(QubitStateVector)._set(n, signs)  # the table is 0s and 1s: no re-check
 
 

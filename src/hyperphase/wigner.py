@@ -136,7 +136,6 @@ class WignerField(_Value):
             raise ValueError(f"values shape {arr.shape} does not match grid {shape}")
         if not _all_finite(arr):
             raise ValueError("field values must be finite")
-        arr.flags.writeable = False
         return self._set(grid, arr, t, field_mode)
 
 
@@ -160,7 +159,6 @@ class Wavefunction(_Value):
             norm = float(np.sum(np.abs(arr) ** 2) * ((q_max - q_min) / arr.size))
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"wavefunction norm is {norm}, expected 1 within 1e-10")
-        arr.flags.writeable = False
         return self._set(q_min, q_max, arr)
 
     @property

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperphase import (QubitStateVector, formats, gaussian_wavefunction, grid_from_boundary,
-                        incidence_matrix, make_grid)
+                        incidence_matrix, make_grid, wigner_transform_pure)
 from hyperphase.cli import _parse_partition_spec, main
 
 from conftest import dump_amplitudes
@@ -532,7 +532,7 @@ def test_evolve_physical_holds_four_fields(tmp_path):
 
 def test_hypergraph_evolve_does_no_per_vertex_work_for_the_phase_map(tmp_path):
     # run.json records the degree source and the momentum rows, nothing per vertex; the
-    # vertex weights and degrees (8 MB each) are all that grows with the vertex count
+    # vertex degrees (8 MB) are all that grows with the vertex count, as unit weights are not held
     doc = tmp_path / "wide.json"
     doc.write_text('{"vertices": 1000000, "edges": [{"members": [1]}]}')
     argv = ["evolve", str(doc), "--dt", "0.1", "--steps", "1", "--out", str(tmp_path / "x")]
@@ -542,7 +542,7 @@ def test_hypergraph_evolve_does_no_per_vertex_work_for_the_phase_map(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20  # 96.6 MiB with a column per vertex
+    assert peak < 8.5 * 2**20  # 15.3 MiB with a tuple of unit weights, 96.6 MiB with a column per vertex
     run = json.loads((tmp_path / "x" / "run.json").read_text())
     assert run["degree_source"] == "vertex_degree" and run["momentum_rows"] == {"0": 51}
 
@@ -586,6 +586,18 @@ def test_evolve_dt_writes_what_t_over_steps_writes(mode, fig4_file, tmp_path, ca
         trees.append(read_tree(out))
     assert trees[0] == trees[1]
     assert json.loads(trees[0]["run.json"])["dt"] == 0.25
+
+
+@pytest.mark.parametrize("time", [["--t", "0"], ["--dt", "0"]])
+def test_evolve_zero_time_leaves_the_field(time, tmp_path):
+    # only a nonzero t whose step underflows is refused: a zero time streams nothing
+    argv = ["evolve", "--physical", "gaussian", *time, "--steps", "2", "--nq", "16", "--np", "16"]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 0
+    grid = make_grid(16, 16, (-8, 8), (-8, 8))
+    (tmp_path / "ref").mkdir()
+    formats.write_snapshot(tmp_path / "ref", 2, wigner_transform_pure(gaussian_wavefunction(grid), grid))
+    assert read_tree(tmp_path / "ref") == {k: v for k, v in read_tree(tmp_path / "x").items() if "0002" in k}
+    assert json.loads((tmp_path / "x" / "run.json").read_text())["dt"] == 0.0
 
 
 @pytest.mark.parametrize("every", ["0", "1"])
@@ -716,6 +728,9 @@ REFUSAL_INPUTS = {
     (["evolve", "--physical", "gaussian", "--mass", "1e300", "--dt", "1.7976931348623153e+306",
       "--steps", "100", "--snapshot-every", "0", "--nq", "16", "--np", "16"],
      "end time of 100 steps of dt=1.7976931348623153e+306 from t=0.0: expected a finite number, got inf"),
+    # a nonzero t whose step underflows: run.json read "dt": 0.0 and the last snapshot "t": 0.0
+    (["evolve", "--physical", "gaussian", "--t", "5e-324", "--steps", "2", "--nq", "16", "--np", "16"],
+     "t / steps for t=5e-324, steps=2 underflows to 0.0"),
 ])
 def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     for name, text in REFUSAL_INPUTS.items():
@@ -727,6 +742,26 @@ def test_refused_run_leaves_out_untouched(argv, message, tmp_path, capsys):
     assert caught == []
     err = capsys.readouterr().err
     assert message in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+# 10**7 vertices: refused by the qubit cap and the matrix cap before any per-vertex array is
+# made, where a tuple of unit vertex weights peaked at 76.5 MiB
+@pytest.mark.parametrize("command, message", [
+    ("encode", "vertices (qubits, capped for the dense encoding): expected an integer <= 20, got 10000000"),
+    ("matrices", "cells of the largest matrix (10000000 x 10000000): expected an integer <= 16777216"),
+], ids=["encode", "matrices"])
+def test_ten_million_vertices_are_refused_before_per_vertex_work(command, message, tmp_path, capsys):
+    doc = tmp_path / "h.json"
+    doc.write_text('{"vertices": 10000000, "edges": [{"members": [1], "weight": 1}]}')
+    tracemalloc.start()
+    try:
+        assert main([command, str(doc), "--out", str(tmp_path / "out")]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -269,6 +269,15 @@ def test_wavefunction_round_trip(tmp_path):
     assert np.max(np.abs(w1.values - w2.values)) <= 1e-12
 
 
+def test_wavefunction_file_keeps_signed_zeros(tmp_path):
+    # each sample was read as re + 1j * im, which turned the -0 parts into 0
+    text = "q,re,im\n0.5,0.5,-0\n1.5,-0,0.5\n2.5,-0.5,0\n3.5,0.5,-0\n"
+    path, back = tmp_path / "psi.csv", tmp_path / "back.csv"
+    path.write_text(text)
+    formats.write_wavefunction(back, formats.read_wavefunction(path))
+    assert back.read_text() == text
+
+
 def test_read_wavefunction_rejects_irregular_axis(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("q,re,im\n0,1,0\n1,1,0\n3,1,0\n")

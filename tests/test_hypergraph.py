@@ -360,6 +360,23 @@ def test_part_weight_examples():
         part_weight(p, 2)
 
 
+def test_default_weights_are_explicit_unit_weights():
+    # only given weights are stored: the unit default is built when vertex_weights is read, and
+    # part_weight counts a part where it would add ones
+    edges = [([1, 2], 2.0), ([3], 0.5), ([], 1.0)]
+    default, unit = Hypergraph(5, edges), Hypergraph(5, edges, vertex_weights=[1] * 5)
+    assert default == unit and hash(default) == hash(unit) and default.vertex_weights == (1.0,) * 5
+    assert all(type(w) is float for w in default.vertex_weights)
+    assert parse_hypergraph(serialize_hypergraph(default)) == default
+    for parts in ([{1, 2, 3}, {4, 5}], [set(), {1, 2, 3, 4, 5}], [{1}, {3}]):
+        got = [[part_weight(PartitionEnsemble(h, parts, 0.5), k).hex() for k in range(2)]
+               for h in (default, unit)]
+        assert got[0] == got[1]
+        reports = [is_balanced(PartitionEnsemble(h, parts, 0.5)) for h in (default, unit)]
+        assert [getattr(reports[0], f) for f in reports[0].__slots__] == \
+               [getattr(reports[1], f) for f in reports[1].__slots__]
+
+
 def test_is_balanced_332():
     h = Hypergraph(8)
     parts = [{1, 2, 3}, {4, 5, 6}, {7, 8}]

@@ -91,6 +91,16 @@ def value_instances():
             WignerField(grid, np.zeros((8, 8))), psi, plus_state(2)]
 
 
+def test_every_array_a_value_holds_is_read_only():
+    values = value_instances()
+    grid, psi = values[3], values[6]
+    field = wigner_transform(psi, grid)
+    values += [field, free_stream_step(field, 0.1), apply_ckz(plus_state(2), [1])]
+    arrays = [getattr(v, name) for v in values for name in type(v).__slots__
+              if isinstance(getattr(v, name), np.ndarray)]
+    assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+
+
 def test_value_types_refuse_assignment_and_have_no_dict():
     for obj in value_instances():
         name = type(obj).__name__
@@ -301,6 +311,7 @@ CELL_REFUSALS = {
     "position_laplacian": lambda: position_laplacian(_WIDE),
     "PhaseSpaceGrid": lambda: PhaseSpaceGrid(4097, 4097, 0.0, 1.0, 0.0, 1.0),
     "wigner_transform": lambda: wigner_transform(_PSI, _NARROW),
+    "vertex_degree_matrix of 2**24 vertices": lambda: vertex_degree_matrix(Hypergraph(2**24)),
 }
 
 
@@ -317,7 +328,7 @@ def test_every_dense_builder_refuses_before_it_allocates(name):
 
 
 def test_a_count_no_diagonal_can_hold_is_refused():
-    # the hypergraph holds one weight per vertex (128 MiB of tuple); its 2**48-cell D_v is refused
+    # a vertex count needs no per-vertex array; its 2**48-cell D_v is refused
     with pytest.raises(ValueError, match=r"^cells of the vertex degree matrix \(16777216 x 16777216\)"):
         vertex_degree_matrix(Hypergraph(2**24))
 
@@ -326,10 +337,27 @@ def test_a_count_no_diagonal_can_hold_is_refused():
 
 # a line may match each pattern only inside its helpers
 BOUND_HOMES = {
+    r"out of range|must be >=|must be at most|must be in ": (),
     r"[<>]=? *MAX_(CELLS|QUBITS)": ("_require_int", "_require_cells"),
     r"math\.isfinite": ("_require_real",),
     r"[<>]=? *2(\.0)? *\*\* *53": ("_require_phase",),
 }
+
+
+def source_lines(homes: dict) -> tuple[list[str], list[str]]:
+    """'file:line' of each package source line that matches a pattern of ``homes``: those inside
+    a function the pattern names, and those outside every one."""
+    inside, outside = [], []
+    for path in sorted(Path(hyperphase.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = {f.name: range(f.lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef)}
+        for i, line in enumerate(text.splitlines(), start=1):
+            for pattern, helpers in homes.items():
+                if re.search(pattern, line):
+                    home = any(i in spans.get(name, ()) for name in helpers)
+                    (inside if home else outside).append(f"{path.name}:{i}")
+    return inside, outside
 
 
 def test_each_bound_has_one_home():
@@ -337,13 +365,11 @@ def test_each_bound_has_one_home():
     ``_require_cells``, a real that is not finite only by ``_require_real`` and a phase past
     2**53 rad only by ``_require_phase``: no other code words a range refusal, compares with a
     cap or with 2**53, or calls math.isfinite."""
-    for path in sorted(Path(hyperphase.__file__).parent.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        spans = {f.name: range(f.lineno, f.end_lineno + 1) for f in ast.walk(ast.parse(text))
-                 if isinstance(f, ast.FunctionDef)}
-        for i, line in enumerate(text.splitlines(), start=1):
-            assert not re.search(r"out of range|must be >=|must be at most|must be in ", line), \
-                f"{path.name}:{i}"
-            for pattern, helpers in BOUND_HOMES.items():
-                if re.search(pattern, line):
-                    assert any(i in spans.get(name, ()) for name in helpers), f"{path.name}:{i}"
+    assert source_lines(BOUND_HOMES)[1] == []
+
+
+def test_arrays_are_made_read_only_in_one_place():
+    """``_Value._set`` marks each array a value stores read-only, and ``amplitudes`` the array it
+    builds on each read: no other code sets ``flags.writeable``."""
+    inside, outside = source_lines({r"\.flags\.writeable *=(?!=)": ("_set", "amplitudes")})
+    assert len(inside) == 2 and outside == []
