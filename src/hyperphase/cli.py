@@ -58,9 +58,8 @@ from .wigner import (
 )
 
 OUTPUT_DIR_ENV = "WHN_OUTPUT_DIR"
-# evolve's caps: steps * max(n_q * n_p, 2**12) cell-steps, about a minute of free streaming on a
-# 2-core x86-64 VM, and the snapshots that four-digit snapshot_NNNN names keep in order
-_MAX_STEP_WORK, _MAX_SNAPSHOTS = 2**36, 9999
+# evolve's cap of steps * max(n_q * n_p, 2**12) cell-steps: about a minute on a 2-core x86-64 VM
+_MAX_STEP_WORK = 2**36
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -169,9 +168,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     # n_q * n_p is clipped to MAX_CELLS: a larger grid is refused with its own message
     _require_int(args.steps * max(min(args.nq * args.np, MAX_CELLS), 2**12), f"steps * max(n_q * n_p, 4096) "
                  f"for steps={args.steps} on an n_q={args.nq} x n_p={args.np} grid", high=_MAX_STEP_WORK)
-    if args.snapshot_every and args.steps > _MAX_SNAPSHOTS * args.snapshot_every:
+    if args.snapshot_every and args.steps > formats._MAX_SNAPSHOTS * args.snapshot_every:
         raise ValueError(f"steps={args.steps} with snapshot_every={args.snapshot_every} writes "
-                         f"more than {_MAX_SNAPSHOTS} snapshots")
+                         f"more than {formats._MAX_SNAPSHOTS} snapshots")
     if (args.t is None) == (args.dt is None):
         raise ValueError("evolve needs exactly one of --t (total time) or --dt (time step)")
     dt = args.dt if args.t is None else _require_real(args.t, "t") / args.steps

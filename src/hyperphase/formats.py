@@ -72,6 +72,7 @@ _SCALES = range(-265, 299)
 # template: the kernel's error (below 1e-14) cannot decide an exact tie.
 _TIE_WINDOW = 1e-6
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for a 53-bit significand
+_SNAPSHOT_NAME, _MAX_SNAPSHOTS = "snapshot_{:04d}", 9999  # four digits keep this many snapshots in order
 
 
 def fmt17(x: float) -> str:
@@ -379,8 +380,7 @@ def write_snapshot(directory: Path, index: int, field: WignerField) -> tuple[Pat
 
     CSV rows run from p_max down to p_min, one column per position cell.
     """
-    csv_path = directory / f"snapshot_{index:04d}.csv"
-    meta_path = directory / f"snapshot_{index:04d}.meta.json"
+    csv_path, meta_path = (directory / (_SNAPSHOT_NAME.format(index) + ext) for ext in (".csv", ".meta.json"))
     values = field.values[::-1]
     _write_csv(csv_path, b"", values.shape, values.__getitem__)
     meta = {name: getattr(field.grid, name) for name in field.grid.__slots__}  # keys sorted below

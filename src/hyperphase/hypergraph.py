@@ -135,7 +135,7 @@ class Hypergraph(_Value):
     path: vertices an integer in 1..MAX_CELLS, members in 1..n, weights finite positive numbers.
     """
 
-    __slots__ = ("n_vertices", "_weights", "hyperedges")  # _weights: as given, or None for unit weights
+    __slots__ = ("n_vertices", "_weights", "hyperedges")  # _weights: as given, or None if every one is 1
 
     def __init__(
         self,
@@ -158,7 +158,7 @@ class Hypergraph(_Value):
                     v = _require_int(v, f"edges[{j}].members[{i}]", 1, n)
                 checked.append(v)
             edges.append((frozenset(checked), _require_number(weight, f"edges[{j}].weight")))
-        self._set(n, weights, tuple(edges))
+        self._set(n, None if weights is None or weights.count(1.0) == n else weights, tuple(edges))
 
     def __eq__(self, other):
         return self._fields() == other._fields() if type(other) is Hypergraph else NotImplemented
@@ -167,10 +167,10 @@ class Hypergraph(_Value):
         return hash(self._fields())
 
     def _fields(self) -> tuple:
-        return self.n_vertices, self.vertex_weights, self.hyperedges
+        return self.n_vertices, self._weights, self.hyperedges  # the stored form: nothing is built
 
     @property
-    def vertex_weights(self) -> tuple[float, ...]:  # unit weights are built on each read
+    def vertex_weights(self) -> tuple[float, ...]:  # unit weights are built on each read, for output
         return (1.0,) * self.n_vertices if self._weights is None else self._weights
 
     @property
@@ -244,7 +244,8 @@ def _vertex_degrees(h: Hypergraph) -> np.ndarray:
 def _edge_weight_sums(h: Hypergraph) -> np.ndarray:
     """f_w(e) = sum of member vertex weights (vw H), added from 0.0 in ascending vertex order."""
     vertex, edge = _memberships(h)
-    return _checked(np.bincount, edge, np.array(h.vertex_weights)[vertex], h.n_edges)
+    weights = None if h._weights is None else np.array(h._weights)[vertex]  # None: exact member counts
+    return _checked(np.bincount, edge, weights, h.n_edges)
 
 
 def _edge_degrees(h: Hypergraph) -> np.ndarray:

@@ -861,6 +861,22 @@ def test_evolve_is_deterministic(fig4_file, tmp_path):
     assert read_tree(a) == read_tree(b)
 
 
+@pytest.mark.parametrize("argv", [
+    ["info"], ["matrices"], ["encode", "--partition", "1,2|3,4,5"],
+    ["evolve", "--nq", "16", "--np", "16", "--dt", "0.1", "--steps", "2"],
+], ids=["info", "matrices", "encode", "evolve"])
+def test_explicit_unit_weights_write_what_default_weights_write(argv, tmp_path, capsys):
+    edges = '"edges": [{"members": [1, 2, 3], "weight": 2}, {"members": [3, 4], "weight": 0.5}, {"members": [5]}]'
+    runs = []
+    for name, weights in (("default", ""), ("unit", '"vertex_weights": [1, 1.0, 1, 1, 1], ')):
+        doc, out = tmp_path / f"{name}.json", tmp_path / name
+        doc.write_text('{"vertices": 5, ' + weights + edges + "}")
+        assert main([argv[0], str(doc), *argv[1:], *(["--out", str(out)] if argv[0] != "info" else [])]) == 0
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"), read_tree(out) if out.exists() else {}))
+    assert runs[0] == runs[1]
+    assert runs[0][1] or argv[0] == "info"
+
+
 def test_output_dir_env_var(fig4_file, tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("WHN_OUTPUT_DIR", str(env_dir))

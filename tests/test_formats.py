@@ -269,6 +269,18 @@ def test_wavefunction_round_trip(tmp_path):
     assert np.max(np.abs(w1.values - w2.values)) <= 1e-12
 
 
+def test_wavefunction_file_bounds_are_within_one_ulp(tmp_path):
+    # the file holds cell centers, not bounds: read_wavefunction rebuilds q_min and q_max from the
+    # first spacing, and on this window 186 of the 497 sizes read a bound back off by ulp(8) or less
+    path = tmp_path / "psi.csv"
+    for n in range(16, 513):
+        psi = gaussian_wavefunction(make_grid(n, 2, (-8, 8), (-8, 8)), sigma=1.2)
+        formats.write_wavefunction(path, psi)
+        back = formats.read_wavefunction(path)
+        for got, bound in ((back.q_min, psi.q_min), (back.q_max, psi.q_max)):
+            assert abs(got - bound) <= math.ulp(bound), (n, got, bound)
+
+
 def test_wavefunction_file_keeps_signed_zeros(tmp_path):
     # each sample was read as re + 1j * im, which turned the -0 parts into 0
     text = "q,re,im\n0.5,0.5,-0\n1.5,-0,0.5\n2.5,-0.5,0\n3.5,0.5,-0\n"

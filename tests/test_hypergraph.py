@@ -22,7 +22,7 @@ from hyperphase import (
 from hyperphase.formats import parse_hypergraph, serialize_hypergraph
 from hyperphase.hypergraph import _digits
 
-from conftest import float_hypergraphs, random_hypergraph
+from conftest import float_hypergraphs, random_hypergraph, traced_peak
 
 
 def naive_gram(h: Hypergraph, diag) -> np.ndarray:
@@ -361,12 +361,15 @@ def test_part_weight_examples():
 
 
 def test_default_weights_are_explicit_unit_weights():
-    # only given weights are stored: the unit default is built when vertex_weights is read, and
-    # part_weight counts a part where it would add ones
+    # unit weights are stored in one form, given or not: vertex_weights builds them when read,
+    # and part_weight and f_w count vertices where they would add ones (exact, so the same bits)
     edges = [([1, 2], 2.0), ([3], 0.5), ([], 1.0)]
     default, unit = Hypergraph(5, edges), Hypergraph(5, edges, vertex_weights=[1] * 5)
     assert default == unit and hash(default) == hash(unit) and default.vertex_weights == (1.0,) * 5
     assert all(type(w) is float for w in default.vertex_weights)
+    for form in (edge_weight_sum_matrix, position_laplacian):
+        assert form(default).tobytes() == form(unit).tobytes()
+    assert np.array_equal(edge_weight_sum_matrix(unit), np.diag([2.0, 1.0, 0.0]))
     assert parse_hypergraph(serialize_hypergraph(default)) == default
     for parts in ([{1, 2, 3}, {4, 5}], [set(), {1, 2, 3, 4, 5}], [{1}, {3}]):
         got = [[part_weight(PartitionEnsemble(h, parts, 0.5), k).hex() for k in range(2)]
@@ -375,6 +378,18 @@ def test_default_weights_are_explicit_unit_weights():
         reports = [is_balanced(PartitionEnsemble(h, parts, 0.5)) for h in (default, unit)]
         assert [getattr(reports[0], f) for f in reports[0].__slots__] == \
                [getattr(reports[1], f) for f in reports[1].__slots__]
+
+
+def test_unit_weights_are_compared_and_summed_without_building_them():
+    # (1.0,) * 10**6 is 7.6 MiB: each call stays under 1 MiB only if it builds no unit weights
+    a, b = Hypergraph(10**6), Hypergraph(10**6)
+    one_edge = [Hypergraph(10**6, [([1], 1.0)], vertex_weights=w) for w in (None, [1.0] * 10**6)]
+    calls = {"==": lambda: a == b, "hash": lambda: hash(a)}
+    calls.update({f"f_w {k}": lambda h=h: edge_weight_sum_matrix(h) for k, h in enumerate(one_edge)})
+    peaks = {name: traced_peak(call) for name, call in calls.items()}
+    assert all(peak < 2**20 for peak in peaks.values()), peaks
+    assert a == b and one_edge[0] == one_edge[1]
+    assert [edge_weight_sum_matrix(h).tolist() for h in one_edge] == [[[1.0]]] * 2
 
 
 def test_is_balanced_332():

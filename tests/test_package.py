@@ -368,6 +368,13 @@ def test_each_bound_has_one_home():
     assert source_lines(BOUND_HOMES)[1] == []
 
 
+def test_only_the_outputs_that_print_vertex_weights_read_them():
+    """Only the outputs that print vertex weights read ``vertex_weights``, which builds unit
+    weights on each read: equality, hashing, f_w and part weights read the stored form."""
+    inside, outside = source_lines({r"\.vertex_weights\b": ("cmd_info", "serialize_hypergraph")})
+    assert len(inside) == 2 and outside == []
+
+
 def test_arrays_are_made_read_only_in_one_place():
     """``_Value._set`` marks each array a value stores read-only, and ``amplitudes`` the array it
     builds on each read: no other code sets ``flags.writeable``."""
